@@ -218,26 +218,23 @@ def build_adjacency(train, num_users=None, num_items=None):
     (N, N) csr matrix with entries 1/sqrt(deg_u * deg_v) and a boolean mask
     of degree-0 nodes, N = num_users + num_items.
     """
+    from .losses import _positive_index
+
     num_users = train.num_users if num_users is None else num_users
     num_items = train.num_items if num_items is None else num_items
-    pair_rows = []
-    pair_cols = []
-    for k in range(train.num_behaviors):
-        for u in range(num_users):
-            items = train.positives[k][u]
-            if len(items):
-                pair_rows.append(np.full(len(items), u, dtype=np.int64))
-                pair_cols.append(np.asarray(items, dtype=np.int64))
     n = num_users + num_items
-    if pair_rows:
-        users = np.concatenate(pair_rows)
-        items = np.concatenate(pair_cols) + num_users
-        pairs = np.unique(np.stack([users, items], axis=1), axis=0)
-        rows = np.concatenate([pairs[:, 0], pairs[:, 1]])
-        cols = np.concatenate([pairs[:, 1], pairs[:, 0]])
-    else:
-        rows = np.empty(0, dtype=np.int64)
-        cols = np.empty(0, dtype=np.int64)
+    # Each edge (u, U + v) is encoded as u * N + U + v, so sorting the codes
+    # orders the edges row-major and repeated edges become neighbours.
+    codes = [np.empty(0, dtype=np.int64)]
+    for per_user in train.positives:
+        users, items = _positive_index(per_user[:num_users])
+        codes.append(users * n + num_users + items)
+    codes = np.sort(np.concatenate(codes))
+    first = np.ones(len(codes), dtype=bool)
+    np.not_equal(codes[1:], codes[:-1], out=first[1:])
+    users, items = np.divmod(codes[first], n)
+    rows = np.concatenate([users, items])
+    cols = np.concatenate([items, users])
     data = np.ones(len(rows))
     adj = sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
     degrees = np.asarray(adj.sum(axis=1)).ravel()

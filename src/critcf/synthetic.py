@@ -36,6 +36,11 @@ class SynthConfig:
     def validate(self):
         if self.num_users < 1 or self.num_items < 2:
             raise DataError("need at least 1 user and 2 items")
+        if self.latent_dim < 1:
+            raise DataError("latent_dim (--latent-dim) must be >= 1, got %d" % self.latent_dim)
+        if not np.isfinite(self.criterion_spread):
+            raise DataError("criterion_spread (--spread) must be finite, got %r"
+                            % self.criterion_spread)
         if len(self.densities) != self.num_behaviors:
             raise DataError(
                 "expected %d densities, got %d" % (self.num_behaviors, len(self.densities))
@@ -61,27 +66,45 @@ class SynthConfig:
 
 
 def _floored_mask(adjusted, count, floor):
-    """Top-count mask with a per-user floor.
+    """Top-count mask with a per-user floor, selected in O(U*V) time.
 
-    Marks each user's ``floor`` largest entries, then the globally largest
-    unmarked entries until exactly ``count`` are set.  Ties break toward the
-    lower index (stable sort on the negated values).
+    Each user first gets its ``floor`` largest entries: every entry above
+    the row's floor-th largest value t, then the entries equal to t in
+    ascending column order until the row holds ``floor`` cells.  The same
+    rule then runs once over all unmarked cells, with ties taken in
+    ascending flat (row-major) index, until exactly ``count`` cells are set.
+    Selection only compares values, so -0.0 and 0.0 tie.  ``adjusted`` must
+    be finite and ``count`` at most U*V.
     """
     num_users, num_items = adjusted.shape
     mask = np.zeros((num_users, num_items), dtype=bool)
-    if floor > 0:
-        top = np.argsort(-adjusted, axis=1, kind="stable")[:, :floor]
-        np.put_along_axis(mask, top, True, axis=1)
-    remaining = count - int(mask.sum())
+    if floor >= num_items:
+        mask[:] = True
+    elif floor > 0:
+        kth = num_items - floor
+        t = np.partition(adjusted, kth, axis=1)[:, kth:kth + 1]
+        np.greater(adjusted, t, out=mask)
+        ties = adjusted == t
+        need = floor - np.count_nonzero(mask, axis=1)
+        # rows with more ties at t than free slots keep the leftmost ones
+        crowded = np.flatnonzero(np.count_nonzero(ties, axis=1) > need)
+        ties[crowded] &= np.cumsum(ties[crowded], axis=1) <= need[crowded, None]
+        mask |= ties
+    remaining = count - int(np.count_nonzero(mask))
     if remaining < 0:
         raise DataError(
             "count %d cannot honor a floor of %d items for each of %d users"
             % (count, floor, num_users)
         )
     if remaining > 0:
-        flat = np.where(mask.ravel(), -np.inf, adjusted.ravel())
-        order = np.argsort(-flat, kind="stable")[:remaining]
-        mask.ravel()[order] = True
+        free = ~mask
+        values = adjusted[free]
+        kth = values.size - remaining
+        values.partition(kth)
+        above = free & (adjusted > values[kth])
+        ties = np.flatnonzero(free & (adjusted == values[kth]))
+        mask |= above
+        mask.ravel()[ties[:remaining - np.count_nonzero(above)]] = True
     return mask
 
 
@@ -97,12 +120,13 @@ def generate(cfg):
     scale = 1.0 / np.sqrt(cfg.latent_dim)
     user_latent = rng.normal(size=(cfg.num_users, cfg.latent_dim)) * scale
     item_latent = rng.normal(size=(cfg.num_items, cfg.latent_dim)) * scale
-    user_factor = np.exp(
-        cfg.criterion_spread * rng.normal(size=(cfg.num_users, cfg.num_behaviors))
-    )
-    item_factor = np.exp(
-        cfg.criterion_spread * rng.normal(size=(cfg.num_items, cfg.num_behaviors))
-    )
+    with np.errstate(over="ignore"):
+        user_factor = np.exp(
+            cfg.criterion_spread * rng.normal(size=(cfg.num_users, cfg.num_behaviors))
+        )
+        item_factor = np.exp(
+            cfg.criterion_spread * rng.normal(size=(cfg.num_items, cfg.num_behaviors))
+        )
 
     # The same floor applies to every behavior: densities are non-increasing
     # toward the target, so coarser behaviors always have quota to spare, and
@@ -111,9 +135,19 @@ def generate(cfg):
     total = cfg.num_users * cfg.num_items
     masks = []
     for k in range(cfg.num_behaviors):
-        adjusted = affinity / np.outer(user_factor[:, k], item_factor[:, k])
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            threshold = np.outer(user_factor[:, k], item_factor[:, k])
+            adjusted = affinity / threshold
+        if not (np.isfinite(threshold).all() and np.isfinite(adjusted).all()):
+            raise DataError(
+                "behavior %d: criterion_spread (--spread) %r puts the planted "
+                "thresholds out of float range; use a smaller spread"
+                % (k, cfg.criterion_spread)
+            )
+        del threshold
         count = max(1, int(round(cfg.densities[k] * total)))
         masks.append(_floored_mask(adjusted, count, cfg.min_target_positives))
+        del adjusted
 
     target = cfg.num_behaviors - 1
     positives = [

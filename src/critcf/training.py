@@ -63,6 +63,12 @@ class TrainConfig:
             raise ConfigError("variant must be one of %s" % (VARIANTS,))
         if self.dim < 1:
             raise ConfigError("dim must be >= 1")
+        for name, values in (("lr", (self.lr,)), ("neg_weight (w)", (self.neg_weight,)),
+                             ("bound_ratio (alpha)", (self.bound_ratio,)),
+                             ("behavior_weights (lambdas)", tuple(self.behavior_weights))):
+            if not np.isfinite(values).all():
+                raise ConfigError("%s must be finite, got %s"
+                                  % (name, ",".join(repr(float(v)) for v in values)))
         if self.lr <= 0.0:
             raise ConfigError("lr must be > 0")
         if self.batch_size < 1:
@@ -77,6 +83,8 @@ class TrainConfig:
             raise ConfigError("bound_ratio must lie in [0, 1]")
         if self.patience < 1:
             raise ConfigError("patience must be >= 1")
+        if self.eval_cutoff < 1:
+            raise ConfigError("eval_cutoff must be >= 1")
         if self.variant == "O" and self.model != "gmf":
             raise ConfigError("variant O uses per-behavior output layers; model must be gmf")
         self.loss_config().validate(num_behaviors)

@@ -98,6 +98,21 @@ def test_usage_and_config_errors(dataset_dir, tmp_path, capsys):
     assert "config error" in err and "data error" in err
 
 
+@pytest.mark.parametrize("override,key", [
+    ("lr=nan", "lr"),
+    ("lr=inf", "lr"),
+    ("w=nan", "(w)"),
+    ("alpha=nan", "alpha"),
+    ("lambdas=nan,0.5,0.5", "(lambdas)"),
+    ("eval_cutoff=0", "eval_cutoff"),
+])
+def test_train_rejects_bad_values(dataset_dir, tmp_path, capsys, override, key):
+    out = str(tmp_path / "run")
+    assert main(["train", dataset_dir, out] + FAST + ["--override", override]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and key in err
+
+
 def test_synth_argument_validation(tmp_path, capsys):
     assert main(["synth", str(tmp_path / "a"), "--densities", "0.4,0.3",
                  "--behaviors", "view,cart,buy"]) == 1

@@ -2,6 +2,7 @@ import os
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from critcf.datasets import BehaviorDataset
 from critcf.errors import ConfigError, DataError
@@ -139,6 +140,63 @@ def test_adjacency_normalization():
     twice = make_train(2, 1, [[[0], [0]], [[0], []]])
     adjacency2, _ = build_adjacency(twice)
     assert (adjacency != adjacency2).nnz == 0
+
+
+def pairwise_unique_build_adjacency(train, num_users=None, num_items=None):
+    """Reference oracle for build_adjacency: per-user loop and 2-D np.unique."""
+    num_users = train.num_users if num_users is None else num_users
+    num_items = train.num_items if num_items is None else num_items
+    pair_rows = []
+    pair_cols = []
+    for k in range(train.num_behaviors):
+        for u in range(num_users):
+            items = train.positives[k][u]
+            if len(items):
+                pair_rows.append(np.full(len(items), u, dtype=np.int64))
+                pair_cols.append(np.asarray(items, dtype=np.int64))
+    n = num_users + num_items
+    if pair_rows:
+        users = np.concatenate(pair_rows)
+        items = np.concatenate(pair_cols) + num_users
+        pairs = np.unique(np.stack([users, items], axis=1), axis=0)
+        rows = np.concatenate([pairs[:, 0], pairs[:, 1]])
+        cols = np.concatenate([pairs[:, 1], pairs[:, 0]])
+    else:
+        rows = np.empty(0, dtype=np.int64)
+        cols = np.empty(0, dtype=np.int64)
+    data = np.ones(len(rows))
+    adj = sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
+    degrees = np.asarray(adj.sum(axis=1)).ravel()
+    isolated = degrees == 0.0
+    inv_sqrt = np.zeros(n)
+    inv_sqrt[~isolated] = 1.0 / np.sqrt(degrees[~isolated])
+    norm = sp.diags(inv_sqrt) @ adj @ sp.diags(inv_sqrt)
+    return norm.tocsr(), isolated
+
+
+def random_train(seed, num_users, num_items, num_behaviors, density):
+    rng = np.random.default_rng(seed)
+    return make_train(num_users, num_items, [
+        [np.flatnonzero(rng.random(num_items) < density * rng.random()) for _ in range(num_users)]
+        for _ in range(num_behaviors)
+    ])
+
+
+@pytest.mark.parametrize("train", [
+    random_train(0, 50, 30, 3, 0.3),
+    random_train(1, 200, 400, 2, 0.05),
+    random_train(2, 7, 5, 4, 0.9),
+    make_train(3, 4, [[[0, 1], [2], []], [[1, 3], [], []]]),
+    make_train(3, 4, [[[], [], []]]),
+])
+def test_build_adjacency_bitwise_equals_oracle(train):
+    got, got_isolated = build_adjacency(train)
+    want, want_isolated = pairwise_unique_build_adjacency(train)
+    assert got.shape == want.shape
+    for field in ("indptr", "indices", "data"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
+    assert got_isolated.tobytes() == want_isolated.tobytes()
 
 
 def _fd_model_grads(model, user_ids, weights, mask=None):
