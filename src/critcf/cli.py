@@ -72,8 +72,7 @@ def _load_config(args, num_behaviors):
     return cfg, file_values
 
 
-def _run_training(dataset_dir, out_dir, cfg, file_values):
-    split, _, _, _ = read_dataset_dir(dataset_dir)
+def _run_training(split, dataset_dir, out_dir, cfg, file_values):
     cfg.validate(split.train.num_behaviors)
     fingerprint = dataset_fingerprint(dataset_dir)
     check_manifest_keys(file_values, fingerprint,
@@ -100,7 +99,7 @@ def _run_training(dataset_dir, out_dir, cfg, file_values):
         for epoch, seconds in timings:
             fh.write("%d %.3f\n" % (epoch, seconds))
     write_manifest(os.path.join(out_dir, "manifest.txt"), cfg, fingerprint)
-    return result, split
+    return result
 
 
 def cmd_prepare(args):
@@ -150,7 +149,7 @@ def cmd_synth(args):
 def cmd_train(args):
     split, _, _, _ = read_dataset_dir(args.dataset_dir)
     cfg, file_values = _load_config(args, split.train.num_behaviors)
-    result, _ = _run_training(args.dataset_dir, args.out_dir, cfg, file_values)
+    result = _run_training(split, args.dataset_dir, args.out_dir, cfg, file_values)
     if result.history:
         epoch, loss, hr, ndcg = result.history[result.best_epoch - 1]
         print("best epoch %d: loss %.6g, validation hr@%d %.6f, ndcg@%d %.6f"

@@ -6,6 +6,12 @@ are densified by first appearance.  The pipeline is
 
     parse_interactions -> build_dataset -> leave_one_out_split -> write_dataset_dir
 
+The log is held as columns, not records: parse_interactions reads it in
+blocks of about BLOCK_CHARS characters, so memory holds one block of text
+at a time, and returns an Interactions record of four int64 columns with
+one entry per log line.  build_dataset deduplicates, filters and densifies
+those columns with whole-array operations.
+
 The last behavior index (num_behaviors - 1) is always the target behavior;
 only its records are held out by the split, auxiliary behaviors stay in the
 training positives untouched.
@@ -13,6 +19,7 @@ training positives untouched.
 
 import os
 from dataclasses import dataclass
+from itertools import chain, count, filterfalse, repeat
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -21,12 +28,23 @@ from .errors import DataError
 
 DEFAULT_BEHAVIORS = ("view", "cart", "buy")
 
+# Characters of text parsed per block (the size hint of readlines), for the
+# raw log and for dataset files alike.
+BLOCK_CHARS = 1 << 16
 
-class Interaction(NamedTuple):
-    user: int
-    item: int
-    behavior: int
-    timestamp: Optional[int]
+# Every character str.strip removes (str.isspace), except the newline.
+_SPACE = ("\t\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004"
+          "\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000")
+
+
+class Interactions(NamedTuple):
+    """Interaction records as int64 columns, one entry per log line in file
+    order.  A missing timestamp is stored as 0."""
+
+    user: np.ndarray
+    item: np.ndarray
+    behavior: np.ndarray
+    timestamp: np.ndarray
 
 
 @dataclass
@@ -44,18 +62,6 @@ class BehaviorDataset:
     num_behaviors: int
     positives: list  # [k][u] -> sorted np.ndarray of item ids
     target_order: Optional[list] = None  # [u] -> np.ndarray in time order
-
-    def target_positive_count(self, u):
-        return len(self.positives[self.num_behaviors - 1][u])
-
-    def copy(self):
-        return BehaviorDataset(
-            self.num_users,
-            self.num_items,
-            self.num_behaviors,
-            [[arr.copy() for arr in per_user] for per_user in self.positives],
-            None if self.target_order is None else [a.copy() for a in self.target_order],
-        )
 
 
 @dataclass
@@ -83,71 +89,125 @@ def detect_separator(line):
 
 
 def parse_interactions(path, behavior_labels=DEFAULT_BEHAVIORS, separator=None):
-    """Read a raw interaction log.
+    """Read a raw interaction log, one block of lines at a time.
 
-    Returns (interactions, user_ids, item_ids) where the id lists map dense
-    index -> raw string in first-appearance order.
+    Returns (interactions, user_ids, item_ids): an Interactions record and
+    the id lists that map dense index -> raw string in first-appearance
+    order.  An error names the first bad line in file order.
     """
     labels = {label: k for k, label in enumerate(behavior_labels)}
-    interactions = []
     user_index = {}
     item_index = {}
-    user_ids = []
-    item_ids = []
+    empty = np.empty(0, dtype=np.int64)
+    blocks = [(empty,) * 4]
+    lines_before = 0
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            sep = separator or detect_separator(line)
-            parts = [p.strip() for p in line.split(sep)]
-            if len(parts) not in (3, 4):
-                raise DataError(
-                    "%s:%d: expected 3 or 4 columns, got %d" % (path, lineno, len(parts))
-                )
-            user_raw, item_raw, behavior_raw = parts[0], parts[1], parts[2]
-            if behavior_raw not in labels:
-                raise DataError(
-                    "%s:%d: unknown behavior %r (allowed: %s)"
-                    % (path, lineno, behavior_raw, ", ".join(behavior_labels))
-                )
-            timestamp = None
-            if len(parts) == 4:
-                try:
-                    timestamp = int(parts[3])
-                except ValueError:
-                    raise DataError(
-                        "%s:%d: bad timestamp %r" % (path, lineno, parts[3])
-                    ) from None
-            if user_raw not in user_index:
-                user_index[user_raw] = len(user_ids)
-                user_ids.append(user_raw)
-            if item_raw not in item_index:
-                item_index[item_raw] = len(item_ids)
-                item_ids.append(item_raw)
-            interactions.append(
-                Interaction(user_index[user_raw], item_index[item_raw],
-                            labels[behavior_raw], timestamp)
-            )
-    return interactions, user_ids, item_ids
+        while True:
+            lines = fh.readlines(BLOCK_CHARS)
+            if not lines:
+                break
+            blocks.append(_parse_block(lines, lines_before, path, labels, behavior_labels,
+                                       separator, user_index, item_index))
+            lines_before += len(lines)
+    interactions = Interactions(*(np.concatenate(column) for column in zip(*blocks)))
+    return interactions, list(user_index), list(item_index)
 
 
-def _dedupe(interactions):
-    """Collapse duplicate (user, item, behavior) records, keeping the first."""
-    seen = set()
-    out = []
-    for it in interactions:
-        key = (it.user, it.item, it.behavior)
-        if key not in seen:
-            seen.add(key)
-            out.append(it)
-    return out
+def _int64_error(text, what):
+    """Why a field is not an int64 (naming it ``what``), or None if it is one."""
+    try:
+        value = int(text)
+    except ValueError:
+        return "bad %s %r" % (what, text)
+    if not -2 ** 63 <= value < 2 ** 63:
+        return "%s %r outside the int64 range" % (what, text)
+    return None
+
+
+def _parse_block(lines, lines_before, path, labels, behavior_labels, separator,
+                 user_index, item_index):
+    """Columns of one block of log lines; ids extend the shared index dicts.
+
+    The block's fields are split out of one joined string, and each check
+    runs over the whole block.  Only when a check fails is the block's
+    first bad line located and reported.
+    """
+    stripped = list(map(str.strip, lines))
+    rows = list(filter(None, stripped))
+    sep = separator or "\t"
+    widths = _count(rows, sep)
+    if not separator and not widths.all():
+        # A line without a tab splits on commas, so its commas become tabs.
+        rows = [row if "\t" in row else row.replace(",", "\t") for row in rows]
+        widths = _count(rows, sep)
+    widths += 1
+    bad_width = np.flatnonzero((widths != 3) & (widths != 4))
+    end = int(bad_width[0]) if bad_width.size else len(rows)
+    good = rows[:end]
+    if (widths[:end] == 3).any():
+        # a missing timestamp is stored as 0
+        good = [row if w == 4 else row + sep + "0" for row, w in zip(good, widths.tolist())]
+    # No line holds a newline, so one can stand for every separator.
+    text = "\n".join(good).replace(sep, "\n")
+    fields = text.split("\n") if good else []
+    if any(ch in text for ch in _SPACE):
+        fields = list(map(str.strip, fields))
+    users, items, behaviors, stamps = (fields[j::4] for j in range(4))
+
+    user = _number(user_index, users)
+    item = _number(item_index, items)
+    behavior = np.fromiter(map(labels.get, behaviors, repeat(-1)), dtype=np.int64,
+                           count=end)
+    unknown = np.flatnonzero(behavior < 0)
+    bad_behavior = int(unknown[0]) if unknown.size else end
+    try:
+        timestamp = np.array(stamps, dtype=np.int64)  # int() of each field
+        bad_stamp = end
+    except (ValueError, OverflowError):
+        bad_stamp = next(r for r, stamp in enumerate(stamps)
+                         if _int64_error(stamp, "timestamp"))
+
+    first = min(end, bad_behavior, bad_stamp)
+    if first < len(rows):
+        lineno = lines_before + 1 + [i for i, row in enumerate(stripped) if row][first]
+        if first == end:
+            if not separator and widths[first] == 1:
+                detect_separator(rows[first])
+            raise DataError("%s:%d: expected 3 or 4 columns, got %d"
+                            % (path, lineno, widths[first]))
+        if first == bad_behavior:
+            raise DataError("%s:%d: unknown behavior %r (allowed: %s)"
+                            % (path, lineno, behaviors[first], ", ".join(behavior_labels)))
+        raise DataError("%s:%d: %s" % (path, lineno, _int64_error(stamps[first], "timestamp")))
+    return user, item, behavior, timestamp
+
+
+def _count(rows, sep):
+    return np.fromiter(map(str.count, rows, repeat(sep)), dtype=np.int64, count=len(rows))
+
+
+def _number(index, keys):
+    """Dense ids of keys; unseen keys are numbered in order of first appearance."""
+    # Past the first blocks of a log few ids are new, so look them up first.
+    try:
+        return np.fromiter(map(index.__getitem__, keys), dtype=np.int64, count=len(keys))
+    except KeyError:
+        fresh = dict.fromkeys(filterfalse(index.__contains__, keys))
+        index.update(zip(fresh, count(len(index))))
+        return np.fromiter(map(index.__getitem__, keys), dtype=np.int64, count=len(keys))
+
+
+def _split_by_key(keys, values, num_keys):
+    """One array per key 0..num_keys-1 from values grouped by ascending key."""
+    ends = np.cumsum(np.bincount(keys, minlength=num_keys)).tolist()
+    return [values[start:stop] for start, stop in zip([0] + ends[:-1], ends)]
 
 
 def build_dataset(interactions, num_behaviors, min_target=5,
                   num_users=None, num_items=None):
-    """Deduplicate, filter, and densify a raw interaction list.
+    """Deduplicate, filter, and densify columnar interactions.
 
+    Duplicate (user, item, behavior) records collapse to the first one.
     Users and items with fewer than min_target target-behavior positives are
     removed; removal can push other entities below the threshold, so the
     filter repeats until stable, and surviving indices are re-densified in
@@ -156,30 +216,32 @@ def build_dataset(interactions, num_behaviors, min_target=5,
     Returns (dataset, kept_users, kept_items); the kept arrays map new dense
     index -> input index so callers can compose raw-id maps.
     """
-    for it in interactions:
-        if not 0 <= it.behavior < num_behaviors:
-            raise DataError(
-                "behavior id %d out of range for %d behaviors" % (it.behavior, num_behaviors)
-            )
+    user, item, behavior, timestamp = (np.asarray(c, dtype=np.int64) for c in interactions)
+    bad = np.flatnonzero((behavior < 0) | (behavior >= num_behaviors))
+    if bad.size:
+        raise DataError(
+            "behavior id %d out of range for %d behaviors" % (behavior[bad[0]], num_behaviors)
+        )
     if num_users is None:
-        num_users = max((it.user for it in interactions), default=-1) + 1
+        num_users = int(user.max()) + 1 if user.size else 0
     if num_items is None:
-        num_items = max((it.item for it in interactions), default=-1) + 1
+        num_items = int(item.max()) + 1 if item.size else 0
 
-    records = _dedupe(interactions)
+    code = (user * num_items + item) * num_behaviors + behavior
+    _, first = np.unique(code, return_index=True)
+    first.sort()
+    user, item, behavior, timestamp = user[first], item[first], behavior[first], timestamp[first]
+
     target = num_behaviors - 1
-
+    is_target = behavior == target
+    target_users, target_items = user[is_target], item[is_target]
     user_alive = np.ones(num_users, dtype=bool)
     item_alive = np.ones(num_items, dtype=bool)
     while True:
-        user_counts = np.zeros(num_users, dtype=np.int64)
-        item_counts = np.zeros(num_items, dtype=np.int64)
-        for it in records:
-            if it.behavior == target and user_alive[it.user] and item_alive[it.item]:
-                user_counts[it.user] += 1
-                item_counts[it.item] += 1
-        drop_users = user_alive & (user_counts < min_target)
-        drop_items = item_alive & (item_counts < min_target)
+        live = user_alive[target_users] & item_alive[target_items]
+        target_users, target_items = target_users[live], target_items[live]
+        drop_users = user_alive & (np.bincount(target_users, minlength=num_users) < min_target)
+        drop_items = item_alive & (np.bincount(target_items, minlength=num_items) < min_target)
         if not drop_users.any() and not drop_items.any():
             break
         user_alive &= ~drop_users
@@ -187,32 +249,24 @@ def build_dataset(interactions, num_behaviors, min_target=5,
 
     kept_users = np.flatnonzero(user_alive)
     kept_items = np.flatnonzero(item_alive)
-    user_map = {old: new for new, old in enumerate(kept_users)}
-    item_map = {old: new for new, old in enumerate(kept_items)}
+    live = user_alive[user] & item_alive[item]
+    user = (np.cumsum(user_alive, dtype=np.int64) - 1)[user[live]]
+    item = (np.cumsum(item_alive, dtype=np.int64) - 1)[item[live]]
+    behavior, timestamp = behavior[live], timestamp[live]
+    num_kept = len(kept_users)
 
-    per_behavior = [[[] for _ in range(len(kept_users))] for _ in range(num_behaviors)]
-    target_records = [[] for _ in range(len(kept_users))]
-    for order, it in enumerate(records):
-        if not (user_alive[it.user] and item_alive[it.item]):
-            continue
-        u, v = user_map[it.user], item_map[it.item]
-        per_behavior[it.behavior][u].append(v)
-        if it.behavior == target:
-            ts = it.timestamp if it.timestamp is not None else 0
-            target_records[u].append((ts, order, v))
-
-    positives = [
-        [np.array(sorted(items), dtype=np.int64) for items in per_user]
-        for per_user in per_behavior
-    ]
-    # Chronological order, with file order breaking timestamp ties (and
-    # standing in entirely when timestamps are absent).
-    target_order = [
-        np.array([v for _, _, v in sorted(recs)], dtype=np.int64)
-        for recs in target_records
-    ]
-    ds = BehaviorDataset(len(kept_users), len(kept_items), num_behaviors,
-                         positives, target_order)
+    # Records are unique, so sorting (behavior, user, item) codes orders each
+    # user's items under each behavior.
+    rows, items = np.divmod(np.sort((behavior * num_kept + user) * len(kept_items) + item),
+                            len(kept_items))
+    groups = _split_by_key(rows, items, num_behaviors * num_kept)
+    positives = [groups[k * num_kept:(k + 1) * num_kept] for k in range(num_behaviors)]
+    # Chronological order; lexsort is stable, so file order breaks timestamp
+    # ties (and stands in entirely when timestamps are absent).
+    is_target = behavior == target
+    order = np.lexsort((timestamp[is_target], user[is_target]))
+    target_order = _split_by_key(user[is_target][order], item[is_target][order], num_kept)
+    ds = BehaviorDataset(num_kept, len(kept_items), num_behaviors, positives, target_order)
     return ds, kept_users, kept_items
 
 
@@ -308,8 +362,92 @@ def write_dataset_dir(out_dir, split, user_ids, item_ids, behavior_labels):
                 fh.write("%d %d\n" % (u, int(held[u])))
 
 
+def _int_blocks(path):
+    """A file of whitespace-separated integers, one row per line, in blocks.
+
+    Yields (first_line, values, starts, lengths): row r of a block is line
+    first_line + r and holds values[starts[r]:starts[r] + lengths[r]].
+    """
+    first_line = 1
+    with open(path, "r", encoding="utf-8") as fh:
+        while True:
+            lines = fh.readlines(BLOCK_CHARS)
+            if not lines:
+                return
+            rows = [line.split() for line in lines]
+            try:
+                values = np.array(list(chain.from_iterable(rows)), dtype=np.int64)
+            except (ValueError, OverflowError):
+                for r, row in enumerate(rows):
+                    for token in row:
+                        error = _int64_error(token, "integer")
+                        if error:
+                            raise DataError("%s:%d: %s" % (path, first_line + r, error)) \
+                                from None
+            lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+            yield first_line, values, np.cumsum(lengths) - lengths, lengths
+            first_line += len(lines)
+
+
+def _check(path, first_line, bad, message, values=None, starts=None):
+    """Raise DataError at the first entry flagged in bad, naming its line.
+
+    Entry i is on line first_line + i, or, when the entries are the tokens
+    of rows that begin at starts, on the line of the row that holds token i.
+    message is formatted with the entry's value when values is given.
+    """
+    hits = np.flatnonzero(bad)
+    if hits.size:
+        i = hits[0]
+        row = i if starts is None else np.searchsorted(starts, i, side="right") - 1
+        raise DataError("%s:%d: %s" % (path, first_line + row,
+                                       message if values is None else message % values[i]))
+
+
+def _read_positives(path, num_users, num_items):
+    """Per-user item arrays from a behavior_<k>.txt file, validated."""
+    per_user = [np.empty(0, dtype=np.int64)] * num_users
+    for first_line, values, starts, lengths in _int_blocks(path):
+        _check(path, first_line, lengths == 0, "empty line, expected a user index")
+        users = values[starts]
+        _check(path, first_line, (users < 0) | (users >= num_users),
+               "user %%d out of range (%d users)" % num_users, users)
+        is_item = np.ones(len(values), dtype=bool)
+        is_item[starts] = False
+        _check(path, first_line, is_item & ((values < 0) | (values >= num_items)),
+               "item %%d out of range (%d items)" % num_items, values, starts)
+        _check(path, first_line, np.concatenate(([False], is_item[1:] & is_item[:-1]
+                                                 & (values[1:] <= values[:-1]))),
+               "items not strictly increasing at item %d", values, starts)
+        for u, start, stop in zip(users.tolist(), (starts + 1).tolist(),
+                                  (starts + lengths).tolist()):
+            per_user[u] = values[start:stop]
+    return per_user
+
+
+def _read_heldout(path, num_users, num_items):
+    """The held-out item of every user from validation.txt or test.txt, validated."""
+    held = np.full(num_users, -1, dtype=np.int64)
+    for first_line, values, _, lengths in _int_blocks(path):
+        _check(path, first_line, lengths != 2, "expected 'user item', got %d fields", lengths)
+        users, items = values[0::2], values[1::2]
+        _check(path, first_line, (users < 0) | (users >= num_users),
+               "user %%d out of range (%d users)" % num_users, users)
+        _check(path, first_line, (items < 0) | (items >= num_items),
+               "item %%d out of range (%d items)" % num_items, items)
+        held[users] = items
+    missing = np.flatnonzero(held < 0)
+    if missing.size:
+        raise DataError("%s: user %d has no held-out line" % (path, missing[0]))
+    return held
+
+
 def read_dataset_dir(dataset_dir):
-    """Load a serialized split; returns (split, user_ids, item_ids, labels)."""
+    """Load a serialized split; returns (split, user_ids, item_ids, labels).
+
+    Ids out of range, positives that are not strictly increasing, and users
+    without a held-out item raise DataError naming the file and line.
+    """
     meta_path = os.path.join(dataset_dir, "meta.txt")
     if not os.path.exists(meta_path):
         raise DataError("%s: not a dataset directory (missing meta.txt)" % dataset_dir)
@@ -333,27 +471,13 @@ def read_dataset_dir(dataset_dir):
             else:
                 item_ids[int(dense)] = raw
 
-    positives = []
-    for k in range(num_behaviors):
-        path = os.path.join(dataset_dir, "behavior_%d.txt" % k)
-        per_user = [np.empty(0, dtype=np.int64)] * num_users
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                tokens = line.split()
-                u = int(tokens[0])
-                per_user[u] = np.array([int(t) for t in tokens[1:]], dtype=np.int64)
-        positives.append(per_user)
-
-    def read_heldout(name):
-        held = np.full(num_users, -1, dtype=np.int64)
-        with open(os.path.join(dataset_dir, name), "r", encoding="utf-8") as fh:
-            for line in fh:
-                u, v = line.split()
-                held[int(u)] = int(v)
-        return held
-
+    positives = [
+        _read_positives(os.path.join(dataset_dir, "behavior_%d.txt" % k), num_users, num_items)
+        for k in range(num_behaviors)
+    ]
+    validation, test = (_read_heldout(os.path.join(dataset_dir, name), num_users, num_items)
+                        for name in ("validation.txt", "test.txt"))
     train = BehaviorDataset(num_users, num_items, num_behaviors, positives, None)
-    split = SplitDataset(train, read_heldout("validation.txt"), read_heldout("test.txt"),
-                         np.arange(num_users, dtype=np.int64),
+    split = SplitDataset(train, validation, test, np.arange(num_users, dtype=np.int64),
                          dropped_users=int(meta.get("dropped_users", "0")))
     return split, user_ids, item_ids, labels

@@ -36,6 +36,8 @@ class SynthConfig:
     def validate(self):
         if self.num_users < 1 or self.num_items < 2:
             raise DataError("need at least 1 user and 2 items")
+        if self.seed < 0:
+            raise DataError("seed (--seed) must be >= 0, got %d" % self.seed)
         if self.latent_dim < 1:
             raise DataError("latent_dim (--latent-dim) must be >= 1, got %d" % self.latent_dim)
         if not np.isfinite(self.criterion_spread):

@@ -81,6 +81,8 @@ class TrainConfig:
             raise ConfigError("neg_weight must be >= 0")
         if not 0.0 <= self.bound_ratio <= 1.0:
             raise ConfigError("bound_ratio must lie in [0, 1]")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0, got %d" % self.seed)
         if self.patience < 1:
             raise ConfigError("patience must be >= 1")
         if self.eval_cutoff < 1:

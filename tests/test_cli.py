@@ -113,6 +113,23 @@ def test_train_rejects_bad_values(dataset_dir, tmp_path, capsys, override, key):
     assert err.startswith("config error: ") and key in err
 
 
+@pytest.mark.filterwarnings("error")
+def test_train_rejects_negative_seed(dataset_dir, tmp_path, capsys):
+    out = str(tmp_path / "run")
+    assert main(["train", dataset_dir, out] + FAST + ["--override", "seed=-1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "seed" in err
+
+
+@pytest.mark.filterwarnings("error")
+def test_synth_rejects_negative_seed(tmp_path, capsys):
+    out = tmp_path / "data"
+    assert main(["synth", str(out), "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and "--seed" in err
+    assert not out.exists()
+
+
 def test_synth_argument_validation(tmp_path, capsys):
     assert main(["synth", str(tmp_path / "a"), "--densities", "0.4,0.3",
                  "--behaviors", "view,cart,buy"]) == 1
@@ -239,6 +256,14 @@ def test_prepare_rejects_unknown_behavior(tmp_path, capsys):
     raw.write_text("u0\ti0\tpurchase\n")
     assert main(["prepare", str(raw), str(tmp_path / "out")]) == 2
     assert "unknown behavior" in capsys.readouterr().err
+
+
+def test_prepare_rejects_timestamp_outside_int64(tmp_path, capsys):
+    raw = tmp_path / "raw.tsv"
+    raw.write_text("u0\ti0\tbuy\t1\nu0\ti1\tbuy\t9223372036854775808\n")
+    assert main(["prepare", str(raw), str(tmp_path / "out")]) == 2
+    assert ":2: timestamp '9223372036854775808' outside the int64 range" \
+        in capsys.readouterr().err
 
 
 def test_version_flag(capsys):
