@@ -32,10 +32,6 @@ DEFAULT_BEHAVIORS = ("view", "cart", "buy")
 # raw log and for dataset files alike.
 BLOCK_CHARS = 1 << 16
 
-# Every character str.strip removes (str.isspace), except the newline.
-_SPACE = ("\t\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004"
-          "\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000")
-
 
 class Interactions(NamedTuple):
     """Interaction records as int64 columns, one entry per log line in file
@@ -149,9 +145,7 @@ def _parse_block(lines, lines_before, path, labels, behavior_labels, separator,
         good = [row if w == 4 else row + sep + "0" for row, w in zip(good, widths.tolist())]
     # No line holds a newline, so one can stand for every separator.
     text = "\n".join(good).replace(sep, "\n")
-    fields = text.split("\n") if good else []
-    if any(ch in text for ch in _SPACE):
-        fields = list(map(str.strip, fields))
+    fields = list(map(str.strip, text.split("\n"))) if good else []
     users, items, behaviors, stamps = (fields[j::4] for j in range(4))
 
     user = _number(user_index, users)
@@ -188,13 +182,9 @@ def _count(rows, sep):
 
 def _number(index, keys):
     """Dense ids of keys; unseen keys are numbered in order of first appearance."""
-    # Past the first blocks of a log few ids are new, so look them up first.
-    try:
-        return np.fromiter(map(index.__getitem__, keys), dtype=np.int64, count=len(keys))
-    except KeyError:
-        fresh = dict.fromkeys(filterfalse(index.__contains__, keys))
-        index.update(zip(fresh, count(len(index))))
-        return np.fromiter(map(index.__getitem__, keys), dtype=np.int64, count=len(keys))
+    fresh = dict.fromkeys(filterfalse(index.__contains__, keys))
+    index.update(zip(fresh, count(len(index))))
+    return np.fromiter(map(index.__getitem__, keys), dtype=np.int64, count=len(keys))
 
 
 def _split_by_key(keys, values, num_keys):

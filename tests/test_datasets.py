@@ -1,6 +1,5 @@
 import importlib.util
 import os
-import sys
 import tempfile
 from typing import NamedTuple, Optional
 
@@ -421,11 +420,6 @@ def test_dataset_dir_roundtrip(tmp_path):
 def test_read_dataset_dir_missing(tmp_path):
     with pytest.raises(DataError):
         read_dataset_dir(str(tmp_path / "nope"))
-
-
-def test_space_set_is_what_strip_removes():
-    every = "".join(ch for ch in map(chr, range(sys.maxunicode + 1)) if ch.isspace())
-    assert datasets._SPACE == every.replace("\n", "")
 
 
 # Generated logs for the oracle comparison: a few users and items (some
