@@ -32,7 +32,7 @@ from .datasets import (
 )
 from .errors import ConfigError, DataError, NumericalError
 from .losses import get_penalty
-from .models import load_checkpoint, save_checkpoint
+from .models import load_bounds, load_checkpoint, save_checkpoint
 from .ranking import DEFAULT_CUTOFFS, evaluate
 from .synthetic import SynthConfig, generate
 from .training import TrainConfig, train
@@ -239,6 +239,8 @@ def cmd_ablate(args):
 
 
 def cmd_verify_bound(args):
+    if args.seed < 0:
+        raise ConfigError("--seed must be >= 0, got %d" % args.seed)
     overall_ok = True
     for name in args.penalties.split(","):
         penalty = get_penalty(name.strip())
@@ -255,7 +257,7 @@ def cmd_verify_bound(args):
 
 
 def cmd_dump_bounds(args):
-    model, bounds, _ = load_checkpoint(args.checkpoint)
+    bounds = load_bounds(args.checkpoint)
     if bounds is None:
         raise DataError("%s holds no bound factors" % args.checkpoint)
     users = _split_ints(args.users)

@@ -96,17 +96,35 @@ def parse_interactions(path, behavior_labels=DEFAULT_BEHAVIORS, separator=None):
     item_index = {}
     empty = np.empty(0, dtype=np.int64)
     blocks = [(empty,) * 4]
-    lines_before = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        while True:
-            lines = fh.readlines(BLOCK_CHARS)
-            if not lines:
-                break
-            blocks.append(_parse_block(lines, lines_before, path, labels, behavior_labels,
-                                       separator, user_index, item_index))
-            lines_before += len(lines)
+    for lines_before, lines in _line_blocks(path):
+        blocks.append(_parse_block(lines, lines_before, path, labels, behavior_labels,
+                                   separator, user_index, item_index))
     interactions = Interactions(*(np.concatenate(column) for column in zip(*blocks)))
     return interactions, list(user_index), list(item_index)
+
+
+def _line_blocks(path):
+    """The lines of a UTF-8 text file in blocks of about BLOCK_CHARS characters.
+
+    Yields (lines_before, lines).  Bytes that are not UTF-8 raise DataError
+    naming the first line that holds them.
+    """
+    lines_before = 0
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lines in iter(lambda: fh.readlines(BLOCK_CHARS), []):
+                yield lines_before, lines
+                lines_before += len(lines)
+    except UnicodeDecodeError:
+        with open(path, "rb") as fh:
+            # bytes.splitlines splits where text mode does: \n, \r\n and \r
+            for lineno, line in enumerate(fh.read().splitlines(), 1):
+                try:
+                    line.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise DataError("%s:%d: not UTF-8 text (byte 0x%02x)"
+                                    % (path, lineno, line[exc.start])) from None
+        raise DataError("%s: not UTF-8 text" % path) from None
 
 
 def _int64_error(text, what):
@@ -358,25 +376,19 @@ def _int_blocks(path):
     Yields (first_line, values, starts, lengths): row r of a block is line
     first_line + r and holds values[starts[r]:starts[r] + lengths[r]].
     """
-    first_line = 1
-    with open(path, "r", encoding="utf-8") as fh:
-        while True:
-            lines = fh.readlines(BLOCK_CHARS)
-            if not lines:
-                return
-            rows = [line.split() for line in lines]
-            try:
-                values = np.array(list(chain.from_iterable(rows)), dtype=np.int64)
-            except (ValueError, OverflowError):
-                for r, row in enumerate(rows):
-                    for token in row:
-                        error = _int64_error(token, "integer")
-                        if error:
-                            raise DataError("%s:%d: %s" % (path, first_line + r, error)) \
-                                from None
-            lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
-            yield first_line, values, np.cumsum(lengths) - lengths, lengths
-            first_line += len(lines)
+    for lines_before, lines in _line_blocks(path):
+        rows = [line.split() for line in lines]
+        try:
+            values = np.array(list(chain.from_iterable(rows)), dtype=np.int64)
+        except (ValueError, OverflowError):
+            for r, row in enumerate(rows):
+                for token in row:
+                    error = _int64_error(token, "integer")
+                    if error:
+                        raise DataError("%s:%d: %s" % (path, lines_before + 1 + r, error)) \
+                            from None
+        lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+        yield lines_before + 1, values, np.cumsum(lengths) - lengths, lengths
 
 
 def _check(path, first_line, bad, message, values=None, starts=None):
@@ -435,31 +447,45 @@ def _read_heldout(path, num_users, num_items):
 def read_dataset_dir(dataset_dir):
     """Load a serialized split; returns (split, user_ids, item_ids, labels).
 
-    Ids out of range, positives that are not strictly increasing, and users
-    without a held-out item raise DataError naming the file and line.
+    A missing or non-integer count in meta.txt, a malformed line or an index
+    out of range in any file, positives that are not strictly increasing,
+    and users without a held-out item raise DataError naming the file and
+    the key or line.
     """
     meta_path = os.path.join(dataset_dir, "meta.txt")
     if not os.path.exists(meta_path):
         raise DataError("%s: not a dataset directory (missing meta.txt)" % dataset_dir)
-    meta = {}
-    with open(meta_path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            key, _, value = line.strip().partition(" ")
-            meta[key] = value
-    num_users = int(meta["num_users"])
-    num_items = int(meta["num_items"])
-    num_behaviors = int(meta["num_behaviors"])
+    meta = dict(line.strip().partition(" ")[::2]
+                for _, lines in _line_blocks(meta_path) for line in lines)
+
+    def count(key, default=None):
+        text = meta.get(key, default)
+        if text is None:
+            raise DataError("%s: missing key %r" % (meta_path, key))
+        if not (text.isascii() and text.isdigit()):
+            raise DataError("%s: %s must be a non-negative integer, got %r"
+                            % (meta_path, key, text))
+        return int(text)
+
+    num_users = count("num_users")
+    num_items = count("num_items")
+    num_behaviors = count("num_behaviors")
+    dropped_users = count("dropped_users", "0")
     labels = tuple(meta["behaviors"].split(",")) if meta.get("behaviors") else ()
 
-    user_ids = [""] * num_users
-    item_ids = [""] * num_items
-    with open(os.path.join(dataset_dir, "index_map.txt"), "r", encoding="utf-8") as fh:
-        for line in fh:
-            kind, raw, dense = line.rstrip("\n").split("\t")
-            if kind == "u":
-                user_ids[int(dense)] = raw
-            else:
-                item_ids[int(dense)] = raw
+    ids = {"u": [""] * num_users, "i": [""] * num_items}
+    index_path = os.path.join(dataset_dir, "index_map.txt")
+    for lines_before, lines in _line_blocks(index_path):
+        for lineno, line in enumerate(lines, lines_before + 1):
+            fields = line.rstrip("\n").split("\t")
+            if len(fields) != 3 or fields[0] not in ids:
+                raise DataError("%s:%d: expected 'u' or 'i', a raw id and a dense index, "
+                                "tab-separated" % (index_path, lineno))
+            table, dense = ids[fields[0]], fields[2]
+            if not (dense.isascii() and dense.isdigit()) or int(dense) >= len(table):
+                raise DataError("%s:%d: dense index %r not in [0, %d)"
+                                % (index_path, lineno, dense, len(table)))
+            table[int(dense)] = fields[1]
 
     positives = [
         _read_positives(os.path.join(dataset_dir, "behavior_%d.txt" % k), num_users, num_items)
@@ -469,5 +495,5 @@ def read_dataset_dir(dataset_dir):
                         for name in ("validation.txt", "test.txt"))
     train = BehaviorDataset(num_users, num_items, num_behaviors, positives, None)
     split = SplitDataset(train, validation, test, np.arange(num_users, dtype=np.int64),
-                         dropped_users=int(meta.get("dropped_users", "0")))
-    return split, user_ids, item_ids, labels
+                         dropped_users=dropped_users)
+    return split, ids["u"], ids["i"], labels

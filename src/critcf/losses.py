@@ -1,4 +1,4 @@
-"""Margin penalties, learnable selection bounds, and the loss functions.
+"""Margin penalties, learnable selection bounds, and the criterion loss.
 
 Every loss here is evaluated over whole batches of users against the full
 item axis (no negative sampling).  Negative-item sums are computed through
@@ -9,7 +9,12 @@ the complement identity
 which keeps the per-batch cost at O(B * |V|) regardless of how many
 unobserved entries there are.
 
-All loss functions return analytic gradients alongside the value.  Gradient
+One kernel, working in two reusable (B, V) buffers, serves every variant:
+the hinge penalties give the criterion loss, the two-sided RESIDUAL_SQUARE
+variant H's regression onto the bounds, and RESIDUAL_SQUARE with unit
+bounds and bound_ratio 0 variant O's 1/0 regression.
+
+All losses return analytic gradients alongside the value.  Gradient
 conventions: the hinge subgradient at an exactly-zero margin is 0, so an
 instance that satisfies every bound has both zero loss and zero gradient.
 """
@@ -36,15 +41,20 @@ class MarginPenalty:
     ``doubling_factor`` is the smallest constant M with g(2x) <= M * g(x)
     for all x >= 0, or None when no finite M exists.  Penalties without a
     finite factor are excluded from the ranking-loss upper-bound check.
+    ``grad_at_zero`` is g'(0), which the loss kernel masks at zero margins.
+    ``hinge`` is False for a two-sided penalty, whose margins are not
+    clamped.  value and grad write into ``out`` if given, which may be x.
     """
 
     name = ""
     doubling_factor = None
+    grad_at_zero = 0.0
+    hinge = True
 
-    def value(self, x):
+    def value(self, x, out=None):
         raise NotImplementedError
 
-    def grad(self, x):
+    def grad(self, x, out=None):
         """Derivative; at x = 0 this is the right-derivative."""
         raise NotImplementedError
 
@@ -52,24 +62,25 @@ class MarginPenalty:
 class LinearPenalty(MarginPenalty):
     name = "linear"
     doubling_factor = 2.0
+    grad_at_zero = 1.0
 
-    def value(self, x):
-        return np.asarray(x, dtype=float) * 1.0
+    def value(self, x, out=None):
+        return np.multiply(np.asarray(x, dtype=float), 1.0, out=out)
 
-    def grad(self, x):
-        return np.ones_like(np.asarray(x, dtype=float))
+    def grad(self, x, out=None):
+        return np.positive(np.ones_like(x, dtype=float), out=out)
 
 
 class SquarePenalty(MarginPenalty):
     name = "square"
     doubling_factor = 4.0
 
-    def value(self, x):
+    def value(self, x, out=None):
         x = np.asarray(x, dtype=float)
-        return x * x
+        return np.multiply(x, x, out=out)
 
-    def grad(self, x):
-        return 2.0 * np.asarray(x, dtype=float)
+    def grad(self, x, out=None):
+        return np.multiply(np.asarray(x, dtype=float), 2.0, out=out)
 
 
 class ExpPenalty(MarginPenalty):
@@ -77,13 +88,24 @@ class ExpPenalty(MarginPenalty):
 
     name = "expm1"
     doubling_factor = None
+    grad_at_zero = 1.0
 
-    def value(self, x):
-        return np.expm1(np.minimum(np.asarray(x, dtype=float), _EXP_CLAMP))
+    def value(self, x, out=None):
+        return np.expm1(np.minimum(np.asarray(x, dtype=float), _EXP_CLAMP, out=out), out=out)
 
-    def grad(self, x):
-        return np.exp(np.minimum(np.asarray(x, dtype=float), _EXP_CLAMP))
+    def grad(self, x, out=None):
+        return np.exp(np.minimum(np.asarray(x, dtype=float), _EXP_CLAMP, out=out), out=out)
 
+
+class _ResidualSquare(SquarePenalty):
+    """Two-sided square of unclamped residuals: variants H and O regress
+    onto their bounds.  Not a selectable penalty."""
+
+    name = "residual-square"
+    hinge = False
+
+
+RESIDUAL_SQUARE = _ResidualSquare()
 
 PENALTIES = {p.name: p for p in (LinearPenalty(), SquarePenalty(), ExpPenalty())}
 
@@ -161,6 +183,41 @@ def _positive_index(pos_lists):
     return rows, cols
 
 
+def _criterion_kernel(scores, rows, cols, upper_pos, work, neg_weight, penalty):
+    """One behavior's loss and score gradient for a batch, in place.
+
+    work holds two (B, V) arrays: the lower bound in work[0] on entry and
+    d_scores on return; work[1] is scratch.  upper_pos holds the upper
+    bounds at the observed entries (rows, cols).  Returns (loss, pos_grad),
+    pos_grad the (nnz,) gradient w.r.t. those upper bounds.  A two-sided
+    penalty sums, then weights by its scalar neg_weight.
+    """
+    margin, val = work
+    w = np.asarray(neg_weight, dtype=float)
+    w_col = w[:, None] if w.ndim == 1 else w
+    np.subtract(scores, margin, out=margin)
+    pos_margin = upper_pos - scores[rows, cols]
+    if penalty.hinge:
+        np.maximum(margin, 0.0, out=margin)
+        pos_margin = np.maximum(pos_margin, 0.0)
+    pos_val = penalty.value(pos_margin)
+    pos_grad = penalty.grad(pos_margin)
+    penalty.value(margin, out=val)
+    if penalty.hinge:
+        val *= w_col
+        loss = np.sum(pos_val) + np.sum(val) - np.sum(val[rows, cols])
+    else:
+        loss = np.sum(pos_val) + w * (np.sum(val) - np.sum(val[rows, cols]))
+    active = margin > 0.0 if penalty.grad_at_zero else None
+    penalty.grad(margin, out=margin)
+    if active is not None:
+        margin *= active
+        pos_grad *= pos_margin > 0.0
+    margin *= w_col
+    margin[rows, cols] = -pos_grad
+    return float(loss), pos_grad
+
+
 def hinge_criterion_loss(scores, pos_lists, upper, lower, neg_weight, penalty):
     """Single-behavior criterion loss for a batch of users against all items.
 
@@ -180,52 +237,23 @@ def hinge_criterion_loss(scores, pos_lists, upper, lower, neg_weight, penalty):
         (loss, d_scores, d_upper, d_lower); gradient arrays match (B, V).
     """
     scores = np.asarray(scores, dtype=float)
-    w = np.asarray(neg_weight, dtype=float)
-    w_col = w[:, None] if w.ndim == 1 else w
-
-    neg_margin = np.maximum(scores - lower, 0.0)
-    neg_val = penalty.value(neg_margin)
-    neg_grad = np.where(neg_margin > 0.0, penalty.grad(neg_margin), 0.0)
-
     rows, cols = _positive_index(pos_lists)
-    pos_margin = np.maximum(upper[rows, cols] - scores[rows, cols], 0.0)
-    pos_val = penalty.value(pos_margin)
-    pos_grad = np.where(pos_margin > 0.0, penalty.grad(pos_margin), 0.0)
-
-    w_at_pos = w[rows] if w.ndim == 1 else w
-    loss = float(np.sum(pos_val) + np.sum(w_col * neg_val) - np.sum(w_at_pos * neg_val[rows, cols]))
-
-    d_scores = w_col * neg_grad
-    d_lower = -d_scores.copy()
-    d_scores[rows, cols] = -pos_grad
+    work = (np.array(lower, dtype=float), np.empty_like(scores))
+    loss, pos_grad = _criterion_kernel(scores, rows, cols, np.asarray(upper)[rows, cols],
+                                       work, neg_weight, penalty)
+    d_lower = np.negative(work[0])
     d_lower[rows, cols] = 0.0
     d_upper = np.zeros_like(scores)
     d_upper[rows, cols] = pos_grad
-    return loss, d_scores, d_upper, d_lower
-
-
-def behavior_criterion_loss(scores, user_ids, pos_lists, bounds, k, neg_weight, penalty):
-    """Criterion loss of one behavior, with gradients chained into the bound factors.
-
-    Returns (loss, d_scores, d_user_col, d_item_col) where d_user_col is the
-    gradient w.r.t. user_bound[user_ids, k] (shape (B,)) and d_item_col the
-    gradient w.r.t. item_bound[:, k] (shape (V,)).
-    """
-    ub = bounds.user_bound[user_ids, k]
-    ib = bounds.item_bound[:, k]
-    upper = np.outer(ub, ib)
-    lower = bounds.bound_ratio * upper
-    loss, d_scores, d_upper, d_lower = hinge_criterion_loss(
-        scores, pos_lists, upper, lower, neg_weight, penalty
-    )
-    d_eff = d_upper + bounds.bound_ratio * d_lower
-    d_user_col = d_eff @ ib
-    d_item_col = d_eff.T @ ub
-    return loss, d_scores, d_user_col, d_item_col
+    return loss, work[0], d_upper, d_lower
 
 
 def criterion_total_loss(scores, user_ids, positives, bounds, cfg):
     """Weighted multi-behavior criterion loss over one batch.
+
+    The upper bound of (u, v, k) is user_bound[u, k] * item_bound[v, k] and
+    the lower bound that times bound_ratio.  With cfg.penalty set to
+    RESIDUAL_SQUARE this is variant H's bounded regression.
 
     Args:
         scores: (B, V) shared score matrix.
@@ -240,103 +268,32 @@ def criterion_total_loss(scores, user_ids, positives, bounds, cfg):
     """
     num_behaviors = len(positives)
     cfg.validate(num_behaviors)
+    scores = np.asarray(scores, dtype=float)
     B, V = scores.shape
+    ratio = bounds.bound_ratio
     loss = 0.0
-    d_scores = np.zeros_like(np.asarray(scores, dtype=float))
+    d_scores = np.zeros((B, V))
     d_user = np.zeros((B, num_behaviors))
     d_item = np.zeros((V, num_behaviors))
+    work = (np.empty((B, V)), np.empty((B, V)))
     for k in range(num_behaviors):
         lam = cfg.behavior_weights[k]
         if lam == 0.0:
             continue
-        batch_pos = [positives[k][u] for u in user_ids]
-        lk, dsk, duk, dik = behavior_criterion_loss(
-            scores, user_ids, batch_pos, bounds, k, cfg.neg_weight, cfg.penalty
-        )
-        loss += lam * lk
-        d_scores += lam * dsk
-        d_user[:, k] = lam * duk
-        d_item[:, k] = lam * dik
-    return loss, d_scores, d_user, d_item
-
-
-def regression_loss(scores, pos_lists, neg_weight):
-    """Whole-data weighted regression toward 1 (observed) and 0 (unobserved).
-
-        sum_{v observed} (1 - score)^2 + w * sum_{v unobserved} score^2
-
-    Returns (loss, d_scores).
-    """
-    scores = np.asarray(scores, dtype=float)
-    w = float(neg_weight)
-    rows, cols = _positive_index(pos_lists)
-    sq_all = scores * scores
-    pos_scores = scores[rows, cols]
-    pos_resid = 1.0 - pos_scores
-    loss = float(
-        np.sum(pos_resid * pos_resid) + w * (np.sum(sq_all) - np.sum(pos_scores * pos_scores))
-    )
-    d_scores = 2.0 * w * scores
-    d_scores[rows, cols] = -2.0 * pos_resid
-    return loss, d_scores
-
-
-def bounded_regression_loss(scores, pos_lists, upper, lower, neg_weight):
-    """Regression toward the learned bounds instead of the 1/0 constants.
-
-    Observed entries regress to their upper bound, unobserved entries to
-    their lower bound; no hinge, so overshooting is penalized too.  With
-    upper fixed at 1 and lower at 0 this reduces to regression_loss.
-
-    Returns (loss, d_scores, d_upper, d_lower).
-    """
-    scores = np.asarray(scores, dtype=float)
-    w = float(neg_weight)
-    rows, cols = _positive_index(pos_lists)
-
-    neg_resid = scores - lower
-    pos_resid = upper[rows, cols] - scores[rows, cols]
-    neg_sq = neg_resid * neg_resid
-    loss = float(
-        np.sum(pos_resid * pos_resid) + w * (np.sum(neg_sq) - np.sum(neg_sq[rows, cols]))
-    )
-
-    d_scores = 2.0 * w * neg_resid
-    d_lower = -d_scores.copy()
-    d_scores[rows, cols] = -2.0 * pos_resid
-    d_lower[rows, cols] = 0.0
-    d_upper = np.zeros_like(scores)
-    d_upper[rows, cols] = 2.0 * pos_resid
-    return loss, d_scores, d_upper, d_lower
-
-
-def bounded_regression_total_loss(scores, user_ids, positives, bounds, cfg):
-    """Weighted multi-behavior bounded-regression loss (hinge-free variant).
-
-    Same shapes and return convention as criterion_total_loss.
-    """
-    num_behaviors = len(positives)
-    cfg.validate(num_behaviors)
-    B, V = scores.shape
-    loss = 0.0
-    d_scores = np.zeros_like(np.asarray(scores, dtype=float))
-    d_user = np.zeros((B, num_behaviors))
-    d_item = np.zeros((V, num_behaviors))
-    for k in range(num_behaviors):
-        lam = cfg.behavior_weights[k]
-        if lam == 0.0:
-            continue
-        batch_pos = [positives[k][u] for u in user_ids]
+        rows, cols = _positive_index([positives[k][u] for u in user_ids])
         ub = bounds.user_bound[user_ids, k]
         ib = bounds.item_bound[:, k]
-        upper = np.outer(ub, ib)
-        lower = bounds.bound_ratio * upper
-        lk, dsk, d_up, d_lo = bounded_regression_loss(
-            scores, batch_pos, upper, lower, cfg.neg_weight
-        )
-        d_eff = d_up + bounds.bound_ratio * d_lo
+        upper = np.multiply.outer(ub, ib, out=work[0])
+        upper_pos = upper[rows, cols]
+        upper *= ratio
+        lk, pos_grad = _criterion_kernel(scores, rows, cols, upper_pos, work,
+                                         cfg.neg_weight, cfg.penalty)
         loss += lam * lk
-        d_scores += lam * dsk
+        d_scores += np.multiply(work[0], lam, out=work[1])
+        # d(loss)/d(upper): -ratio * d_scores off the observed entries (the
+        # lower bound's share), the margin gradient on them.
+        d_eff = np.multiply(work[0], -ratio, out=work[1])
+        d_eff[rows, cols] = pos_grad
         d_user[:, k] = lam * (d_eff @ ib)
         d_item[:, k] = lam * (d_eff.T @ ub)
     return loss, d_scores, d_user, d_item

@@ -318,12 +318,8 @@ def save_checkpoint(path, model, bounds, meta=None):
         fh.write("end\n")
 
 
-def load_checkpoint(path, train=None):
-    """Read a checkpoint back into (model, bounds, meta).
-
-    bounds is None when the checkpoint was written without bound factors.
-    lightgcn checkpoints need the training split to rebuild the graph.
-    """
+def _read_checkpoint(path):
+    """(header, meta, arrays, bounds) of a checkpoint; bounds may be None."""
     from .losses import BoundParams
 
     with open(path, "r", encoding="utf-8") as fh:
@@ -354,7 +350,25 @@ def load_checkpoint(path, train=None):
             i += 1
     else:
         raise DataError("%s: truncated checkpoint (missing end marker)" % path)
+    bounds = None
+    if "user_bound" in arrays:
+        bounds = BoundParams(arrays["user_bound"], arrays["item_bound"],
+                             float(header["bound_ratio"]))
+    return header, meta, arrays, bounds
 
+
+def load_bounds(path):
+    """Only the bound factors of a checkpoint, or None; builds no model."""
+    return _read_checkpoint(path)[3]
+
+
+def load_checkpoint(path, train=None):
+    """Read a checkpoint back into (model, bounds, meta).
+
+    bounds is None when the checkpoint was written without bound factors.
+    lightgcn checkpoints need the training split to rebuild the graph.
+    """
+    header, meta, arrays, bounds = _read_checkpoint(path)
     kind = header.get("model")
     if kind not in MODEL_KINDS:
         raise DataError("%s: unknown model kind %r" % (path, kind))
@@ -376,8 +390,4 @@ def load_checkpoint(path, train=None):
         adjacency, isolated = build_adjacency(train, user_emb.shape[0], item_emb.shape[0])
         model = LightGcnModel(user_emb, item_emb, adjacency, isolated,
                               int(header["num_layers"]))
-    bounds = None
-    if "user_bound" in arrays:
-        bounds = BoundParams(arrays["user_bound"], arrays["item_bound"],
-                             float(header["bound_ratio"]))
     return model, bounds, meta

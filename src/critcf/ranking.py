@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, NumericalError
 from .losses import POSITIVITY_FLOOR
 
 DEFAULT_CUTOFFS = (10, 50, 100, 200)
@@ -44,16 +44,21 @@ def predict_scores(model, bounds, user_ids):
 
     Returns raw_score / max(upper_bound, floor^2) where the upper bound is
     taken at the target behavior.  Without bound factors (regression
-    variants) the raw scores are returned unchanged.
+    variants) the raw scores are returned unchanged.  A non-finite score
+    raises NumericalError naming the first user that has one.
     """
     # layer=-1 picks the last output layer: the only one for the base
     # models, the target behavior's layer for the per-behavior variant.
-    raw, _ = model.score_batch(user_ids, layer=-1)
-    if bounds is None:
-        return raw
-    k = bounds.num_behaviors - 1
-    denom = np.outer(bounds.user_bound[np.asarray(user_ids), k], bounds.item_bound[:, k])
-    return raw / np.maximum(denom, POSITIVITY_FLOOR ** 2)
+    scores, _ = model.score_batch(user_ids, layer=-1)
+    if bounds is not None:
+        k = bounds.num_behaviors - 1
+        denom = np.outer(bounds.user_bound[np.asarray(user_ids), k], bounds.item_bound[:, k])
+        scores = scores / np.maximum(denom, POSITIVITY_FLOOR ** 2)
+    bad = np.flatnonzero(~np.isfinite(scores).all(axis=1))
+    if bad.size:
+        raise NumericalError("non-finite prediction score for user %d"
+                             % np.asarray(user_ids)[bad[0]])
+    return scores
 
 
 def rank_in_candidates(scores_row, excluded, item):
@@ -84,8 +89,8 @@ def rank_user(model, bounds, u, train, n):
 
 
 def _metrics_from_ranks(ranks, num_users, cutoffs):
-    # Sequential accumulation in user order, term-for-term identical to the
-    # brute-force oracle so the two paths agree exactly.
+    # Sequential accumulation in user order, as in the brute-force oracle
+    # less its no-op +0.0 terms for misses, so the two paths agree exactly.
     report = RankingReport(tuple(cutoffs))
     max_cut = max(cutoffs)
     for u in sorted(ranks):
@@ -99,9 +104,6 @@ def _metrics_from_ranks(ranks, num_users, cutoffs):
             if rank <= n:
                 hr_total += 1.0
                 ndcg_total += 1.0 / np.log2(rank + 1.0)
-            else:
-                hr_total += 0.0
-                ndcg_total += 0.0
         report.hr[n] = hr_total / num_users
         report.ndcg[n] = ndcg_total / num_users
     return report

@@ -17,18 +17,18 @@ Variants share this loop:
 """
 
 import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigError, NumericalError
 from .losses import (
+    RESIDUAL_SQUARE,
+    BoundParams,
     LossConfig,
     POSITIVITY_FLOOR,
-    bounded_regression_total_loss,
     criterion_total_loss,
     get_penalty,
-    regression_loss,
 )
 from .models import MODEL_KINDS, init_bounds, init_model, project_rows
 from .ranking import evaluate
@@ -151,8 +151,13 @@ def batch_gradients(model, bounds, user_ids, positives, loss_cfg, variant="full"
     """
     user_ids = np.asarray(user_ids, dtype=np.int64)
     num_behaviors = len(positives)
+    if variant in ("H", "O"):
+        loss_cfg = replace(loss_cfg, penalty=RESIDUAL_SQUARE)
 
     if variant == "O":
+        # Regression toward 1/0 is variant H with unit bounds and ratio 0,
+        # one behavior per output layer; the bound gradients are dropped.
+        layer_cfg = replace(loss_cfg, behavior_weights=(1.0,))
         total = 0.0
         grads = None
         for k in range(num_behaviors):
@@ -160,8 +165,10 @@ def batch_gradients(model, bounds, user_ids, positives, loss_cfg, variant="full"
             scores, cache = model.score_batch(user_ids, mask=mask, layer=k)
             if not np.all(np.isfinite(scores)):
                 raise NumericalError("non-finite scores in batch")
-            batch_pos = [positives[k][u] for u in user_ids]
-            lk, d_scores = regression_loss(scores, batch_pos, loss_cfg.neg_weight)
+            unit = BoundParams(np.ones((len(positives[k]), 1)),
+                               np.ones((scores.shape[1], 1)), 0.0)
+            lk, d_scores, _, _ = criterion_total_loss(scores, user_ids, [positives[k]],
+                                                      unit, layer_cfg)
             gk = model.backward(cache, lam * d_scores)
             total += lam * lk
             if grads is None:
@@ -174,14 +181,9 @@ def batch_gradients(model, bounds, user_ids, positives, loss_cfg, variant="full"
     scores, cache = model.score_batch(user_ids, mask=mask)
     if not np.all(np.isfinite(scores)):
         raise NumericalError("non-finite scores in batch")
-    if variant == "H":
-        loss, d_scores, d_user, d_item = bounded_regression_total_loss(
-            scores, user_ids, positives, bounds, loss_cfg
-        )
-    else:
-        loss, d_scores, d_user, d_item = criterion_total_loss(
-            scores, user_ids, positives, bounds, loss_cfg
-        )
+    loss, d_scores, d_user, d_item = criterion_total_loss(
+        scores, user_ids, positives, bounds, loss_cfg
+    )
     grads = model.backward(cache, d_scores)
     if variant != "U":
         d_user_full = np.zeros_like(bounds.user_bound)

@@ -1,3 +1,5 @@
+import shutil
+
 import numpy as np
 import pytest
 
@@ -179,6 +181,71 @@ def test_dump_bounds_errors(dataset_dir, run_dir, tmp_path, capsys):
     assert main(["dump-bounds", ablate_out + "/checkpoint.txt",
                  "--users", "0", "--items", "0"]) == 2
     capsys.readouterr()
+
+
+def test_dump_bounds_lightgcn_checkpoint(dataset_dir, tmp_path, capsys):
+    # the bound factors are read without the training split the graph needs
+    out = str(tmp_path / "lightgcn")
+    assert main(["train", dataset_dir, out, "--override", "model=lightgcn"] + FAST) == 0
+    capsys.readouterr()
+    assert main(["dump-bounds", out + "/checkpoint.txt", "--users", "0,23",
+                 "--items", "17"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    _, bounds, _ = load_checkpoint(out + "/checkpoint.txt", train=read_dataset_dir(
+        dataset_dir)[0].train)
+    assert lines[1:] == ["%d %d %d %.10g %.10g" % ((u, 17, k) + bounds.bounds(u, 17, k))
+                         for u in (0, 23) for k in range(3)]
+
+
+def test_evaluate_rejects_non_finite_scores(dataset_dir, run_dir, tmp_path, capsys):
+    lines = open(run_dir + "/checkpoint.txt").read().splitlines()
+    row = lines.index(next(line for line in lines if line.startswith("array user_emb"))) + 4
+    lines[row] = " ".join(["nan"] + lines[row].split()[1:])
+    bad = tmp_path / "checkpoint.txt"
+    bad.write_text("\n".join(lines) + "\n")
+    assert main(["evaluate", str(bad), dataset_dir, "--cutoffs", "5"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "numerical error: non-finite prediction score for user 3\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("name,edit,message", [
+    ("meta.txt", lambda t: t.replace("num_items 18\n", ""), "meta.txt: missing key 'num_items'"),
+    ("meta.txt", lambda t: t.replace("num_users 24", "num_users 2x"),
+     "meta.txt: num_users must be a non-negative integer, got '2x'"),
+    ("meta.txt", lambda t: t.replace("num_behaviors 3", "num_behaviors -3"),
+     "meta.txt: num_behaviors must be a non-negative integer, got '-3'"),
+    ("index_map.txt", lambda t: t.replace("i\t17\t17\n", "i\t17\t18\n"),
+     "index_map.txt:42: dense index '18' not in [0, 18)"),
+    ("index_map.txt", lambda t: t.replace("u\t5\t5\n", "u\t5\t-1\n"),
+     "index_map.txt:6: dense index '-1' not in [0, 24)"),
+    ("index_map.txt", lambda t: t.replace("u\t2\t2\n", "u\t2\tx\n"),
+     "index_map.txt:3: dense index 'x' not in [0, 24)"),
+    ("index_map.txt", lambda t: t.replace("u\t3\t3\n", "u\t3\n"),
+     "index_map.txt:4: expected 'u' or 'i', a raw id and a dense index, tab-separated"),
+], ids=["missing-key", "non-integer-count", "negative-count", "index-past-count",
+        "negative-index", "non-integer-index", "two-field-line"])
+def test_evaluate_rejects_bad_dataset_meta(dataset_dir, run_dir, tmp_path, capsys, name, edit,
+                                           message):
+    data = str(tmp_path / "data")
+    shutil.copytree(dataset_dir, data)
+    path = tmp_path / "data" / name
+    path.write_text(edit(path.read_text()))
+    assert main(["evaluate", run_dir + "/checkpoint.txt", data]) == 2
+    assert capsys.readouterr().err == "data error: %s/%s\n" % (data, message)
+
+
+def test_prepare_rejects_non_utf8(tmp_path, capsys):
+    raw = tmp_path / "raw.tsv"
+    raw.write_bytes(b"u0\ti0\tbuy\t1\nu0\ti\xff1\tbuy\t2\n")
+    assert main(["prepare", str(raw), str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "data error: %s:2: not UTF-8 text (byte 0xff)\n" % raw
+
+
+@pytest.mark.filterwarnings("error")
+def test_verify_bound_rejects_negative_seed(capsys):
+    assert main(["verify-bound", "--instances", "2", "--seed", "-1"]) == 1
+    assert capsys.readouterr().err == "config error: --seed must be >= 0, got -1\n"
 
 
 def test_ablate_drop_renormalizes_weights(dataset_dir, tmp_path, capsys):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from critcf.datasets import BehaviorDataset
-from critcf.errors import DataError
+from critcf.errors import DataError, NumericalError
 from critcf.losses import BoundParams
 from critcf.models import MfModel, project_rows
 from critcf.ranking import (
@@ -185,3 +185,14 @@ def test_report_formatting():
     assert table.splitlines()[0].split() == ["cutoff", "hr", "ndcg"]
     assert "0.630930" in report.format_kv()
     assert "hr@2=1.000000" in report.format_kv()
+
+
+def test_non_finite_scores_are_rejected_before_ranking():
+    table = np.array([[0.1, 0.2, 0.3], [0.3, np.nan, 0.1], [np.inf, 0.0, 0.0]])
+    train = single_behavior_train(3, 3, [[0], [0], [0]])
+    bounds = BoundParams(np.ones((3, 1)), np.ones((3, 1)), 0.5)
+    for b in (None, bounds):
+        with pytest.raises(NumericalError, match="non-finite prediction score for user 1$"):
+            evaluate(TableModel(table), b, train, np.array([1, 2, 1]), cutoffs=(1,))
+        with pytest.raises(NumericalError, match="for user 2$"):
+            predict_scores(TableModel(table), b, [0, 2])
