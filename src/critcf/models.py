@@ -3,13 +3,17 @@
 All scorers share one contract: ``score_batch(user_ids)`` produces the
 (B, num_items) score matrix for a batch of users against every item, plus an
 opaque cache, and ``backward(cache, d_scores)`` turns a gradient w.r.t. that
-matrix into dense gradients for each named parameter array.
+matrix into one gradient per named parameter array.  The parameters a scorer
+lists in ``row_block_params`` get a (B, ...) row block: row i is the gradient
+of row ``user_ids[i]``, and every other row's gradient is zero.  Every other
+parameter gets a dense gradient shaped like the parameter.
 
 Embedding rows live inside the unit Euclidean ball; the trainer re-projects
 after every optimizer step and ``project_rows`` implements that projection.
 """
 
 import io
+import math
 
 import numpy as np
 import scipy.sparse as sp
@@ -46,6 +50,7 @@ class MfModel:
     """Dot-product factorization: score(u, v) = <user_emb[u], item_emb[v]>."""
 
     kind = "mf"
+    row_block_params = ("user_emb",)
 
     def __init__(self, user_emb, item_emb):
         self.user_emb = user_emb
@@ -68,8 +73,8 @@ class MfModel:
 
     def backward(self, cache, d_scores):
         user_ids = cache
-        d_user = np.zeros_like(self.user_emb)
-        np.add.at(d_user, user_ids, d_scores @ self.item_emb)
+        d_user = d_scores @ self.item_emb
+        d_user += 0.0  # -0.0 -> +0.0, as scattering into zeros would
         d_item = d_scores.T @ self.user_emb[user_ids]
         return {"user_emb": d_user, "item_emb": d_item}
 
@@ -88,6 +93,7 @@ class GmfModel:
     """
 
     kind = "gmf"
+    row_block_params = ("user_emb",)
 
     def __init__(self, user_emb, item_emb, pred_weight):
         self.user_emb = user_emb
@@ -127,11 +133,10 @@ class GmfModel:
         users = self.user_emb[user_ids]
         masked = users if mask is None else users * mask
         back = d_scores @ self.item_emb  # (B, dim)
-        d_user = np.zeros_like(self.user_emb)
-        d_rows = back * weight
+        d_user = back * weight
         if mask is not None:
-            d_rows = d_rows * mask
-        np.add.at(d_user, user_ids, d_rows)
+            d_user = d_user * mask
+        d_user += 0.0  # -0.0 -> +0.0, as scattering into zeros would
         d_item = d_scores.T @ (masked * weight)
         d_pred = np.zeros_like(self.pred_weight)
         d_pred[layer] = np.sum(back * masked, axis=0)
@@ -155,6 +160,8 @@ class LightGcnModel:
     """
 
     kind = "lightgcn"
+    # Propagation spreads every batch row's gradient over the whole graph.
+    row_block_params = ()
 
     def __init__(self, user_emb, item_emb, adjacency, isolated, num_layers):
         self.user_emb = user_emb
@@ -318,8 +325,66 @@ def save_checkpoint(path, model, bounds, meta=None):
         fh.write("end\n")
 
 
+def _header_value(path, header, key, cast):
+    """header[key] as a non-negative int or a finite float, else DataError."""
+    if key not in header:
+        raise DataError("%s: missing header key %r" % (path, key))
+    try:
+        value = cast(header[key])
+        ok = value >= 0 if cast is int else math.isfinite(value)
+    except ValueError:
+        ok = False
+    if not ok:
+        raise DataError("%s: header key %r must be a non-negative %s, got %r"
+                        % (path, key, "integer" if cast is int else "finite number",
+                           header[key]))
+    return value
+
+
+def _array_header(path, i, parts):
+    if len(parts) != 4 or not (parts[2].isdigit() and parts[3].isdigit()):
+        raise DataError("%s:%d: expected 'array NAME ROWS COLS'" % (path, i + 1))
+    return parts[1], int(parts[2]), int(parts[3])
+
+
+def _check_shapes(path, header, arrays):
+    """The header names a model kind and every count, and every array the
+    kind and the bound factors need is present with the header's shape."""
+    kind = header.get("model")
+    if kind is None:
+        raise DataError("%s: missing header key 'model'" % path)
+    if kind not in MODEL_KINDS:
+        raise DataError("%s: unknown model kind %r" % (path, kind))
+    num_users, num_items, dim = (_header_value(path, header, key, int)
+                                 for key in ("num_users", "num_items", "dim"))
+    if kind == "lightgcn":
+        _header_value(path, header, "num_layers", int)
+    names = ("user_emb", "item_emb") + (("pred_weight",) if kind == "gmf" else ())
+    shapes = {"user_emb": (num_users, dim), "item_emb": (num_items, dim)}
+    if "pred_weight" in arrays:
+        # One output layer, or one per behavior (variant O); never none.
+        shapes["pred_weight"] = (max(arrays["pred_weight"].shape[0], 1), dim)
+    if "num_behaviors" in header or "user_bound" in arrays or "item_bound" in arrays:
+        num_behaviors = _header_value(path, header, "num_behaviors", int)
+        _header_value(path, header, "bound_ratio", float)
+        shapes["user_bound"] = (num_users, num_behaviors)
+        shapes["item_bound"] = (num_items, num_behaviors)
+        names += ("user_bound", "item_bound")
+    for name in names:
+        if name not in arrays:
+            raise DataError("%s: missing array %s" % (path, name))
+        if arrays[name].shape != shapes[name]:
+            raise DataError("%s: array %s is %dx%d, expected %dx%d"
+                            % ((path, name) + arrays[name].shape + shapes[name]))
+
+
 def _read_checkpoint(path):
-    """(header, meta, arrays, bounds) of a checkpoint; bounds may be None."""
+    """(header, meta, arrays, bounds) of a checkpoint; bounds may be None.
+
+    Each array must hold exactly the rows it declares, and _check_shapes
+    must accept the header and the arrays; otherwise DataError names the
+    file and the key or array.
+    """
     from .losses import BoundParams
 
     with open(path, "r", encoding="utf-8") as fh:
@@ -337,19 +402,29 @@ def _read_checkpoint(path):
             continue
         if parts[0] == "end":
             break
-        if parts[0] == "meta":
+        if parts[0] == "array":
+            name, rows, cols = _array_header(path, i, parts)
+            block = "\n".join(lines[i + 1:i + 1 + rows])
+            try:
+                arrays[name] = np.loadtxt(io.StringIO(block), ndmin=2).reshape(rows, cols)
+            except ValueError:
+                raise DataError("%s: array %s does not hold the %dx%d numbers it declares"
+                                % (path, name, rows, cols)) from None
+            i += 1 + rows
+        elif arrays:
+            # Only arrays and the end marker follow the first array.
+            last = list(arrays)[-1]
+            raise DataError("%s:%d: array %s has more rows than the %d it declares"
+                            % (path, i + 1, last, arrays[last].shape[0]))
+        elif parts[0] == "meta" and len(parts) > 1:
             meta[parts[1]] = " ".join(parts[2:])
             i += 1
-        elif parts[0] == "array":
-            name, rows, cols = parts[1], int(parts[2]), int(parts[3])
-            block = "\n".join(lines[i + 1:i + 1 + rows])
-            arrays[name] = np.loadtxt(io.StringIO(block), ndmin=2).reshape(rows, cols)
-            i += 1 + rows
         else:
-            header[parts[0]] = parts[1]
+            header[parts[0]] = " ".join(parts[1:])
             i += 1
     else:
         raise DataError("%s: truncated checkpoint (missing end marker)" % path)
+    _check_shapes(path, header, arrays)
     bounds = None
     if "user_bound" in arrays:
         bounds = BoundParams(arrays["user_bound"], arrays["item_bound"],
@@ -369,9 +444,7 @@ def load_checkpoint(path, train=None):
     lightgcn checkpoints need the training split to rebuild the graph.
     """
     header, meta, arrays, bounds = _read_checkpoint(path)
-    kind = header.get("model")
-    if kind not in MODEL_KINDS:
-        raise DataError("%s: unknown model kind %r" % (path, kind))
+    kind = header["model"]
     user_emb = arrays["user_emb"]
     item_emb = arrays["item_emb"]
     if kind == "mf":

@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import DataError, NumericalError
 from .losses import POSITIVITY_FLOOR
+from .models import LightGcnModel, MfModel
 
 DEFAULT_CUTOFFS = (10, 50, 100, 200)
 
@@ -61,19 +62,20 @@ def predict_scores(model, bounds, user_ids):
     return scores
 
 
-def rank_in_candidates(scores_row, excluded, item):
-    """1-based rank of item among the non-excluded items of one score row.
+def rank_in_candidates(scores, items, excluded_rows, excluded_items):
+    """1-based rank of items[r] among the non-excluded items of scores[r].
 
-    Rank counts strictly better candidates plus equal-scored candidates
-    with a smaller index (the ascending-index tiebreak).
+    scores is (B, V) and items (B,).  The excluded (row, item) pairs come
+    as two (nnz,) vectors and hold no pair twice.  Rank counts strictly
+    better candidates plus equal-scored candidates with a smaller index
+    (the ascending-index tiebreak).
     """
-    target_score = scores_row[item]
-    better = scores_row > target_score
-    tied_before = (scores_row == target_score) & (np.arange(len(scores_row)) < item)
-    contenders = better | tied_before
-    if len(excluded):
-        contenders[excluded] = False
-    return 1 + int(np.count_nonzero(contenders))
+    target = scores[np.arange(len(items)), items]
+    contenders = scores > target[:, None]
+    contenders |= (scores == target[:, None]) & (np.arange(scores.shape[1]) < items[:, None])
+    ranks = 1 + np.count_nonzero(contenders, axis=1)
+    beaten = contenders[excluded_rows, excluded_items]
+    return ranks - np.bincount(excluded_rows[beaten], minlength=len(items))
 
 
 def rank_user(model, bounds, u, train, n):
@@ -118,16 +120,27 @@ def evaluate(model, bounds, train, heldout, cutoffs=DEFAULT_CUTOFFS, batch_users
     """
     num_users = train.num_users
     target = train.num_behaviors - 1
+    heldout = np.asarray(heldout, dtype=np.int64)
+    if isinstance(model, LightGcnModel):
+        # The parameters do not change during evaluation, so propagate once:
+        # scoring the propagated embeddings by dot product is bitwise the
+        # lightgcn score.
+        model = MfModel(*model.propagated_embeddings())
     ranks = {}
     for start in range(0, num_users, batch_users):
         batch = np.arange(start, min(start + batch_users, num_users))
         scores = predict_scores(model, bounds, batch)
-        for row, u in enumerate(batch):
-            item = int(heldout[u])
-            excluded = train.positives[target][u]
-            if item in excluded:
-                raise DataError("held-out item %d of user %d is a training positive" % (item, u))
-            ranks[int(u)] = rank_in_candidates(scores[row], excluded, item)
+        items = heldout[batch]
+        excluded = train.positives[target][start:start + len(batch)]
+        rows = np.repeat(np.arange(len(batch)), [len(e) for e in excluded])
+        cols = np.concatenate(excluded).astype(np.int64, copy=False)
+        clash = np.flatnonzero(cols == items[rows])
+        if clash.size:
+            u = batch[rows[clash[0]]]
+            raise DataError("held-out item %d of user %d is a training positive"
+                            % (heldout[u], u))
+        batch_ranks = rank_in_candidates(scores, items, rows, cols)
+        ranks.update(zip(batch.tolist(), batch_ranks.tolist()))
     return _metrics_from_ranks(ranks, num_users, cutoffs)
 
 

@@ -106,7 +106,7 @@ class TrainResult:
 
 
 class AdagradState:
-    """Per-parameter accumulated squared gradients."""
+    """Per-parameter accumulated squared gradients, shaped like the parameters."""
 
     def __init__(self):
         self.acc = {}
@@ -117,18 +117,30 @@ class AdagradState:
         return self.acc[name]
 
 
-def adagrad_step(params, grads, state, lr):
+def adagrad_step(params, grads, state, lr, rows=None):
     """One Adagrad update over named parameter arrays, in place.
 
-    acc += grad^2; param -= lr * grad / (sqrt(acc) + eps).  Gradients must
+    acc += grad^2; param -= lr * grad / (sqrt(acc) + eps).  rows maps the
+    name of each gradient that is a row block to the parameter rows its
+    block rows belong to (unique ids); only those rows of the parameter and
+    of its accumulator change, which is exactly the dense update with zero
+    gradient rows elsewhere.  Every other gradient is dense.  Gradients must
     be finite; a non-finite entry aborts with the parameter name.
     """
+    rows = rows or {}
     for name, grad in grads.items():
         if not np.all(np.isfinite(grad)):
             raise NumericalError("non-finite gradient for parameter %r" % name)
-        acc = state.ensure(name, grad.shape)
-        acc += grad * grad
-        params[name] -= lr * grad / (np.sqrt(acc) + ADAGRAD_EPS)
+        param = params[name]
+        acc = state.ensure(name, param.shape)
+        if name in rows:
+            ids = rows[name]
+            acc_rows = acc[ids] + grad * grad
+            acc[ids] = acc_rows
+            param[ids] -= lr * grad / (np.sqrt(acc_rows) + ADAGRAD_EPS)
+        else:
+            acc += grad * grad
+            param -= lr * grad / (np.sqrt(acc) + ADAGRAD_EPS)
 
 
 def _trainable_params(model, bounds, variant):
@@ -146,8 +158,10 @@ def batch_gradients(model, bounds, user_ids, positives, loss_cfg, variant="full"
     """Loss and joint gradients for one batch of users.
 
     Returns (loss, grads) where grads maps every trainable parameter name
-    (model parameters plus unfrozen bound factors) to a dense gradient
-    array.  Scores are validated to be finite before the loss is taken.
+    (model parameters plus unfrozen bound factors) to its gradient.  The
+    ``user_bound`` gradient and those of ``model.row_block_params`` are
+    (B, ...) row blocks, row i belonging to ``user_ids[i]``; the others are
+    dense.  Scores are validated to be finite before the loss is taken.
     """
     user_ids = np.asarray(user_ids, dtype=np.int64)
     num_behaviors = len(positives)
@@ -186,9 +200,8 @@ def batch_gradients(model, bounds, user_ids, positives, loss_cfg, variant="full"
     )
     grads = model.backward(cache, d_scores)
     if variant != "U":
-        d_user_full = np.zeros_like(bounds.user_bound)
-        np.add.at(d_user_full, user_ids, d_user)
-        grads["user_bound"] = d_user_full
+        d_user += 0.0  # -0.0 -> +0.0, as scattering into zeros would
+        grads["user_bound"] = d_user
     if variant != "I":
         grads["item_bound"] = d_item
     return loss, grads
@@ -199,11 +212,21 @@ def batch_loss(model, bounds, user_ids, positives, loss_cfg, variant="full", mas
     return batch_gradients(model, bounds, user_ids, positives, loss_cfg, variant, mask)[0]
 
 
-def _apply_constraints(model, bounds):
+def _apply_constraints(model, bounds, rows):
+    """Project embedding rows and clamp bound factors after a step.
+
+    Row-block parameters and the user bound factors changed only at rows,
+    so only those rows are projected and clamped; the others still satisfy
+    the constraints, and both operations leave such rows as they are.
+    """
+    params = model.param_arrays()
     for name in model.embedding_param_names():
-        project_rows(model.param_arrays()[name])
+        if name in model.row_block_params:
+            params[name][rows] = project_rows(params[name][rows])
+        else:
+            project_rows(params[name])
     if bounds is not None:
-        np.maximum(bounds.user_bound, POSITIVITY_FLOOR, out=bounds.user_bound)
+        bounds.user_bound[rows] = np.maximum(bounds.user_bound[rows], POSITIVITY_FLOOR)
         np.maximum(bounds.item_bound, POSITIVITY_FLOOR, out=bounds.item_bound)
 
 
@@ -213,7 +236,7 @@ def train_epoch(train, model, bounds, state, cfg, rng, step_callback=None,
 
     Users are shuffled without replacement and cut into ceil(U / B) batches;
     each batch takes one joint Adagrad step followed by the projection and
-    positivity clamps.
+    positivity clamps.  The user-side row blocks touch only the batch rows.
     """
     loss_cfg = cfg.loss_config()
     num_users = train.num_users
@@ -222,6 +245,7 @@ def train_epoch(train, model, bounds, state, cfg, rng, step_callback=None,
     total = 0.0
     steps = step_offset
     use_dropout = model.kind == "gmf" and cfg.dropout > 0.0
+    row_blocks = model.row_block_params + ("user_bound",)
     for start in range(0, num_users, cfg.batch_size):
         batch = perm[start:start + cfg.batch_size]
         mask = None
@@ -231,8 +255,8 @@ def train_epoch(train, model, bounds, state, cfg, rng, step_callback=None,
         loss, grads = batch_gradients(model, bounds, batch, train.positives,
                                       loss_cfg, cfg.variant, mask)
         total += loss
-        adagrad_step(params, grads, state, cfg.lr)
-        _apply_constraints(model, bounds)
+        adagrad_step(params, grads, state, cfg.lr, dict.fromkeys(row_blocks, batch))
+        _apply_constraints(model, bounds, batch)
         steps += 1
         if step_callback is not None:
             step_callback(steps, model, bounds)

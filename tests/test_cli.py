@@ -235,6 +235,37 @@ def test_evaluate_rejects_bad_dataset_meta(dataset_dir, run_dir, tmp_path, capsy
     assert capsys.readouterr().err == "data error: %s/%s\n" % (data, message)
 
 
+def _drop_user_bound_row(text):
+    head, _, rest = text.partition("array user_bound 24 3\n")
+    return head + "array user_bound 23 3\n" + rest.split("\n", 1)[1]
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda t: t.replace("array user_bound 24 3", "array user_bound 3 3"),
+     ":59: array user_bound has more rows than the 3 it declares"),
+    (lambda t: t.replace("array user_bound 24 3", "array user_bound 25 3"),
+     ": array user_bound does not hold the 25x3 numbers it declares"),
+    (lambda t: t.replace("array user_bound 24 3", "array user_bound -1 3"),
+     ":55: expected 'array NAME ROWS COLS'"),
+    (lambda t: t.replace("num_items 18", "num_items 1.5"),
+     ": header key 'num_items' must be a non-negative integer, got '1.5'"),
+    (lambda t: t.replace("bound_ratio 0.5\n", ""), ": missing header key 'bound_ratio'"),
+    (lambda t: t.replace("model gmf\n", ""), ": missing header key 'model'"),
+    (lambda t: t.replace("num_behaviors 3", "num_behaviors 2"),
+     ": array user_bound is 24x3, expected 24x2"),
+    (_drop_user_bound_row, ": array user_bound is 23x3, expected 24x3"),
+], ids=["short-row-count", "long-row-count", "negative-row-count", "non-integer-count",
+        "missing-bound-ratio", "missing-model", "bound-columns",
+        "bound-rows"])
+def test_dump_bounds_rejects_bad_checkpoint(run_dir, tmp_path, capsys, edit, message):
+    bad = tmp_path / "checkpoint.txt"
+    bad.write_text(edit(open(run_dir + "/checkpoint.txt").read()))
+    assert main(["dump-bounds", str(bad), "--users", "0", "--items", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "data error: %s%s\n" % (bad, message)
+    assert captured.out == ""
+
+
 def test_prepare_rejects_non_utf8(tmp_path, capsys):
     raw = tmp_path / "raw.tsv"
     raw.write_bytes(b"u0\ti0\tbuy\t1\nu0\ti\xff1\tbuy\t2\n")

@@ -200,9 +200,19 @@ def test_build_adjacency_bitwise_equals_oracle(train):
 
 
 def _fd_model_grads(model, user_ids, weights, mask=None):
-    """Compare backward() against central differences of sum(weights * scores)."""
+    """Compare backward() against central differences of sum(weights * scores).
+
+    A row-block gradient is scattered onto its parameter's shape first; a
+    user listed twice in user_ids gets the sum of its block rows.
+    """
     scores, cache = model.score_batch(user_ids, mask=mask)
     grads = model.backward(cache, weights)
+    for name in model.row_block_params:
+        arr = model.param_arrays()[name]
+        assert grads[name].shape == (len(user_ids),) + arr.shape[1:]
+        dense = np.zeros_like(arr)
+        np.add.at(dense, user_ids, grads[name])
+        grads[name] = dense
     rng = np.random.default_rng(99)
     step = 1e-5
     for name, arr in model.param_arrays().items():

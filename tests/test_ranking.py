@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from critcf.datasets import BehaviorDataset
 from critcf.errors import DataError, NumericalError
@@ -25,6 +27,30 @@ class TableModel:
     def score_batch(self, user_ids, mask=None, layer=0):
         user_ids = np.asarray(user_ids, dtype=np.int64)
         return self.table[user_ids].copy(), user_ids
+
+
+def oracle_rank_in_candidates(scores_row, excluded, item):
+    """Reference: 1-based rank of item among the non-excluded items of one row.
+
+    The per-row form the batch rank_in_candidates replaced.  Rank counts
+    strictly better candidates plus equal-scored candidates with a smaller
+    index (the ascending-index tiebreak).
+    """
+    target_score = scores_row[item]
+    better = scores_row > target_score
+    tied_before = (scores_row == target_score) & (np.arange(len(scores_row)) < item)
+    contenders = better | tied_before
+    if len(excluded):
+        contenders[excluded] = False
+    return 1 + int(np.count_nonzero(contenders))
+
+
+def rank_one(row, excluded, item):
+    """rank_in_candidates on a batch of one row."""
+    excluded = np.asarray(excluded, dtype=np.int64)
+    ranks = rank_in_candidates(np.asarray(row)[None, :], np.array([item]),
+                               np.zeros(len(excluded), dtype=np.int64), excluded)
+    return int(ranks[0])
 
 
 def single_behavior_train(num_users, num_items, pos):
@@ -67,9 +93,9 @@ def test_rank_user_contracts():
 
 def test_rank_in_candidates_tiebreak():
     row = np.array([0.5, 0.7, 0.5, 0.5])
-    assert rank_in_candidates(row, np.empty(0, dtype=np.int64), 2) == 3
-    assert rank_in_candidates(row, np.empty(0, dtype=np.int64), 0) == 2
-    assert rank_in_candidates(row, np.array([1]), 2) == 2
+    assert rank_one(row, [], 2) == 3
+    assert rank_one(row, [], 0) == 2
+    assert rank_one(row, [1], 2) == 2
 
 
 def test_spot_metric_rank_two():
@@ -99,6 +125,65 @@ def test_heldout_item_must_not_be_train_positive():
     train = single_behavior_train(1, 2, [[0]])
     with pytest.raises(DataError):
         evaluate(model, None, train, np.array([0]), cutoffs=(1,))
+
+
+@pytest.mark.parametrize("batch_users", [1, 2, 3, 1024])
+def test_heldout_clash_names_first_user(batch_users):
+    # users 2 and 4 hold out a training positive; the error names user 2,
+    # as the per-user loop did, whether or not they share a batch
+    train = single_behavior_train(6, 4, [[0], [1], [2, 3], [], [0, 1], [3]])
+    heldout = np.array([1, 2, 3, 0, 1, 2])
+    model = TableModel(np.zeros((6, 4)))
+    with pytest.raises(DataError, match="^held-out item 3 of user 2 is a training positive$"):
+        evaluate(model, None, train, heldout, cutoffs=(1,), batch_users=batch_users)
+
+
+SCORE_VALUES = (-2.0, -1.0, -0.0, 0.0, 1.0, 2.0)
+
+
+@st.composite
+def ranking_instances(draw):
+    """Small-integer and +-0.0 score tables, held-out items and exclusions."""
+    num_users = draw(st.integers(1, 9))
+    num_items = draw(st.integers(1, 9))
+    table = np.array(draw(st.lists(st.sampled_from(SCORE_VALUES),
+                                   min_size=num_users * num_items,
+                                   max_size=num_users * num_items)))
+    table = table.reshape(num_users, num_items)
+    heldout = np.empty(num_users, dtype=np.int64)
+    pos = []
+    for u in range(num_users):
+        item = draw(st.sampled_from(sorted({0, num_items - 1}))
+                    | st.integers(0, num_items - 1))
+        others = [v for v in range(num_items) if v != item]
+        size = draw(st.sampled_from(sorted({0, len(others)}))
+                    | st.integers(0, len(others)))
+        pos.append(draw(st.permutations(others))[:size])
+        heldout[u] = item
+    batch_users = draw(st.integers(1, num_users + 2))
+    return table, pos, heldout, batch_users
+
+
+@settings(max_examples=300, deadline=None)
+@example(inst=(np.array([[0.0, -0.0, 1.0, 0.0]]), [[0, 1, 2]], np.array([3]), 1))
+@example(inst=(np.array([[1.0, 1.0, 1.0], [-0.0, 0.0, -0.0], [2.0, 1.0, 2.0]]),
+               [[1, 2], [], [0, 1]], np.array([0, 2, 2]), 2))
+@given(inst=ranking_instances())
+def test_batch_ranks_equal_oracle(inst):
+    table, pos, heldout, batch_users = inst
+    num_users, num_items = table.shape
+    train = single_behavior_train(num_users, num_items, pos)
+    want = {u: oracle_rank_in_candidates(table[u].copy(), train.positives[0][u],
+                                         int(heldout[u]))
+            for u in range(num_users)}
+    rows = np.repeat(np.arange(num_users), [len(p) for p in pos])
+    cols = np.concatenate([train.positives[0][u] for u in range(num_users)])
+    got = rank_in_candidates(table, heldout, rows, cols)
+    assert got.tolist() == [want[u] for u in range(num_users)]
+    # every rank lies within the candidate count, so the report keeps them all
+    report = evaluate(TableModel(table), None, train, heldout, cutoffs=(num_items,),
+                      batch_users=batch_users)
+    assert report.per_user_rank == want
 
 
 def _random_instance(rng, num_users, num_items):

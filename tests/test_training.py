@@ -1,21 +1,90 @@
+import os
+
 import numpy as np
 import pytest
 
+from critcf import training
+from critcf.cli import main
 from critcf.datasets import BehaviorDataset, leave_one_out_split
 from critcf.errors import ConfigError, NumericalError
 from critcf.losses import BoundParams, POSITIVITY_FLOOR, get_penalty
-from critcf.models import MfModel
+from critcf.models import MfModel, project_rows
 from critcf.synthetic import SynthConfig, generate
 from critcf.training import (
     ADAGRAD_EPS,
     AdagradState,
     TrainConfig,
+    _trainable_params,
     adagrad_step,
     batch_gradients,
     batch_loss,
     train,
     train_epoch,
 )
+
+
+# Reference oracles: the dense optimizer path that the row-sparse step
+# replaced.  Every gradient is scattered onto its parameter's full shape, and
+# Adagrad, projection and clamp run over every row.
+
+def oracle_adagrad_step(params, grads, state, lr):
+    """Dense Adagrad: acc += grad^2; param -= lr * grad / (sqrt(acc) + eps)."""
+    for name, grad in grads.items():
+        if not np.all(np.isfinite(grad)):
+            raise NumericalError("non-finite gradient for parameter %r" % name)
+        acc = state.ensure(name, grad.shape)
+        acc += grad * grad
+        params[name] -= lr * grad / (np.sqrt(acc) + ADAGRAD_EPS)
+
+
+def oracle_apply_constraints(model, bounds):
+    """Project every embedding row and clamp every bound factor."""
+    for name in model.embedding_param_names():
+        project_rows(model.param_arrays()[name])
+    if bounds is not None:
+        np.maximum(bounds.user_bound, POSITIVITY_FLOOR, out=bounds.user_bound)
+        np.maximum(bounds.item_bound, POSITIVITY_FLOOR, out=bounds.item_bound)
+
+
+def oracle_dense_gradients(params, grads, user_ids, row_blocks):
+    """Scatter each row block into zeros of its parameter's shape."""
+    dense = dict(grads)
+    for name in row_blocks:
+        if name in grads:
+            dense[name] = np.zeros_like(params[name])
+            np.add.at(dense[name], user_ids, grads[name])
+    return dense
+
+
+def oracle_train_epoch(train, model, bounds, state, cfg, rng, step_callback=None,
+                       step_offset=0):
+    """train_epoch with dense gradients and the dense Adagrad and constraints."""
+    loss_cfg = cfg.loss_config()
+    num_users = train.num_users
+    perm = rng.permutation(num_users)
+    params = _trainable_params(model, bounds, cfg.variant)
+    row_blocks = model.row_block_params + ("user_bound",)
+    total = 0.0
+    steps = step_offset
+    use_dropout = model.kind == "gmf" and cfg.dropout > 0.0
+    for start in range(0, num_users, cfg.batch_size):
+        batch = perm[start:start + cfg.batch_size]
+        mask = None
+        if use_dropout:
+            keep = rng.random((len(batch), model.dim)) >= cfg.dropout
+            mask = keep / (1.0 - cfg.dropout)
+        loss, grads = batch_gradients(model, bounds, batch, train.positives,
+                                      loss_cfg, cfg.variant, mask)
+        total += loss
+        oracle_adagrad_step(params, oracle_dense_gradients(params, grads, batch, row_blocks),
+                            state, cfg.lr)
+        oracle_apply_constraints(model, bounds)
+        steps += 1
+        if step_callback is not None:
+            step_callback(steps, model, bounds)
+    if not np.isfinite(total):
+        raise NumericalError("non-finite epoch loss")
+    return total, steps
 
 
 def toy_split(seed=0):
@@ -222,3 +291,49 @@ def test_validate_rejects_bad_configs():
                 dict(bound_ratio=1.5), dict(neg_weight=-0.1)):
         with pytest.raises(ConfigError):
             train(split, toy_config(**bad))
+
+
+@pytest.fixture(scope="module")
+def sparse_step_dataset(tmp_path_factory):
+    path = str(tmp_path_factory.mktemp("data") / "synth")
+    assert main(["synth", path, "--users", "37", "--items", "23", "--densities",
+                 "0.4,0.3,0.25", "--latent-dim", "3", "--seed", "5"]) == 0
+    return path
+
+
+@pytest.mark.parametrize("model,variant", [
+    (model, variant) for model in ("mf", "gmf", "lightgcn")
+    for variant in ("full", "U", "I", "H")] + [("gmf", "O")])
+def test_sparse_step_equals_dense_oracle(sparse_step_dataset, tmp_path, monkeypatch,
+                                         model, variant):
+    # batch 8 does not divide the 37 users; lr 1.0 drives rows onto the
+    # unit sphere and bound factors onto the floor, so both constraints act
+    argv = ["--override", "model=%s" % model, "--override", "variant=%s" % variant,
+            "--override", "epochs=3", "--override", "batch=8", "--override", "d=4",
+            "--override", "lr=1.0", "--override", "eval_cutoff=5"]
+    sparse, dense = str(tmp_path / "sparse"), str(tmp_path / "dense")
+    projected, clamped = [], []
+
+    def record(step, model, bounds):
+        norms = [np.linalg.norm(model.param_arrays()[name], axis=1)
+                 for name in model.embedding_param_names()]
+        projected.append(max(n.max() for n in norms) > 1.0 - 1e-9)
+        clamped.append(bounds is not None and bool(
+            (bounds.user_bound == POSITIVITY_FLOOR).any()
+            or (bounds.item_bound == POSITIVITY_FLOOR).any()))
+
+    def recording_oracle(train_ds, model, bounds, state, cfg, rng, step_callback,
+                         step_offset):
+        return oracle_train_epoch(train_ds, model, bounds, state, cfg, rng, record,
+                                  step_offset)
+
+    assert main(["train", sparse_step_dataset, sparse] + argv) == 0
+    monkeypatch.setattr(training, "train_epoch", recording_oracle)
+    assert main(["train", sparse_step_dataset, dense] + argv) == 0
+    assert len(clamped) == 15  # ceil(37 / 8) steps in each of 3 epochs
+    assert any(projected)
+    assert any(clamped) == (variant != "O")
+    for name in ("checkpoint.txt", "history.txt"):
+        with open(os.path.join(sparse, name), "rb") as a, \
+                open(os.path.join(dense, name), "rb") as b:
+            assert a.read() == b.read(), name
