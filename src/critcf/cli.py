@@ -10,13 +10,10 @@ import os
 import sys
 import time
 
-import numpy as np
-
 from . import __version__
 from .config import (
     apply_kv,
     check_manifest_keys,
-    config_to_kv,
     dataset_fingerprint,
     parse_kv_file,
     write_manifest,
@@ -47,12 +44,24 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, "%s: error: %s\n" % (self.prog, message))
 
 
-def _split_ints(text):
-    return tuple(int(tok) for tok in text.split(","))
+def _split(text, flag, cast):
+    """The comma-separated values of a list flag; a bad token is a ConfigError."""
+    values = []
+    for tok in text.split(","):
+        try:
+            values.append(cast(tok))
+        except ValueError:
+            raise ConfigError("%s: %r is not %s"
+                              % (flag, tok, "an integer" if cast is int else "a number")) from None
+    return tuple(values)
 
 
-def _split_floats(text):
-    return tuple(float(tok) for tok in text.split(","))
+def _split_cutoffs(text):
+    cutoffs = _split(text, "--cutoffs", int)
+    for n in cutoffs:
+        if n < 1:
+            raise ConfigError("--cutoffs: %d is not >= 1" % n)
+    return cutoffs
 
 
 def _load_config(args, num_behaviors):
@@ -72,7 +81,8 @@ def _load_config(args, num_behaviors):
     return cfg, file_values
 
 
-def _run_training(split, dataset_dir, out_dir, cfg, file_values):
+def _run_training(split, dataset_dir, out_dir, cfg, file_values, variant):
+    """Train and write the run dir; the checkpoint records variant as its label."""
     cfg.validate(split.train.num_behaviors)
     fingerprint = dataset_fingerprint(dataset_dir)
     check_manifest_keys(file_values, fingerprint,
@@ -91,7 +101,7 @@ def _run_training(split, dataset_dir, out_dir, cfg, file_values):
     result = train(split, cfg, epoch_callback=on_epoch)
 
     save_checkpoint(os.path.join(out_dir, "checkpoint.txt"), result.model,
-                    result.bounds, meta={"variant": cfg.variant})
+                    result.bounds, meta={"variant": variant})
     with open(os.path.join(out_dir, "history.txt"), "w", encoding="utf-8") as fh:
         for epoch, loss, hr, ndcg in result.history:
             fh.write("%d %.17g %.17g %.17g\n" % (epoch, loss, hr, ndcg))
@@ -100,6 +110,17 @@ def _run_training(split, dataset_dir, out_dir, cfg, file_values):
             fh.write("%d %.3f\n" % (epoch, seconds))
     write_manifest(os.path.join(out_dir, "manifest.txt"), cfg, fingerprint)
     return result
+
+
+def _write_report(report, out_dir):
+    """Print the metric table and, given out_dir, write report.txt and report.kv."""
+    print(report.format_table())
+    if out_dir:
+        os.makedirs(out_dir, exist_ok=True)
+        with open(os.path.join(out_dir, "report.txt"), "w", encoding="utf-8") as fh:
+            fh.write(report.format_table() + "\n")
+        with open(os.path.join(out_dir, "report.kv"), "w", encoding="utf-8") as fh:
+            fh.write(report.format_kv())
 
 
 def cmd_prepare(args):
@@ -124,7 +145,7 @@ def cmd_prepare(args):
 
 
 def cmd_synth(args):
-    densities = _split_floats(args.densities)
+    densities = _split(args.densities, "--densities", float)
     labels = tuple(args.behaviors.split(","))
     if len(labels) != len(densities):
         raise ConfigError("%d behavior labels but %d densities" % (len(labels), len(densities)))
@@ -149,7 +170,8 @@ def cmd_synth(args):
 def cmd_train(args):
     split, _, _, _ = read_dataset_dir(args.dataset_dir)
     cfg, file_values = _load_config(args, split.train.num_behaviors)
-    result = _run_training(split, args.dataset_dir, args.out_dir, cfg, file_values)
+    result = _run_training(split, args.dataset_dir, args.out_dir, cfg, file_values,
+                           cfg.variant)
     if result.history:
         epoch, loss, hr, ndcg = result.history[result.best_epoch - 1]
         print("best epoch %d: loss %.6g, validation hr@%d %.6f, ndcg@%d %.6f"
@@ -161,25 +183,11 @@ def cmd_train(args):
 
 
 def cmd_evaluate(args):
+    cutoffs = _split_cutoffs(args.cutoffs)
     split, _, _, _ = read_dataset_dir(args.dataset_dir)
     model, bounds, _ = load_checkpoint(args.checkpoint, train=split.train)
-    if model.user_emb.shape[0] != split.train.num_users \
-            or model.item_emb.shape[0] != split.train.num_items:
-        raise DataError(
-            "checkpoint is %dx%d but dataset is %dx%d"
-            % (model.user_emb.shape[0], model.item_emb.shape[0],
-               split.train.num_users, split.train.num_items)
-        )
-    cutoffs = _split_ints(args.cutoffs)
     heldout = split.test if args.split == "test" else split.validation
-    report = evaluate(model, bounds, split.train, heldout, cutoffs=cutoffs)
-    print(report.format_table())
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "report.txt"), "w", encoding="utf-8") as fh:
-            fh.write(report.format_table() + "\n")
-        with open(os.path.join(args.out, "report.kv"), "w", encoding="utf-8") as fh:
-            fh.write(report.format_kv())
+    _write_report(evaluate(model, bounds, split.train, heldout, cutoffs=cutoffs), args.out)
     return 0
 
 
@@ -193,15 +201,16 @@ def _ablate_split(split, labels, variant):
     k = labels.index(drop_label)
     if k == len(labels) - 1:
         raise ConfigError("cannot drop the target behavior")
-    return drop_behavior(split, k), tuple(l for l in labels if l != drop_label), k
+    return drop_behavior(split, k), k, drop_label
 
 
 def cmd_ablate(args):
+    cutoffs = _split_cutoffs(args.cutoffs)
     split, _, _, labels = read_dataset_dir(args.dataset_dir)
     cfg, file_values = _load_config(args, split.train.num_behaviors)
     variant = args.variant
     if variant in ("V", "C"):
-        split, labels, dropped = _ablate_split(split, labels, variant)
+        split, dropped, drop_label = _ablate_split(split, labels, variant)
         weights = [w for k, w in enumerate(cfg.behavior_weights) if k != dropped]
         total = sum(weights)
         if total <= 0:
@@ -209,32 +218,12 @@ def cmd_ablate(args):
         cfg = apply_kv(cfg, {"lambdas": ",".join(repr(w / total) for w in weights)},
                        source="ablate")
         print("dropped behavior %r; weights renormalized to %s"
-              % ({"V": "view", "C": "cart"}[variant],
-                 ",".join("%.6g" % w for w in cfg.behavior_weights)))
+              % (drop_label, ",".join("%.6g" % w for w in cfg.behavior_weights)))
     else:
         cfg = apply_kv(cfg, {"variant": variant}, source="ablate")
-
-    cfg.validate(split.train.num_behaviors)
-    os.makedirs(args.out_dir, exist_ok=True)
-    fingerprint = dataset_fingerprint(args.dataset_dir)
-    check_manifest_keys(file_values, fingerprint,
-                        lambda msg: print("warning: %s" % msg, file=sys.stderr))
-
-    result = train(split, cfg)
-    save_checkpoint(os.path.join(args.out_dir, "checkpoint.txt"), result.model,
-                    result.bounds, meta={"variant": variant})
-    with open(os.path.join(args.out_dir, "history.txt"), "w", encoding="utf-8") as fh:
-        for epoch, loss, hr, ndcg in result.history:
-            fh.write("%d %.17g %.17g %.17g\n" % (epoch, loss, hr, ndcg))
-    write_manifest(os.path.join(args.out_dir, "manifest.txt"), cfg, fingerprint)
-
-    cutoffs = _split_ints(args.cutoffs)
+    result = _run_training(split, args.dataset_dir, args.out_dir, cfg, file_values, variant)
     report = evaluate(result.model, result.bounds, split.train, split.test, cutoffs=cutoffs)
-    print(report.format_table())
-    with open(os.path.join(args.out_dir, "report.txt"), "w", encoding="utf-8") as fh:
-        fh.write(report.format_table() + "\n")
-    with open(os.path.join(args.out_dir, "report.kv"), "w", encoding="utf-8") as fh:
-        fh.write(report.format_kv())
+    _write_report(report, args.out_dir)
     return 0
 
 
@@ -257,11 +246,11 @@ def cmd_verify_bound(args):
 
 
 def cmd_dump_bounds(args):
+    users = _split(args.users, "--users", int)
+    items = _split(args.items, "--items", int)
     bounds = load_bounds(args.checkpoint)
     if bounds is None:
         raise DataError("%s holds no bound factors" % args.checkpoint)
-    users = _split_ints(args.users)
-    items = _split_ints(args.items)
     num_users, num_items = bounds.user_bound.shape[0], bounds.item_bound.shape[0]
     print("user item behavior upper lower")
     for u in users:

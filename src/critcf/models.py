@@ -78,9 +78,6 @@ class MfModel:
         d_item = d_scores.T @ self.user_emb[user_ids]
         return {"user_emb": d_user, "item_emb": d_item}
 
-    def score_pair(self, u, v):
-        return float(self.user_emb[u] @ self.item_emb[v])
-
 
 class GmfModel:
     """Generalized factorization: score(u, v) = <w, user_emb[u] * item_emb[v]>.
@@ -141,9 +138,6 @@ class GmfModel:
         d_pred = np.zeros_like(self.pred_weight)
         d_pred[layer] = np.sum(back * masked, axis=0)
         return {"user_emb": d_user, "item_emb": d_item, "pred_weight": d_pred}
-
-    def score_pair(self, u, v, layer=0):
-        return float(self.pred_weight[layer] @ (self.user_emb[u] * self.item_emb[v]))
 
 
 class LightGcnModel:
@@ -213,12 +207,8 @@ class LightGcnModel:
         d_base = self._propagate(d_final)
         return {"user_emb": d_base[:num_users], "item_emb": d_base[num_users:]}
 
-    def score_pair(self, u, v):
-        user_final, item_final = self.propagated_embeddings()
-        return float(user_final[u] @ item_final[v])
 
-
-def build_adjacency(train, num_users=None, num_items=None):
+def build_adjacency(train):
     """Symmetric normalized bipartite adjacency from a training split.
 
     Edges are the union of every behavior's observed pairs.  Returns the
@@ -227,14 +217,13 @@ def build_adjacency(train, num_users=None, num_items=None):
     """
     from .losses import _positive_index
 
-    num_users = train.num_users if num_users is None else num_users
-    num_items = train.num_items if num_items is None else num_items
-    n = num_users + num_items
+    num_users = train.num_users
+    n = num_users + train.num_items
     # Each edge (u, U + v) is encoded as u * N + U + v, so sorting the codes
     # orders the edges row-major and repeated edges become neighbours.
     codes = [np.empty(0, dtype=np.int64)]
     for per_user in train.positives:
-        users, items = _positive_index(per_user[:num_users])
+        users, items = _positive_index(per_user)
         codes.append(users * n + num_users + items)
     codes = np.sort(np.concatenate(codes))
     first = np.ones(len(codes), dtype=bool)
@@ -278,7 +267,7 @@ def init_model(kind, num_users, num_items, dim, rng, num_layers=3,
         return GmfModel(user_emb, item_emb, pred)
     if train is None:
         raise ConfigError("lightgcn requires the training split to build its graph")
-    adjacency, isolated = build_adjacency(train, num_users, num_items)
+    adjacency, isolated = build_adjacency(train)
     return LightGcnModel(user_emb, item_emb, adjacency, isolated, num_layers)
 
 
@@ -441,12 +430,16 @@ def load_checkpoint(path, train=None):
     """Read a checkpoint back into (model, bounds, meta).
 
     bounds is None when the checkpoint was written without bound factors.
-    lightgcn checkpoints need the training split to rebuild the graph.
+    Given the training split, the checkpoint must have its user and item
+    counts; lightgcn checkpoints need the split to rebuild the graph.
     """
     header, meta, arrays, bounds = _read_checkpoint(path)
     kind = header["model"]
     user_emb = arrays["user_emb"]
     item_emb = arrays["item_emb"]
+    if train is not None and (train.num_users, train.num_items) != (len(user_emb), len(item_emb)):
+        raise DataError("%s: checkpoint is %dx%d but dataset is %dx%d"
+                        % (path, len(user_emb), len(item_emb), train.num_users, train.num_items))
     if kind == "mf":
         model = MfModel(user_emb, item_emb)
     elif kind == "gmf":
@@ -454,13 +447,7 @@ def load_checkpoint(path, train=None):
     else:
         if train is None:
             raise ConfigError("loading a lightgcn checkpoint requires the training split")
-        if train.num_users != user_emb.shape[0] or train.num_items != item_emb.shape[0]:
-            raise DataError(
-                "%s: checkpoint is %dx%d but dataset is %dx%d"
-                % (path, user_emb.shape[0], item_emb.shape[0],
-                   train.num_users, train.num_items)
-            )
-        adjacency, isolated = build_adjacency(train, user_emb.shape[0], item_emb.shape[0])
+        adjacency, isolated = build_adjacency(train)
         model = LightGcnModel(user_emb, item_emb, adjacency, isolated,
                               int(header["num_layers"]))
     return model, bounds, meta

@@ -78,18 +78,6 @@ def rank_in_candidates(scores, items, excluded_rows, excluded_items):
     return ranks - np.bincount(excluded_rows[beaten], minlength=len(items))
 
 
-def rank_user(model, bounds, u, train, n):
-    """Top-n recommendation list for one user, best first."""
-    scores = predict_scores(model, bounds, np.array([u]))[0]
-    excluded = train.positives[train.num_behaviors - 1][u]
-    order = np.lexsort((np.arange(len(scores)), -scores))
-    if len(excluded):
-        keep = np.ones(len(scores), dtype=bool)
-        keep[excluded] = False
-        order = order[keep[order]]
-    return order[:n]
-
-
 def _metrics_from_ranks(ranks, num_users, cutoffs):
     # Sequential accumulation in user order, as in the brute-force oracle
     # less its no-op +0.0 terms for misses, so the two paths agree exactly.

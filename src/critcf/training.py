@@ -16,7 +16,6 @@ Variants share this loop:
           per behavior (gmf only for the extra layers)
 """
 
-import copy
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -63,6 +62,8 @@ class TrainConfig:
             raise ConfigError("variant must be one of %s" % (VARIANTS,))
         if self.dim < 1:
             raise ConfigError("dim must be >= 1")
+        if self.num_layers < 0:
+            raise ConfigError("num_layers must be >= 0, got %d" % self.num_layers)
         for name, values in (("lr", (self.lr,)), ("neg_weight (w)", (self.neg_weight,)),
                              ("bound_ratio (alpha)", (self.bound_ratio,)),
                              ("behavior_weights (lambdas)", tuple(self.behavior_weights))):
@@ -102,7 +103,6 @@ class TrainResult:
     bounds: object  # None for variant O
     history: list  # (epoch, loss, val_hr, val_ndcg)
     best_epoch: int
-    config: TrainConfig
 
 
 class AdagradState:
@@ -333,4 +333,4 @@ def train(split, cfg, step_callback=None, epoch_callback=None):
             if since_best >= cfg.patience:
                 break
     bounds = _restore(model, best_snapshot)
-    return TrainResult(model, bounds, history, best_epoch, copy.deepcopy(cfg))
+    return TrainResult(model, bounds, history, best_epoch)

@@ -1,3 +1,4 @@
+import os
 import shutil
 
 import numpy as np
@@ -38,7 +39,6 @@ def test_synth_writes_dataset(dataset_dir, capsys):
 
 
 def test_train_outputs(run_dir, capsys):
-    import os
     for name in ("checkpoint.txt", "history.txt", "timing.txt", "manifest.txt"):
         assert os.path.exists(os.path.join(run_dir, name)), name
     history = open(os.path.join(run_dir, "history.txt")).read().splitlines()
@@ -107,6 +107,7 @@ def test_usage_and_config_errors(dataset_dir, tmp_path, capsys):
     ("alpha=nan", "alpha"),
     ("lambdas=nan,0.5,0.5", "(lambdas)"),
     ("eval_cutoff=0", "eval_cutoff"),
+    ("num_layers=-1", "num_layers"),
 ])
 def test_train_rejects_bad_values(dataset_dir, tmp_path, capsys, override, key):
     out = str(tmp_path / "run")
@@ -321,6 +322,72 @@ def test_ablate_o_matches_direct_training(dataset_dir, tmp_path, capsys):
     assert meta["variant"] == "O"
     for name, arr in result.model.param_arrays().items():
         np.testing.assert_array_equal(arr, model.param_arrays()[name])
+
+
+RUN_FILES = {"checkpoint.txt", "history.txt", "manifest.txt", "timing.txt"}
+
+
+@pytest.mark.parametrize("variant,model", [
+    ("O", "gmf"), ("H", "gmf"), ("U", "gmf"), ("I", "gmf"), ("H", "lightgcn"),
+])
+def test_ablate_writes_train_run_and_evaluate_report(dataset_dir, tmp_path, capsys, variant,
+                                                     model):
+    config = FAST + ["--override", "model=" + model]
+    ablated, trained, report = (str(tmp_path / name) for name in ("ablate", "train", "report"))
+    assert main(["ablate", dataset_dir, ablated, "--variant", variant,
+                 "--cutoffs", "1,5"] + config) == 0
+    assert main(["train", dataset_dir, trained, "--override", "variant=" + variant] + config) == 0
+    assert main(["evaluate", trained + "/checkpoint.txt", dataset_dir, "--cutoffs", "1,5",
+                 "--out", report]) == 0
+    capsys.readouterr()
+    for name in ("checkpoint.txt", "history.txt", "manifest.txt"):
+        with open(ablated + "/" + name, "rb") as a, open(trained + "/" + name, "rb") as t:
+            assert a.read() == t.read(), name
+    for name in ("report.txt", "report.kv"):
+        with open(ablated + "/" + name, "rb") as a, open(report + "/" + name, "rb") as r:
+            assert a.read() == r.read(), name
+
+
+def test_ablate_and_train_write_the_same_run_files(dataset_dir, run_dir, tmp_path, capsys):
+    out = str(tmp_path / "u")
+    assert main(["ablate", dataset_dir, out, "--variant", "U", "--cutoffs", "5"] + FAST) == 0
+    capsys.readouterr()
+    assert set(os.listdir(run_dir)) == RUN_FILES
+    assert set(os.listdir(out)) == RUN_FILES | {"report.txt", "report.kv"}
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["evaluate", "{run}/checkpoint.txt", "{data}", "--cutoffs", "x"], "--cutoffs"),
+    (["evaluate", "{run}/checkpoint.txt", "{data}", "--cutoffs", "0,-3"], "--cutoffs"),
+    (["ablate", "{data}", "{out}", "--variant", "H", "--cutoffs", "5,x"], "--cutoffs"),
+    (["ablate", "{data}", "{out}", "--variant", "H", "--cutoffs", "0"], "--cutoffs"),
+    (["dump-bounds", "{run}/checkpoint.txt", "--users", "a", "--items", "0"], "--users"),
+    (["dump-bounds", "{run}/checkpoint.txt", "--users", "0", "--items", "1.5"], "--items"),
+    (["synth", "{out}", "--densities", "0.4,x"], "--densities"),
+], ids=["evaluate-token", "evaluate-below-one", "ablate-token", "ablate-below-one",
+        "dump-bounds-users", "dump-bounds-items", "synth-densities"])
+def test_malformed_list_flags_are_config_errors(dataset_dir, run_dir, tmp_path, capsys, argv,
+                                                flag):
+    out = tmp_path / "out"
+    argv = [a.format(run=run_dir, data=dataset_dir, out=out) for a in argv]
+    assert main(argv + (FAST if argv[0] == "ablate" else [])) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: %s: " % flag)
+    assert not (out / "checkpoint.txt").exists()
+
+
+def test_evaluate_rejects_checkpoint_of_other_size(tmp_path, capsys):
+    small, other = str(tmp_path / "small"), str(tmp_path / "other")
+    assert main(["synth", small, "--users", "20", "--items", "15",
+                 "--densities", "0.4,0.3,0.25", "--latent-dim", "3"]) == 0
+    assert main(["synth", other, "--users", "24", "--items", "18",
+                 "--densities", "0.4,0.3,0.25", "--latent-dim", "3"]) == 0
+    run = str(tmp_path / "run")
+    assert main(["train", small, run, "--override", "model=mf"] + FAST) == 0
+    capsys.readouterr()
+    assert main(["evaluate", run + "/checkpoint.txt", other]) == 2
+    assert capsys.readouterr().err == (
+        "data error: %s/checkpoint.txt: checkpoint is 20x15 but dataset is 24x18\n" % run)
 
 
 def test_prepare_roundtrip(tmp_path, capsys):

@@ -31,19 +31,19 @@ def make_train(num_users, num_items, pos_per_behavior):
 def test_mf_hand_scores():
     p = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
     q = np.array([[1.0, 0.0], [1.0 / np.sqrt(2), 1.0 / np.sqrt(2)]])
-    model = MfModel(p, q)
-    assert model.score_pair(0, 0) == 1.0
-    assert model.score_pair(1, 0) == 0.0
-    assert model.score_pair(2, 1) == pytest.approx(1.0 / np.sqrt(2), rel=1e-15)
+    scores, _ = MfModel(p, q).score_batch(np.arange(3))
+    assert scores[0, 0] == 1.0
+    assert scores[1, 0] == 0.0
+    assert scores[2, 1] == pytest.approx(1.0 / np.sqrt(2), rel=1e-15)
 
 
 def test_gmf_hand_scores():
     p = np.array([[1.0, 0.0], [1.0, 1.0]])
     q = np.array([[1.0, 0.0], [1.0, 0.5]])
     ones = GmfModel(p, q, np.ones((1, 2)))
-    assert ones.score_pair(0, 0) == 1.0
+    assert ones.score_batch(np.array([0]))[0][0, 0] == 1.0
     weighted = GmfModel(p, q, np.array([[1.0, 2.0]]))
-    assert weighted.score_pair(1, 1) == pytest.approx(2.0, rel=1e-15)
+    assert weighted.score_batch(np.array([1]))[0][0, 1] == pytest.approx(2.0, rel=1e-15)
     scores, _ = ones.score_batch(np.array([0]), mask=np.zeros((1, 2)))
     assert not scores.any()
 
@@ -70,16 +70,21 @@ def test_batch_matches_pointwise():
     q = project_rows(rng.normal(size=(7, 4)))
     train = make_train(5, 7, [[[u % 7] for u in range(5)]])
     adjacency, isolated = build_adjacency(train)
-    models = [
-        MfModel(p, q),
-        GmfModel(p, q, rng.normal(size=(1, 4))),
-        LightGcnModel(p.copy(), q.copy(), adjacency, isolated, 3),
+    weight = rng.normal(size=(1, 4))
+    gcn = LightGcnModel(p.copy(), q.copy(), adjacency, isolated, 3)
+    user_final, item_final = gcn.propagated_embeddings()
+    pointwise = [
+        (MfModel(p, q), lambda u, v: p[u] @ q[v]),
+        (GmfModel(p, q, weight), lambda u, v: weight[0] @ (p[u] * q[v])),
+        (gcn, lambda u, v: user_final[u] @ item_final[v]),
     ]
-    for model in models:
+    for model, score in pointwise:
         scores, _ = model.score_batch(np.arange(5))
         for u in range(5):
+            single, _ = model.score_batch(np.array([u]))
             for v in range(7):
-                assert abs(scores[u, v] - model.score_pair(u, v)) < 1e-12, model.kind
+                assert abs(scores[u, v] - score(u, v)) < 1e-12, model.kind
+                assert abs(single[0, v] - score(u, v)) < 1e-12, model.kind
 
 
 def test_lightgcn_zero_layers_is_mf():
@@ -142,10 +147,9 @@ def test_adjacency_normalization():
     assert (adjacency != adjacency2).nnz == 0
 
 
-def pairwise_unique_build_adjacency(train, num_users=None, num_items=None):
+def pairwise_unique_build_adjacency(train):
     """Reference oracle for build_adjacency: per-user loop and 2-D np.unique."""
-    num_users = train.num_users if num_users is None else num_users
-    num_items = train.num_items if num_items is None else num_items
+    num_users, num_items = train.num_users, train.num_items
     pair_rows = []
     pair_cols = []
     for k in range(train.num_behaviors):
@@ -259,7 +263,7 @@ def test_gmf_multi_layer_selection():
         single = GmfModel(p, q, pred[layer:layer + 1])
         expect, _ = single.score_batch(np.arange(3))
         np.testing.assert_array_equal(scores, expect)
-        assert model.score_pair(0, 0, layer=layer) == pytest.approx(expect[0, 0], rel=1e-15)
+        assert scores[0, 0] == pytest.approx(pred[layer] @ (p[0] * q[0]), rel=1e-15)
 
 
 def test_projection_properties():
@@ -351,6 +355,9 @@ def test_checkpoint_error_paths(tmp_path):
         fh.write("not a checkpoint\n")
     with pytest.raises(DataError):
         load_checkpoint(path)
+    save_checkpoint(path, model, None)
+    with pytest.raises(DataError, match="ckpt.txt: checkpoint is 3x4 but dataset is 5x4"):
+        load_checkpoint(path, train=make_train(5, 4, [[[0]] * 5]))
 
     train = make_train(3, 4, [[[0], [1], [2]]])
     gcn = init_model("lightgcn", 3, 4, 2, rng, train=train)

@@ -12,7 +12,6 @@ from critcf.ranking import (
     evaluate,
     predict_scores,
     rank_in_candidates,
-    rank_user,
 )
 
 
@@ -74,21 +73,30 @@ def test_predict_scores_divides_by_target_bound():
 
 def test_low_bound_item_ranks_first():
     # equal raw scores; item 1 has the laxer criterion and must win
-    model = TableModel(np.array([[0.8, 0.8]]))
-    bounds = BoundParams(np.ones((1, 1)), np.array([[2.0], [0.5]]), 0.5)
-    train = single_behavior_train(1, 2, [[]])
-    top = rank_user(model, bounds, 0, train, 2)
-    assert list(top) == [1, 0]
+    model = TableModel(np.array([[0.8, 0.8], [0.8, 0.8]]))
+    bounds = BoundParams(np.ones((2, 1)), np.array([[2.0], [0.5]]), 0.5)
+    train = single_behavior_train(2, 2, [[], []])
+    report = evaluate(model, bounds, train, np.array([1, 0]), cutoffs=(2,))
+    assert report.per_user_rank == {0: 1, 1: 2}
 
 
-def test_rank_user_contracts():
-    train = single_behavior_train(1, 3, [[0]])
-    model = TableModel(np.array([[0.1, 0.9, 0.5]]))
-    top = rank_user(model, None, 0, train, 3)
-    assert list(top) == [1, 2]  # candidate set excludes the train positive
-    ties = TableModel(np.array([[0.7, 0.7, 0.7]]))
-    assert list(rank_user(ties, None, 0, single_behavior_train(1, 3, [[]]), 3)) == [0, 1, 2]
-    assert list(rank_user(model, None, 0, single_behavior_train(1, 3, [[]]), 2)) == [1, 2]
+def test_candidate_ranks_exclude_train_positives_and_break_ties():
+    # candidates exclude the train positive, even when it scores best
+    train = single_behavior_train(2, 3, [[0], [0]])
+    model = TableModel(np.array([[0.1, 0.9, 0.5], [0.95, 0.9, 0.5]]))
+    report = evaluate(model, None, train, np.array([2, 1]), cutoffs=(3,))
+    assert report.per_user_rank == {0: 2, 1: 1}
+    # equal scores rank by ascending item index
+    ties = TableModel(np.full((3, 3), 0.7))
+    report = evaluate(ties, None, single_behavior_train(3, 3, [[], [], []]),
+                      np.array([0, 1, 2]), cutoffs=(3,))
+    assert report.per_user_rank == {0: 1, 1: 2, 2: 3}
+    # without exclusions the top two are items 1 and 2; item 0 misses a cutoff of 2
+    model = TableModel(np.tile([0.1, 0.9, 0.5], (3, 1)))
+    report = evaluate(model, None, single_behavior_train(3, 3, [[], [], []]),
+                      np.array([1, 2, 0]), cutoffs=(2,))
+    assert report.per_user_rank == {0: 1, 1: 2}
+    assert report.hr[2] == pytest.approx(2.0 / 3.0, rel=1e-15)
 
 
 def test_rank_in_candidates_tiebreak():
