@@ -3,7 +3,8 @@
 Builds a small tab-separated log like the ones e-commerce platforms
 export (user, item, behavior, timestamp), filters it to warm users and
 items, splits off each user's last two purchases, and trains briefly.
-Swap the toy writer for a real file to use this on actual data.
+Swap the toy writer for a real file to use this on actual data.  The demo
+stops at the first `critcf` subcommand that fails and exits with its code.
 """
 
 import os
@@ -34,27 +35,34 @@ def write_toy_log(path, num_users=60, num_items=30, seed=1):
 
 
 def run():
+    """Run each stage in turn; returns the first nonzero exit code, else 0."""
     workdir = tempfile.mkdtemp(prefix="critcf-demo-")
     raw = os.path.join(workdir, "log.tsv")
     write_toy_log(raw)
     print("wrote toy log: %s" % raw)
 
     prepared = os.path.join(workdir, "prepared")
-    print("\n== critcf prepare (keep users and items with 5+ purchases) ==")
-    main(["prepare", raw, prepared, "--min-target", "5"])
-
     run_dir = os.path.join(workdir, "run")
-    print("\n== critcf train ==")
-    main(["train", prepared, run_dir,
+    stages = [
+        ("\n== critcf prepare (keep users and items with 5+ purchases) ==",
+         ["prepare", raw, prepared, "--min-target", "5"]),
+        ("\n== critcf train ==",
+         ["train", prepared, run_dir,
           "--override", "epochs=15", "--override", "d=16",
-          "--override", "eval_cutoff=10"])
-
-    print("\n== critcf evaluate ==")
-    main(["evaluate", os.path.join(run_dir, "checkpoint.txt"), prepared,
-          "--cutoffs", "5,10"])
+          "--override", "eval_cutoff=10"]),
+        ("\n== critcf evaluate ==",
+         ["evaluate", os.path.join(run_dir, "checkpoint.txt"), prepared,
+          "--cutoffs", "5,10"]),
+    ]
+    for title, argv in stages:
+        print(title)
+        code = main(argv)
+        if code:
+            return code
 
     print("\nartifacts left in %s" % workdir)
+    return 0
 
 
 if __name__ == "__main__":
-    run()
+    sys.exit(run())

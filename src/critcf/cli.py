@@ -20,6 +20,7 @@ from .config import (
 )
 from .datasets import (
     DEFAULT_BEHAVIORS,
+    MIN_SPLIT_POSITIVES,
     build_dataset,
     drop_behavior,
     leave_one_out_split,
@@ -131,8 +132,13 @@ def cmd_prepare(args):
         interactions, len(labels), min_target=args.min_target
     )
     split = leave_one_out_split(dataset, on_short="drop")
+    if split.train.num_users == 0:
+        raise DataError("%s: no user is left after --min-target %d filtering and the split, "
+                        "which needs %d target records per user"
+                        % (args.raw_file, args.min_target, MIN_SPLIT_POSITIVES))
     if split.dropped_users:
-        print("dropped %d users with fewer than 3 target records" % split.dropped_users)
+        print("dropped %d users with fewer than %d target records"
+              % (split.dropped_users, MIN_SPLIT_POSITIVES))
     final_users = [user_ids[kept_users[u]] for u in split.source_users]
     final_items = [item_ids[v] for v in kept_items]
     write_dataset_dir(args.out_dir, split, final_users, final_items, labels)

@@ -24,6 +24,8 @@ import numpy as np
 from .errors import ConfigError
 from .losses import hinge_criterion_loss
 
+REL_TOL = 1e-9  # relative slack on the right-hand side, for float rounding
+
 
 @dataclass
 class BoundCheck:
@@ -76,7 +78,7 @@ def criterion_loss_per_user_weight(scores, pos_lists, upper, lower, penalty):
     return loss
 
 
-def verify_upper_bound(scores, pos_lists, upper, lower, penalty, rel_tol=1e-9):
+def verify_upper_bound(scores, pos_lists, upper, lower, penalty):
     """Check triplet_loss <= M * max_u |unobserved_u| * criterion_loss.
 
     Only penalties with a finite doubling factor qualify; the exponential
@@ -93,7 +95,7 @@ def verify_upper_bound(scores, pos_lists, upper, lower, penalty, rel_tol=1e-9):
     constant = penalty.doubling_factor * max_neg
     lhs = triplet_reference_loss(scores, pos_lists, upper, lower, penalty)
     rhs = constant * criterion_loss_per_user_weight(scores, pos_lists, upper, lower, penalty)
-    holds = lhs <= rhs + rel_tol * max(1.0, rhs)
+    holds = lhs <= rhs + REL_TOL * max(1.0, rhs)
     return BoundCheck(lhs, rhs, constant, holds)
 
 
@@ -114,7 +116,7 @@ def random_instance(rng, max_users=10, max_items=8, bound_ratio=0.5):
     return scores, pos_lists, upper, lower
 
 
-def verify_random_instances(num_instances, penalty, seed=0, rel_tol=1e-9):
+def verify_random_instances(num_instances, penalty, seed=0):
     """Run the bound check on freshly drawn instances.
 
     Returns (checked, failures, min_slack) where min_slack is the smallest
@@ -125,7 +127,7 @@ def verify_random_instances(num_instances, penalty, seed=0, rel_tol=1e-9):
     min_slack = np.inf
     for _ in range(num_instances):
         scores, pos_lists, upper, lower = random_instance(rng)
-        check = verify_upper_bound(scores, pos_lists, upper, lower, penalty, rel_tol)
+        check = verify_upper_bound(scores, pos_lists, upper, lower, penalty)
         if not check.holds:
             failures += 1
         min_slack = min(min_slack, check.slack)

@@ -31,9 +31,6 @@ CONFIG_KEYS = (
     ("eval_cutoff", "eval_cutoff"),
 )
 
-_INT_KEYS = {"d", "batch", "epochs", "seed", "patience", "num_layers", "eval_cutoff"}
-_FLOAT_KEYS = {"lr", "dropout", "w", "alpha"}
-
 MANIFEST_KEYS = ("dataset_hash", "code_version")
 
 
@@ -57,7 +54,7 @@ def parse_kv_file(path):
 
 
 def apply_kv(cfg, values, source="config"):
-    """Return a new TrainConfig with the given key=value strings applied."""
+    """Return a new TrainConfig with key=value strings cast to each default's type."""
     known = dict(CONFIG_KEYS)
     updates = {}
     for key, raw in values.items():
@@ -69,15 +66,12 @@ def apply_kv(cfg, values, source="config"):
                 % (source, key, ", ".join(k for k, _ in CONFIG_KEYS))
             )
         field = known[key]
+        kind = type(getattr(TrainConfig, field))
         try:
-            if key in _INT_KEYS:
-                value = int(raw)
-            elif key in _FLOAT_KEYS:
-                value = float(raw)
-            elif key == "lambdas":
+            if kind is tuple:
                 value = tuple(float(tok) for tok in raw.split(","))
             else:
-                value = raw
+                value = kind(raw)
         except ValueError:
             raise ConfigError("%s: bad value %r for key %r" % (source, raw, key)) from None
         updates[field] = value

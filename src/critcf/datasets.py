@@ -28,6 +28,8 @@ from .errors import DataError
 
 DEFAULT_BEHAVIORS = ("view", "cart", "buy")
 
+MIN_SPLIT_POSITIVES = 3  # target records to split: test, validation, one to train
+
 # Characters of text parsed per block (the size hint of readlines), for the
 # raw log and for dataset files alike.
 BLOCK_CHARS = 1 << 16
@@ -281,21 +283,22 @@ def build_dataset(interactions, num_behaviors, min_target=5,
 def leave_one_out_split(dataset, on_short="error"):
     """Hold out each user's last target record for test, second-last for validation.
 
-    Users with fewer than 3 target positives cannot be split; on_short
-    selects whether that raises (default) or silently drops them, with the
-    drop count reported on the returned split.
+    Users with fewer than MIN_SPLIT_POSITIVES target positives cannot be split;
+    on_short selects whether that raises (default) or silently drops them,
+    with the drop count reported on the returned split.
     """
     if dataset.target_order is None:
         raise DataError("dataset has no target-order information; cannot split")
     if on_short not in ("error", "drop"):
         raise ValueError("on_short must be 'error' or 'drop'")
 
-    short = {u for u in range(dataset.num_users) if len(dataset.target_order[u]) < 3}
+    short = {u for u in range(dataset.num_users)
+             if len(dataset.target_order[u]) < MIN_SPLIT_POSITIVES}
     if short and on_short == "error":
         worst = min(short)
         raise DataError(
-            "user %d has %d target positives; at least 3 are required to split"
-            % (worst, len(dataset.target_order[worst]))
+            "user %d has %d target positives; at least %d are required to split"
+            % (worst, len(dataset.target_order[worst]), MIN_SPLIT_POSITIVES)
         )
     keep = np.array([u for u in range(dataset.num_users) if u not in short],
                     dtype=np.int64)
@@ -406,14 +409,25 @@ def _check(path, first_line, bad, message, values=None, starts=None):
                                        message if values is None else message % values[i]))
 
 
+def _check_users(path, first_line, users, num_users, seen):
+    """Every user index in range and on one line only; marks them in seen."""
+    _check(path, first_line, (users < 0) | (users >= num_users),
+           "user %%d out of range (%d users)" % num_users, users)
+    order = np.argsort(users, kind="stable")
+    repeat = seen[users]
+    repeat[order[1:]] |= users[order[1:]] == users[order[:-1]]
+    _check(path, first_line, repeat, "user %d is already listed on an earlier line", users)
+    seen[users] = True
+
+
 def _read_positives(path, num_users, num_items):
     """Per-user item arrays from a behavior_<k>.txt file, validated."""
     per_user = [np.empty(0, dtype=np.int64)] * num_users
+    seen = np.zeros(num_users, dtype=bool)
     for first_line, values, starts, lengths in _int_blocks(path):
         _check(path, first_line, lengths == 0, "empty line, expected a user index")
         users = values[starts]
-        _check(path, first_line, (users < 0) | (users >= num_users),
-               "user %%d out of range (%d users)" % num_users, users)
+        _check_users(path, first_line, users, num_users, seen)
         is_item = np.ones(len(values), dtype=bool)
         is_item[starts] = False
         _check(path, first_line, is_item & ((values < 0) | (values >= num_items)),
@@ -430,15 +444,15 @@ def _read_positives(path, num_users, num_items):
 def _read_heldout(path, num_users, num_items):
     """The held-out item of every user from validation.txt or test.txt, validated."""
     held = np.full(num_users, -1, dtype=np.int64)
+    seen = np.zeros(num_users, dtype=bool)
     for first_line, values, _, lengths in _int_blocks(path):
         _check(path, first_line, lengths != 2, "expected 'user item', got %d fields", lengths)
         users, items = values[0::2], values[1::2]
-        _check(path, first_line, (users < 0) | (users >= num_users),
-               "user %%d out of range (%d users)" % num_users, users)
+        _check_users(path, first_line, users, num_users, seen)
         _check(path, first_line, (items < 0) | (items >= num_items),
                "item %%d out of range (%d items)" % num_items, items)
         held[users] = items
-    missing = np.flatnonzero(held < 0)
+    missing = np.flatnonzero(~seen)
     if missing.size:
         raise DataError("%s: user %d has no held-out line" % (path, missing[0]))
     return held
@@ -447,10 +461,10 @@ def _read_heldout(path, num_users, num_items):
 def read_dataset_dir(dataset_dir):
     """Load a serialized split; returns (split, user_ids, item_ids, labels).
 
-    A missing or non-integer count in meta.txt, a malformed line or an index
-    out of range in any file, positives that are not strictly increasing,
-    and users without a held-out item raise DataError naming the file and
-    the key or line.
+    A missing, non-integer or zero user or item count in meta.txt, a
+    malformed line, an index out of range or a user listed twice in any
+    file, positives that are not strictly increasing, and users without a
+    held-out item raise DataError naming the file and the key or line.
     """
     meta_path = os.path.join(dataset_dir, "meta.txt")
     if not os.path.exists(meta_path):
@@ -469,6 +483,9 @@ def read_dataset_dir(dataset_dir):
 
     num_users = count("num_users")
     num_items = count("num_items")
+    if num_users == 0 or num_items == 0:
+        raise DataError("%s: the dataset has %d users and %d items; it needs at least one "
+                        "of each" % (meta_path, num_users, num_items))
     num_behaviors = count("num_behaviors")
     dropped_users = count("dropped_users", "0")
     labels = tuple(meta["behaviors"].split(",")) if meta.get("behaviors") else ()

@@ -82,11 +82,11 @@ class MfModel:
 class GmfModel:
     """Generalized factorization: score(u, v) = <w, user_emb[u] * item_emb[v]>.
 
-    pred_weight has shape (num_pred_layers, dim); the base configuration has
-    a single output layer, multi-layer rows exist for the per-behavior
-    regression variant.  An optional (B, dim) dropout mask multiplies the
-    user factor of the element-wise product; inverted-dropout scaling is
-    baked into the mask by the caller.
+    pred_weight has shape (layers, dim); the base configuration has a single
+    output layer, the per-behavior regression variant one per behavior.  An
+    optional (B, dim) dropout mask multiplies the user factor of the
+    element-wise product; inverted-dropout scaling is baked into the mask by
+    the caller.
     """
 
     kind = "gmf"
@@ -100,10 +100,6 @@ class GmfModel:
     @property
     def dim(self):
         return self.user_emb.shape[1]
-
-    @property
-    def num_pred_layers(self):
-        return self.pred_weight.shape[0]
 
     def param_arrays(self):
         return {
@@ -150,18 +146,18 @@ class LightGcnModel:
     adjacency is constant, so the backward pass applies the same linear
     operator to the upstream gradient.
 
-    Nodes without any edge keep their own embedding at every layer.
+    build_adjacency gives each node without an edge a unit self-loop, so
+    such a node keeps its own embedding at every layer.
     """
 
     kind = "lightgcn"
     # Propagation spreads every batch row's gradient over the whole graph.
     row_block_params = ()
 
-    def __init__(self, user_emb, item_emb, adjacency, isolated, num_layers):
+    def __init__(self, user_emb, item_emb, adjacency, num_layers):
         self.user_emb = user_emb
         self.item_emb = item_emb
         self.adjacency = adjacency  # (N, N) csr, N = users + items
-        self.isolated = isolated  # (N,) bool, degree-0 nodes
         self.num_layers = num_layers
 
     @property
@@ -176,11 +172,10 @@ class LightGcnModel:
 
     def _propagate(self, base):
         """Layer-averaged propagation of a full (N, dim) stack."""
-        keep = self.isolated[:, None]
         acc = base
         total = base.copy()
         for _ in range(self.num_layers):
-            acc = self.adjacency @ acc + np.where(keep, acc, 0.0)
+            acc = self.adjacency @ acc
             total += acc
         return total / (self.num_layers + 1)
 
@@ -211,9 +206,9 @@ class LightGcnModel:
 def build_adjacency(train):
     """Symmetric normalized bipartite adjacency from a training split.
 
-    Edges are the union of every behavior's observed pairs.  Returns the
-    (N, N) csr matrix with entries 1/sqrt(deg_u * deg_v) and a boolean mask
-    of degree-0 nodes, N = num_users + num_items.
+    Edges are the union of every behavior's observed pairs, and each node
+    without one gets a unit self-loop.  Returns the (N, N) csr matrix with
+    entries 1/sqrt(deg_u * deg_v), N = num_users + num_items.
     """
     from .losses import _positive_index
 
@@ -229,26 +224,23 @@ def build_adjacency(train):
     first = np.ones(len(codes), dtype=bool)
     np.not_equal(codes[1:], codes[:-1], out=first[1:])
     users, items = np.divmod(codes[first], n)
-    rows = np.concatenate([users, items])
-    cols = np.concatenate([items, users])
-    data = np.ones(len(rows))
-    adj = sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
-    degrees = np.asarray(adj.sum(axis=1)).ravel()
-    isolated = degrees == 0.0
-    inv_sqrt = np.zeros(n)
-    inv_sqrt[~isolated] = 1.0 / np.sqrt(degrees[~isolated])
-    norm = sp.diags(inv_sqrt) @ adj @ sp.diags(inv_sqrt)
-    return norm.tocsr(), isolated
+    degrees = np.bincount(np.concatenate([users, items]), minlength=n)
+    loops = np.flatnonzero(degrees == 0)
+    rows = np.concatenate([users, items, loops])
+    cols = np.concatenate([items, users, loops])
+    inv_sqrt = 1.0 / np.sqrt(np.maximum(degrees, 1))  # a self-loop is degree 1
+    data = inv_sqrt[rows] * inv_sqrt[cols]
+    return sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
 
 
 def init_model(kind, num_users, num_items, dim, rng, num_layers=3,
-               num_pred_layers=1, random_pred=False, train=None):
+               behavior_layers=0, train=None):
     """Construct a scorer with fresh parameters.
 
     Embedding entries are drawn uniformly from [-1/sqrt(dim), 1/sqrt(dim)]
     and then projected, keeping initial scores O(1).  The GMF output layer
-    starts at all-ones (identical to MF) unless random_pred is set, in which
-    case each layer row is drawn like an embedding row.
+    is one all-ones row (identical to MF), or, given behavior_layers > 0,
+    that many rows drawn like embedding rows, one per behavior.
     """
     if kind not in MODEL_KINDS:
         raise ConfigError("unknown model %r; valid choices: %s" % (kind, ", ".join(MODEL_KINDS)))
@@ -260,15 +252,14 @@ def init_model(kind, num_users, num_items, dim, rng, num_layers=3,
     if kind == "mf":
         return MfModel(user_emb, item_emb)
     if kind == "gmf":
-        if random_pred:
-            pred = rng.uniform(-bound, bound, size=(num_pred_layers, dim))
+        if behavior_layers:
+            pred = rng.uniform(-bound, bound, size=(behavior_layers, dim))
         else:
-            pred = np.ones((num_pred_layers, dim))
+            pred = np.ones((1, dim))
         return GmfModel(user_emb, item_emb, pred)
     if train is None:
         raise ConfigError("lightgcn requires the training split to build its graph")
-    adjacency, isolated = build_adjacency(train)
-    return LightGcnModel(user_emb, item_emb, adjacency, isolated, num_layers)
+    return LightGcnModel(user_emb, item_emb, build_adjacency(train), num_layers)
 
 
 def init_bounds(num_users, num_items, num_behaviors, bound_ratio, rng):
@@ -447,7 +438,6 @@ def load_checkpoint(path, train=None):
     else:
         if train is None:
             raise ConfigError("loading a lightgcn checkpoint requires the training split")
-        adjacency, isolated = build_adjacency(train)
-        model = LightGcnModel(user_emb, item_emb, adjacency, isolated,
+        model = LightGcnModel(user_emb, item_emb, build_adjacency(train),
                               int(header["num_layers"]))
     return model, bounds, meta

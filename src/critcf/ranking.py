@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .losses import POSITIVITY_FLOOR
+from .losses import POSITIVITY_FLOOR, _positive_index
 from .models import LightGcnModel, MfModel
 
 DEFAULT_CUTOFFS = (10, 50, 100, 200)
@@ -52,8 +52,7 @@ def predict_scores(model, bounds, user_ids):
     # models, the target behavior's layer for the per-behavior variant.
     scores, _ = model.score_batch(user_ids, layer=-1)
     if bounds is not None:
-        k = bounds.num_behaviors - 1
-        denom = np.outer(bounds.user_bound[np.asarray(user_ids), k], bounds.item_bound[:, k])
+        denom = bounds.upper_matrix(np.asarray(user_ids), bounds.num_behaviors - 1)
         scores = scores / np.maximum(denom, POSITIVITY_FLOOR ** 2)
     bad = np.flatnonzero(~np.isfinite(scores).all(axis=1))
     if bad.size:
@@ -119,9 +118,7 @@ def evaluate(model, bounds, train, heldout, cutoffs=DEFAULT_CUTOFFS, batch_users
         batch = np.arange(start, min(start + batch_users, num_users))
         scores = predict_scores(model, bounds, batch)
         items = heldout[batch]
-        excluded = train.positives[target][start:start + len(batch)]
-        rows = np.repeat(np.arange(len(batch)), [len(e) for e in excluded])
-        cols = np.concatenate(excluded).astype(np.int64, copy=False)
+        rows, cols = _positive_index(train.positives[target][start:start + len(batch)])
         clash = np.flatnonzero(cols == items[rows])
         if clash.size:
             u = batch[rows[clash[0]]]

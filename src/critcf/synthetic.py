@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datasets import BehaviorDataset
+from .datasets import MIN_SPLIT_POSITIVES, BehaviorDataset
 from .errors import DataError
 
 
@@ -31,7 +31,6 @@ class SynthConfig:
     densities: tuple = (0.20, 0.08, 0.04)
     criterion_spread: float = 0.5
     seed: int = 0
-    min_target_positives: int = 3
 
     def validate(self):
         if self.num_users < 1 or self.num_items < 2:
@@ -57,13 +56,12 @@ class SynthConfig:
             if not 0.0 < rho <= 1.0:
                 raise DataError("densities must lie in (0, 1], got %s" % (self.densities,))
         expected_target = self.densities[-1] * self.num_items
-        if expected_target < self.min_target_positives:
+        if expected_target < MIN_SPLIT_POSITIVES:
             raise DataError(
                 "target density %.4g yields %.2f expected target items per user; "
                 "need at least %.4g to guarantee %d positives per user"
                 % (self.densities[-1], expected_target,
-                   self.min_target_positives / self.num_items,
-                   self.min_target_positives)
+                   MIN_SPLIT_POSITIVES / self.num_items, MIN_SPLIT_POSITIVES)
             )
 
 
@@ -148,7 +146,7 @@ def generate(cfg):
             )
         del threshold
         count = max(1, int(round(cfg.densities[k] * total)))
-        masks.append(_floored_mask(adjusted, count, cfg.min_target_positives))
+        masks.append(_floored_mask(adjusted, count, MIN_SPLIT_POSITIVES))
         del adjusted
 
     target = cfg.num_behaviors - 1

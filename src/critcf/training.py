@@ -120,12 +120,12 @@ class AdagradState:
 def adagrad_step(params, grads, state, lr, rows=None):
     """One Adagrad update over named parameter arrays, in place.
 
-    acc += grad^2; param -= lr * grad / (sqrt(acc) + eps).  rows maps the
-    name of each gradient that is a row block to the parameter rows its
-    block rows belong to (unique ids); only those rows of the parameter and
-    of its accumulator change, which is exactly the dense update with zero
-    gradient rows elsewhere.  Every other gradient is dense.  Gradients must
-    be finite; a non-finite entry aborts with the parameter name.
+    acc += grad^2; param -= lr * grad / (sqrt(acc) + eps), at the rows
+    ``rows.get(name, slice(None))`` of the parameter and of its accumulator.
+    A gradient named in rows is a row block whose rows belong to those
+    (unique) parameter rows, which is exactly the dense update with zero
+    gradient rows elsewhere; any other gradient covers every row.  Gradients
+    must be finite; a non-finite entry aborts with the parameter name.
     """
     rows = rows or {}
     for name, grad in grads.items():
@@ -133,14 +133,10 @@ def adagrad_step(params, grads, state, lr, rows=None):
             raise NumericalError("non-finite gradient for parameter %r" % name)
         param = params[name]
         acc = state.ensure(name, param.shape)
-        if name in rows:
-            ids = rows[name]
-            acc_rows = acc[ids] + grad * grad
-            acc[ids] = acc_rows
-            param[ids] -= lr * grad / (np.sqrt(acc_rows) + ADAGRAD_EPS)
-        else:
-            acc += grad * grad
-            param -= lr * grad / (np.sqrt(acc) + ADAGRAD_EPS)
+        ids = rows.get(name, slice(None))
+        acc_rows = acc[ids] + grad * grad
+        acc[ids] = acc_rows
+        param[ids] -= lr * grad / (np.sqrt(acc_rows) + ADAGRAD_EPS)
 
 
 def _trainable_params(model, bounds, variant):
@@ -215,19 +211,19 @@ def batch_loss(model, bounds, user_ids, positives, loss_cfg, variant="full", mas
 def _apply_constraints(model, bounds, rows):
     """Project embedding rows and clamp bound factors after a step.
 
-    Row-block parameters and the user bound factors changed only at rows,
-    so only those rows are projected and clamped; the others still satisfy
-    the constraints, and both operations leave such rows as they are.
+    Each parameter is projected or clamped at ``rows.get(name, slice(None))``,
+    the rows adagrad_step changed; the others still satisfy the constraints,
+    and both operations leave such rows as they are.
     """
     params = model.param_arrays()
     for name in model.embedding_param_names():
-        if name in model.row_block_params:
-            params[name][rows] = project_rows(params[name][rows])
-        else:
-            project_rows(params[name])
+        ids = rows.get(name, slice(None))
+        params[name][ids] = project_rows(params[name][ids])
     if bounds is not None:
-        bounds.user_bound[rows] = np.maximum(bounds.user_bound[rows], POSITIVITY_FLOOR)
-        np.maximum(bounds.item_bound, POSITIVITY_FLOOR, out=bounds.item_bound)
+        for name in ("user_bound", "item_bound"):
+            factors = getattr(bounds, name)
+            ids = rows.get(name, slice(None))
+            factors[ids] = np.maximum(factors[ids], POSITIVITY_FLOOR)
 
 
 def train_epoch(train, model, bounds, state, cfg, rng, step_callback=None,
@@ -255,8 +251,9 @@ def train_epoch(train, model, bounds, state, cfg, rng, step_callback=None,
         loss, grads = batch_gradients(model, bounds, batch, train.positives,
                                       loss_cfg, cfg.variant, mask)
         total += loss
-        adagrad_step(params, grads, state, cfg.lr, dict.fromkeys(row_blocks, batch))
-        _apply_constraints(model, bounds, batch)
+        rows = dict.fromkeys(row_blocks, batch)
+        adagrad_step(params, grads, state, cfg.lr, rows)
+        _apply_constraints(model, bounds, rows)
         steps += 1
         if step_callback is not None:
             step_callback(steps, model, bounds)
@@ -290,13 +287,17 @@ def train(split, cfg, step_callback=None, epoch_callback=None):
     train_ds = split.train
     cfg.validate(train_ds.num_behaviors)
     rng = np.random.default_rng(cfg.seed)
-    model = init_model(
-        cfg.model, train_ds.num_users, train_ds.num_items, cfg.dim, rng,
-        num_layers=cfg.num_layers,
-        num_pred_layers=train_ds.num_behaviors if cfg.variant == "O" else 1,
-        random_pred=cfg.variant == "O",
-        train=train_ds,
-    )
+    try:
+        model = init_model(
+            cfg.model, train_ds.num_users, train_ds.num_items, cfg.dim, rng,
+            num_layers=cfg.num_layers,
+            behavior_layers=train_ds.num_behaviors if cfg.variant == "O" else 0,
+            train=train_ds,
+        )
+    except MemoryError:
+        raise ConfigError("d=%d: the %d x %d user and %d x %d item embeddings do not fit "
+                          "in memory" % (cfg.dim, train_ds.num_users, cfg.dim,
+                                         train_ds.num_items, cfg.dim)) from None
     bounds = None
     if cfg.variant != "O":
         bounds = init_bounds(train_ds.num_users, train_ds.num_items,

@@ -108,6 +108,8 @@ def test_usage_and_config_errors(dataset_dir, tmp_path, capsys):
     ("lambdas=nan,0.5,0.5", "(lambdas)"),
     ("eval_cutoff=0", "eval_cutoff"),
     ("num_layers=-1", "num_layers"),
+    # 24 x 2^40 float64 embeddings are 192 TiB: the allocation fails outright
+    ("d=1099511627776", "d=1099511627776"),
 ])
 def test_train_rejects_bad_values(dataset_dir, tmp_path, capsys, override, key):
     out = str(tmp_path / "run")
@@ -216,6 +218,10 @@ def test_evaluate_rejects_non_finite_scores(dataset_dir, run_dir, tmp_path, caps
      "meta.txt: num_users must be a non-negative integer, got '2x'"),
     ("meta.txt", lambda t: t.replace("num_behaviors 3", "num_behaviors -3"),
      "meta.txt: num_behaviors must be a non-negative integer, got '-3'"),
+    ("meta.txt", lambda t: t.replace("num_users 24", "num_users 0"),
+     "meta.txt: the dataset has 0 users and 18 items; it needs at least one of each"),
+    ("meta.txt", lambda t: t.replace("num_items 18", "num_items 0"),
+     "meta.txt: the dataset has 24 users and 0 items; it needs at least one of each"),
     ("index_map.txt", lambda t: t.replace("i\t17\t17\n", "i\t17\t18\n"),
      "index_map.txt:42: dense index '18' not in [0, 18)"),
     ("index_map.txt", lambda t: t.replace("u\t5\t5\n", "u\t5\t-1\n"),
@@ -224,8 +230,8 @@ def test_evaluate_rejects_non_finite_scores(dataset_dir, run_dir, tmp_path, caps
      "index_map.txt:3: dense index 'x' not in [0, 24)"),
     ("index_map.txt", lambda t: t.replace("u\t3\t3\n", "u\t3\n"),
      "index_map.txt:4: expected 'u' or 'i', a raw id and a dense index, tab-separated"),
-], ids=["missing-key", "non-integer-count", "negative-count", "index-past-count",
-        "negative-index", "non-integer-index", "two-field-line"])
+], ids=["missing-key", "non-integer-count", "negative-count", "zero-users", "zero-items",
+        "index-past-count", "negative-index", "non-integer-index", "two-field-line"])
 def test_evaluate_rejects_bad_dataset_meta(dataset_dir, run_dir, tmp_path, capsys, name, edit,
                                            message):
     data = str(tmp_path / "data")
@@ -414,6 +420,31 @@ def test_prepare_roundtrip(tmp_path, capsys):
     run = str(tmp_path / "prepared_run")
     assert main(["train", out, run] + FAST) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("name,line", [("behavior_2.txt", "0 1 2"), ("test.txt", "0 1")])
+def test_train_rejects_a_repeated_user_line(dataset_dir, tmp_path, capsys, name, line):
+    data = str(tmp_path / "data")
+    shutil.copytree(dataset_dir, data)
+    with open(os.path.join(data, name), "a", encoding="utf-8") as fh:
+        fh.write(line + "\n")
+    assert main(["train", data, str(tmp_path / "run")] + FAST) == 2
+    assert capsys.readouterr().err == (
+        "data error: %s/%s:25: user 0 is already listed on an earlier line\n" % (data, name))
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("text", ["", "u0\ti0\tbuy\t1\nu0\ti1\tbuy\t2\n"],
+                         ids=["empty-log", "no-user-survives"])
+def test_prepare_rejects_a_log_that_leaves_no_user(tmp_path, capsys, text):
+    raw = tmp_path / "raw.tsv"
+    raw.write_text(text)
+    out = tmp_path / "out"
+    assert main(["prepare", str(raw), str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "data error: %s: no user is left after --min-target 5 filtering and the split, "
+        "which needs 3 target records per user\n" % raw)
+    assert not out.exists()
 
 
 def test_prepare_rejects_unknown_behavior(tmp_path, capsys):

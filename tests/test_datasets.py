@@ -397,7 +397,7 @@ def test_dataset_dir_roundtrip(tmp_path):
         interactions += buys(u, [(u + j) % 15 for j in range(4)])
         interactions.append(Interaction(u, (u + 7) % 15, 0, None))
         interactions.append(Interaction(u, (u + 3) % 15, 1, None))
-    ds, kept_users, kept_items = build_dataset(columns(interactions), 3, min_target=3,
+    ds, kept_users, kept_items = build_dataset(columns(interactions), 3, min_target=2,
                                                num_items=15)
     split = leave_one_out_split(ds)
     user_ids = ["u%d" % kept_users[u] for u in split.source_users]
@@ -405,6 +405,7 @@ def test_dataset_dir_roundtrip(tmp_path):
     out = str(tmp_path / "ds")
     write_dataset_dir(out, split, user_ids, item_ids, ("view", "cart", "buy"))
     loaded, loaded_users, loaded_items, labels = read_dataset_dir(out)
+    assert (split.train.num_users, split.train.num_items) == (6, 7)
     assert labels == ("view", "cart", "buy")
     assert loaded_users == user_ids
     assert loaded_items == item_ids
@@ -605,11 +606,14 @@ def test_columnar_ingestion_equals_record_oracle_at_scale(tmp_path, monkeypatch,
     assert sizes == [(150, 84), (115, 32), (0, 0)]  # 7 cascades down to nothing
 
 
+SMALL_SYNTH = ["--users", "12", "--items", "10", "--densities", "0.5,0.4,0.3",
+               "--latent-dim", "3", "--seed", "2"]
+
+
 @pytest.fixture
 def small_dataset(tmp_path, capsys):
     out = str(tmp_path / "ds")
-    assert main(["synth", out, "--users", "12", "--items", "10", "--densities",
-                 "0.5,0.4,0.3", "--latent-dim", "3", "--seed", "2"]) == 0
+    assert main(["synth", out] + SMALL_SYNTH) == 0
     capsys.readouterr()
     return out
 
@@ -645,9 +649,13 @@ def _edit_line(path, lineno, text):
     ("behavior_2.txt", 9, "", r"behavior_2.txt:9: empty line"),
     ("test.txt", 2, "1 2 3", r"test.txt:2: expected 'user item', got 3 fields"),
     ("behavior_1.txt", 4, "3 1 x", r"behavior_1.txt:4: bad integer 'x'"),
+    ("behavior_2.txt", 9, "2 1 3", r"behavior_2.txt:9: user 2 is already listed on an earlier"),
+    ("validation.txt", 5, "1 4", r"validation.txt:5: user 1 is already listed on an earlier"),
+    ("test.txt", 3, "1 2", r"test.txt:3: user 1 is already listed on an earlier line"),
 ], ids=["no-test-line", "no-validation-line", "item-too-large", "item-negative",
         "user-too-large", "heldout-item-too-large", "heldout-user-negative", "repeated-item",
-        "falling-items", "empty-line", "three-fields", "bad-integer"])
+        "falling-items", "empty-line", "three-fields", "bad-integer", "repeated-user",
+        "repeated-heldout-user", "adjacent-heldout-user"])
 @pytest.mark.parametrize("block_chars", [8, 1 << 16])
 def test_read_dataset_dir_rejects_corrupt_files(small_dataset, monkeypatch, block_chars,
                                                 name, lineno, text, message):
@@ -656,6 +664,35 @@ def test_read_dataset_dir_rejects_corrupt_files(small_dataset, monkeypatch, bloc
     _edit_line(os.path.join(small_dataset, name), lineno, text)
     with pytest.raises(DataError, match=message):
         read_dataset_dir(small_dataset)
+
+
+@pytest.fixture(scope="module")
+def small_dataset_lines(tmp_path_factory):
+    out = tmp_path_factory.mktemp("lines") / "ds"
+    assert main(["synth", str(out)] + SMALL_SYNTH) == 0
+    return {path.name: path.read_text(encoding="utf-8") for path in out.iterdir()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(["behavior_0.txt", "behavior_1.txt", "behavior_2.txt",
+                             "validation.txt", "test.txt"]),
+       picks=st.tuples(st.integers(0, 11), st.integers(0, 11)),
+       block_chars=st.sampled_from([8, 1 << 16]))
+def test_a_repeated_user_line_is_rejected_at_its_second_copy(small_dataset_lines, name, picks,
+                                                             block_chars):
+    """A copy of any user's line, inserted anywhere after the original, names
+    the copy's line; the later line never silently wins."""
+    source, after = min(picks), max(picks)
+    with tempfile.TemporaryDirectory() as out, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(datasets, "BLOCK_CHARS", block_chars)
+        lines = small_dataset_lines[name].splitlines(keepends=True)
+        lines.insert(after + 1, lines[source])
+        for file_name, text in dict(small_dataset_lines, **{name: "".join(lines)}).items():
+            with open(os.path.join(out, file_name), "w", encoding="utf-8") as fh:
+                fh.write(text)
+        with pytest.raises(DataError, match=r"%s:%d: user %d is already listed"
+                           % (name, after + 2, source)):
+            read_dataset_dir(out)
 
 
 def test_evaluate_rejects_missing_heldout_line(small_dataset, tmp_path, capsys):

@@ -1,9 +1,12 @@
-"""Every demo script runs to completion in a fresh interpreter."""
+"""Every demo script runs to completion in a fresh interpreter, and a demo
+that drives the CLI fails with the code of its first failing stage."""
 
 import glob
 import os
+import runpy
 import subprocess
 import sys
+import tempfile
 
 import pytest
 
@@ -17,3 +20,23 @@ def test_demo_runs(script, tmp_path):
     proc = subprocess.run([sys.executable, script], env=env, capture_output=True, text=True,
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+CLI_DEMOS = [p for p in DEMOS if os.path.basename(p).startswith(("01_", "04_"))]
+
+
+@pytest.mark.parametrize("script", CLI_DEMOS, ids=[os.path.basename(p) for p in CLI_DEMOS])
+def test_demo_exits_with_first_failing_stage_code(script, tmp_path, monkeypatch):
+    calls = []
+
+    def failing_main(argv):
+        calls.append(argv[0])
+        return 2
+
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the demo prepends src/
+    monkeypatch.setattr("critcf.cli.main", failing_main)
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(script, run_name="__main__")
+    assert exc.value.code == 2
+    assert len(calls) == 1  # later stages do not run

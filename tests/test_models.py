@@ -69,9 +69,9 @@ def test_batch_matches_pointwise():
     p = project_rows(rng.normal(size=(5, 4)))
     q = project_rows(rng.normal(size=(7, 4)))
     train = make_train(5, 7, [[[u % 7] for u in range(5)]])
-    adjacency, isolated = build_adjacency(train)
+    adjacency = build_adjacency(train)
     weight = rng.normal(size=(1, 4))
-    gcn = LightGcnModel(p.copy(), q.copy(), adjacency, isolated, 3)
+    gcn = LightGcnModel(p.copy(), q.copy(), adjacency, 3)
     user_final, item_final = gcn.propagated_embeddings()
     pointwise = [
         (MfModel(p, q), lambda u, v: p[u] @ q[v]),
@@ -92,8 +92,8 @@ def test_lightgcn_zero_layers_is_mf():
     p = project_rows(rng.normal(size=(4, 3)))
     q = project_rows(rng.normal(size=(6, 3)))
     train = make_train(4, 6, [[[0, 1], [2], [3], [4, 5]]])
-    adjacency, isolated = build_adjacency(train)
-    gcn = LightGcnModel(p.copy(), q.copy(), adjacency, isolated, 0)
+    adjacency = build_adjacency(train)
+    gcn = LightGcnModel(p.copy(), q.copy(), adjacency, 0)
     mf = MfModel(p, q)
     s_gcn, _ = gcn.score_batch(np.arange(4))
     s_mf, _ = mf.score_batch(np.arange(4))
@@ -104,8 +104,8 @@ def test_lightgcn_single_edge_one_layer():
     p = np.array([[0.6, 0.2]])
     q = np.array([[0.1, 0.4]])
     train = make_train(1, 1, [[[0]]])
-    adjacency, isolated = build_adjacency(train)
-    gcn = LightGcnModel(p, q, adjacency, isolated, 1)
+    adjacency = build_adjacency(train)
+    gcn = LightGcnModel(p, q, adjacency, 1)
     user_final, item_final = gcn.propagated_embeddings()
     np.testing.assert_allclose(user_final[0], (p[0] + q[0]) / 2.0, rtol=1e-15)
     np.testing.assert_allclose(item_final[0], (p[0] + q[0]) / 2.0, rtol=1e-15)
@@ -117,17 +117,18 @@ def test_lightgcn_isolated_nodes_keep_embeddings():
     q = project_rows(rng.normal(size=(4, 4)))
     # user 2 and item 3 have no interactions at all
     train = make_train(3, 4, [[[0, 1], [2], []]])
-    adjacency, isolated = build_adjacency(train)
-    assert list(isolated) == [False, False, True, False, False, False, True]
-    gcn = LightGcnModel(p.copy(), q.copy(), adjacency, isolated, 3)
+    adjacency = build_adjacency(train)
+    # each of them carries a unit self-loop, and no other node does
+    assert list(adjacency.diagonal()) == [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]
+    gcn = LightGcnModel(p.copy(), q.copy(), adjacency, 3)
     user_final, item_final = gcn.propagated_embeddings()
     np.testing.assert_allclose(user_final[2], p[2], rtol=1e-12)
     np.testing.assert_allclose(item_final[3], q[3], rtol=1e-12)
     # a fully edgeless graph reduces to MF at any depth
     empty_train = make_train(3, 4, [[[], [], []]])
-    adjacency, isolated = build_adjacency(empty_train)
-    assert isolated.all()
-    gcn = LightGcnModel(p.copy(), q.copy(), adjacency, isolated, 3)
+    adjacency = build_adjacency(empty_train)
+    assert (adjacency != sp.identity(7)).nnz == 0
+    gcn = LightGcnModel(p.copy(), q.copy(), adjacency, 3)
     s_gcn, _ = gcn.score_batch(np.arange(3))
     s_mf, _ = MfModel(p, q).score_batch(np.arange(3))
     np.testing.assert_allclose(s_gcn, s_mf, rtol=1e-12)
@@ -135,15 +136,15 @@ def test_lightgcn_isolated_nodes_keep_embeddings():
 
 def test_adjacency_normalization():
     train = make_train(2, 1, [[[0], [0]]])
-    adjacency, isolated = build_adjacency(train)
+    adjacency = build_adjacency(train)
     # item 0 has degree 2, each user degree 1
     assert adjacency[0, 2] == pytest.approx(1.0 / np.sqrt(2.0), rel=1e-15)
     assert adjacency[2, 0] == pytest.approx(1.0 / np.sqrt(2.0), rel=1e-15)
     assert adjacency[0, 1] == 0.0
-    assert not isolated.any()
+    assert not adjacency.diagonal().any()
     # duplicate edges across behaviors collapse to one
     twice = make_train(2, 1, [[[0], [0]], [[0], []]])
-    adjacency2, _ = build_adjacency(twice)
+    adjacency2 = build_adjacency(twice)
     assert (adjacency != adjacency2).nnz == 0
 
 
@@ -194,13 +195,15 @@ def random_train(seed, num_users, num_items, num_behaviors, density):
     make_train(3, 4, [[[], [], []]]),
 ])
 def test_build_adjacency_bitwise_equals_oracle(train):
-    got, got_isolated = build_adjacency(train)
+    """The oracle's matrix plus a 1.0 self-loop at each of its isolated nodes."""
+    got = build_adjacency(train)
     want, want_isolated = pairwise_unique_build_adjacency(train)
+    want = (want + sp.diags(want_isolated.astype(float))).tocsr()
     assert got.shape == want.shape
     for field in ("indptr", "indices", "data"):
         a, b = getattr(got, field), getattr(want, field)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
-    assert got_isolated.tobytes() == want_isolated.tobytes()
+    np.testing.assert_array_equal(got.diagonal()[want_isolated], 1.0)
 
 
 def _fd_model_grads(model, user_ids, weights, mask=None):
@@ -246,9 +249,9 @@ def test_backward_matches_finite_differences():
     _fd_model_grads(GmfModel(p.copy(), q.copy(), rng.normal(size=(1, 4))), user_ids, weights,
                     mask=mask)
     train = make_train(5, 7, [[[0, 2], [1], [3, 4], [5], [6]]])
-    adjacency, isolated = build_adjacency(train)
+    adjacency = build_adjacency(train)
     for layers in (0, 1, 3):
-        _fd_model_grads(LightGcnModel(p.copy(), q.copy(), adjacency, isolated, layers),
+        _fd_model_grads(LightGcnModel(p.copy(), q.copy(), adjacency, layers),
                         user_ids, weights)
 
 
@@ -289,7 +292,7 @@ def test_init_model_contracts():
     assert np.abs(model.user_emb).max() <= 0.5 + 1e-12
     gmf = init_model("gmf", 10, 8, 4, np.random.default_rng(7))
     np.testing.assert_array_equal(gmf.pred_weight, np.ones((1, 4)))
-    multi = init_model("gmf", 10, 8, 4, rng, num_pred_layers=3, random_pred=True)
+    multi = init_model("gmf", 10, 8, 4, rng, behavior_layers=3)
     assert multi.pred_weight.shape == (3, 4)
     assert not np.array_equal(multi.pred_weight[0], multi.pred_weight[1])
     with pytest.raises(ConfigError):

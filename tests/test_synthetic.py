@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from critcf.cli import main
 from critcf.config import dataset_fingerprint
-from critcf.datasets import leave_one_out_split
+from critcf.datasets import MIN_SPLIT_POSITIVES, leave_one_out_split
 from critcf.errors import DataError
 from critcf.synthetic import SynthConfig, _floored_mask, generate
 
@@ -100,7 +100,7 @@ def test_target_floor_survives_split():
     cfg = small_cfg()
     ds, _, _ = generate(cfg)
     for u in range(ds.num_users):
-        assert len(ds.positives[-1][u]) >= cfg.min_target_positives
+        assert len(ds.positives[-1][u]) >= MIN_SPLIT_POSITIVES
     split = leave_one_out_split(ds, on_short="error")
     assert split.dropped_users == 0
     assert all(len(p) >= 1 for p in split.train.positives[-1])
