@@ -11,6 +11,7 @@ import sys
 import time
 
 from . import __version__
+from .atomic import atomic_write
 from .config import (
     apply_kv,
     check_manifest_keys,
@@ -88,7 +89,6 @@ def _run_training(split, dataset_dir, out_dir, cfg, file_values, variant):
     fingerprint = dataset_fingerprint(dataset_dir)
     check_manifest_keys(file_values, fingerprint,
                         lambda msg: print("warning: %s" % msg, file=sys.stderr))
-    os.makedirs(out_dir, exist_ok=True)
 
     timings = []
     last_mark = time.monotonic()
@@ -101,12 +101,14 @@ def _run_training(split, dataset_dir, out_dir, cfg, file_values, variant):
 
     result = train(split, cfg, epoch_callback=on_epoch)
 
+    # Made only now, so a run that fails leaves no empty run dir behind.
+    os.makedirs(out_dir, exist_ok=True)
     save_checkpoint(os.path.join(out_dir, "checkpoint.txt"), result.model,
                     result.bounds, meta={"variant": variant})
-    with open(os.path.join(out_dir, "history.txt"), "w", encoding="utf-8") as fh:
+    with atomic_write(os.path.join(out_dir, "history.txt")) as fh:
         for epoch, loss, hr, ndcg in result.history:
             fh.write("%d %.17g %.17g %.17g\n" % (epoch, loss, hr, ndcg))
-    with open(os.path.join(out_dir, "timing.txt"), "w", encoding="utf-8") as fh:
+    with atomic_write(os.path.join(out_dir, "timing.txt")) as fh:
         for epoch, seconds in timings:
             fh.write("%d %.3f\n" % (epoch, seconds))
     write_manifest(os.path.join(out_dir, "manifest.txt"), cfg, fingerprint)
@@ -118,9 +120,9 @@ def _write_report(report, out_dir):
     print(report.format_table())
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "report.txt"), "w", encoding="utf-8") as fh:
+        with atomic_write(os.path.join(out_dir, "report.txt")) as fh:
             fh.write(report.format_table() + "\n")
-        with open(os.path.join(out_dir, "report.kv"), "w", encoding="utf-8") as fh:
+        with atomic_write(os.path.join(out_dir, "report.kv")) as fh:
             fh.write(report.format_kv())
 
 

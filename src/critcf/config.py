@@ -9,6 +9,7 @@ import hashlib
 import os
 
 from . import __version__
+from .atomic import atomic_write
 from .errors import ConfigError, DataError
 from .training import TrainConfig
 
@@ -114,7 +115,7 @@ def dataset_fingerprint(dataset_dir):
 
 def write_manifest(path, cfg, dataset_hash):
     kv = config_to_kv(cfg)
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for key, _ in CONFIG_KEYS:
             fh.write("%s=%s\n" % (key, kv[key]))
         fh.write("dataset_hash=%s\n" % dataset_hash)

@@ -173,13 +173,13 @@ class LossConfig:
 
 def _positive_index(pos_lists):
     """Row/column index arrays for all observed entries of a batch."""
-    sizes = [len(p) for p in pos_lists]
-    total = sum(sizes)
-    if total == 0:
+    sizes = np.fromiter(map(len, pos_lists), dtype=np.int64, count=len(pos_lists))
+    if not sizes.any():
         empty = np.empty(0, dtype=np.int64)
         return empty, empty
     rows = np.repeat(np.arange(len(pos_lists), dtype=np.int64), sizes)
-    cols = np.concatenate([np.asarray(p, dtype=np.int64) for p in pos_lists if len(p)])
+    # An empty Python list converts as float64; "unsafe" casts it like the rest.
+    cols = np.concatenate(pos_lists, dtype=np.int64, casting="unsafe")
     return rows, cols
 
 

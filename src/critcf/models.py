@@ -10,20 +10,29 @@ parameter gets a dense gradient shaped like the parameter.
 
 Embedding rows live inside the unit Euclidean ball; the trainer re-projects
 after every optimizer step and ``project_rows`` implements that projection.
+
+A checkpoint (version 2, see ``save_checkpoint``) is a text header that
+``head`` can show, sealed by its sha256, then each array as raw
+little-endian float64 bytes with their own sha256; loading checks every
+digest, byte count, name and shape (see ``_read_checkpoint``).
 """
 
-import io
+import hashlib
 import math
+import os
+import re
 
 import numpy as np
 import scipy.sparse as sp
 
+from .atomic import atomic_write
 from .errors import ConfigError, DataError
 
 MODEL_KINDS = ("mf", "gmf", "lightgcn")
 
 CHECKPOINT_MAGIC = "critcf-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+_ARRAY_LINE = re.compile(rb"array ([a-z_]+) ([0-9]+) ([0-9]+) ([0-9a-f]{64})\n")
 
 
 def project_rows(arr):
@@ -271,38 +280,43 @@ def init_bounds(num_users, num_items, num_behaviors, bound_ratio, rng):
     return BoundParams(user_bound, item_bound, bound_ratio)
 
 
-def _write_array(fh, name, arr):
-    arr = np.atleast_2d(np.asarray(arr, dtype=float))
-    fh.write("array %s %d %d\n" % (name, arr.shape[0], arr.shape[1]))
-    np.savetxt(fh, arr, fmt="%.17g")
-
-
 def save_checkpoint(path, model, bounds, meta=None):
-    """Write model and bound parameters as self-describing text.
+    """Write model and bound parameters as a version-2 checkpoint.
 
-    Floats are rendered at 17 significant digits, which round-trips float64
-    exactly, so save/load/save produces byte-identical files.
+    The file opens with text lines, so ``head`` shows them: the magic and
+    version, the model kind, the counts, ``bound_ratio`` at 17 significant
+    digits, one ``meta KEY VALUE`` line per meta entry, and then
+    ``header_sha256 HEX``, the sha256 of every byte before that line.  Each
+    array follows as one line ``array NAME ROWS COLS HEX`` and exactly
+    ROWS*COLS little-endian float64 values as raw bytes, HEX being the
+    sha256 of those bytes.  The file ends with ``end\\n``.  The raw bytes are
+    the arrays' own bits, so save/load/save produces byte-identical files.
+    path is replaced only by a complete file.
     """
-    meta = dict(meta or {})
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("%s %d\n" % (CHECKPOINT_MAGIC, CHECKPOINT_VERSION))
-        fh.write("model %s\n" % model.kind)
-        fh.write("num_users %d\n" % model.user_emb.shape[0])
-        fh.write("num_items %d\n" % model.item_emb.shape[0])
-        fh.write("dim %d\n" % model.dim)
-        if model.kind == "lightgcn":
-            fh.write("num_layers %d\n" % model.num_layers)
-        if bounds is not None:
-            fh.write("num_behaviors %d\n" % bounds.num_behaviors)
-            fh.write("bound_ratio %.17g\n" % bounds.bound_ratio)
-        for key in sorted(meta):
-            fh.write("meta %s %s\n" % (key, meta[key]))
-        for name, arr in model.param_arrays().items():
-            _write_array(fh, name, arr)
-        if bounds is not None:
-            _write_array(fh, "user_bound", bounds.user_bound)
-            _write_array(fh, "item_bound", bounds.item_bound)
-        fh.write("end\n")
+    header = ["%s %d" % (CHECKPOINT_MAGIC, CHECKPOINT_VERSION),
+              "model %s" % model.kind,
+              "num_users %d" % model.user_emb.shape[0],
+              "num_items %d" % model.item_emb.shape[0],
+              "dim %d" % model.dim]
+    if model.kind == "lightgcn":
+        header.append("num_layers %d" % model.num_layers)
+    arrays = dict(model.param_arrays())
+    if bounds is not None:
+        header += ["num_behaviors %d" % bounds.num_behaviors,
+                   "bound_ratio %.17g" % bounds.bound_ratio]
+        arrays.update(user_bound=bounds.user_bound, item_bound=bounds.item_bound)
+    header += ["meta %s %s" % item for item in sorted((meta or {}).items())]
+    head = "".join(line + "\n" for line in header).encode("utf-8")
+    with atomic_write(path, binary=True) as fh:
+        fh.write(head)
+        fh.write(b"header_sha256 %s\n" % hashlib.sha256(head).hexdigest().encode())
+        for name, arr in arrays.items():
+            arr = np.atleast_2d(np.asarray(arr, dtype="<f8"))
+            raw = arr.tobytes()
+            fh.write(("array %s %d %d %s\n" % (name, arr.shape[0], arr.shape[1],
+                                               hashlib.sha256(raw).hexdigest())).encode())
+            fh.write(raw)
+        fh.write(b"end\n")
 
 
 def _header_value(path, header, key, cast):
@@ -319,12 +333,6 @@ def _header_value(path, header, key, cast):
                         % (path, key, "integer" if cast is int else "finite number",
                            header[key]))
     return value
-
-
-def _array_header(path, i, parts):
-    if len(parts) != 4 or not (parts[2].isdigit() and parts[3].isdigit()):
-        raise DataError("%s:%d: expected 'array NAME ROWS COLS'" % (path, i + 1))
-    return parts[1], int(parts[2]), int(parts[3])
 
 
 def _check_shapes(path, header, arrays):
@@ -361,49 +369,71 @@ def _check_shapes(path, header, arrays):
 def _read_checkpoint(path):
     """(header, meta, arrays, bounds) of a checkpoint; bounds may be None.
 
-    Each array must hold exactly the rows it declares, and _check_shapes
-    must accept the header and the arrays; otherwise DataError names the
-    file and the key or array.
+    The file must be version 2, its text header must match header_sha256
+    and repeat no key, and each array must name itself once, have the bytes
+    it declares and match its sha256; then _check_shapes must accept the
+    header and the arrays.  Otherwise DataError names the file and the key
+    or array, or the byte offset of a malformed array line.  The arrays are
+    native, C-contiguous and writable.
     """
     from .losses import BoundParams
 
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or not lines[0].startswith(CHECKPOINT_MAGIC):
-        raise DataError("%s: not a checkpoint file" % path)
-    header = {}
-    meta = {}
-    arrays = {}
-    i = 1
-    while i < len(lines):
-        parts = lines[i].split()
-        if not parts:
-            i += 1
-            continue
-        if parts[0] == "end":
-            break
-        if parts[0] == "array":
-            name, rows, cols = _array_header(path, i, parts)
-            block = "\n".join(lines[i + 1:i + 1 + rows])
-            try:
-                arrays[name] = np.loadtxt(io.StringIO(block), ndmin=2).reshape(rows, cols)
-            except ValueError:
-                raise DataError("%s: array %s does not hold the %dx%d numbers it declares"
-                                % (path, name, rows, cols)) from None
-            i += 1 + rows
-        elif arrays:
-            # Only arrays and the end marker follow the first array.
-            last = list(arrays)[-1]
-            raise DataError("%s:%d: array %s has more rows than the %d it declares"
-                            % (path, i + 1, last, arrays[last].shape[0]))
-        elif parts[0] == "meta" and len(parts) > 1:
-            meta[parts[1]] = " ".join(parts[2:])
-            i += 1
-        else:
-            header[parts[0]] = " ".join(parts[1:])
-            i += 1
-    else:
-        raise DataError("%s: truncated checkpoint (missing end marker)" % path)
+    header, meta, arrays = {}, {}, {}
+    truncated = DataError("%s: truncated checkpoint (missing end marker)" % path)
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        line = fh.readline()
+        magic, _, version = line.rstrip(b"\n").partition(b" ")
+        if magic != CHECKPOINT_MAGIC.encode():
+            raise DataError("%s: not a checkpoint file" % path)
+        if version != b"%d" % CHECKPOINT_VERSION:
+            raise DataError("%s: checkpoint version %s is not supported; re-run train"
+                            % (path, version.decode("utf-8", "replace")))
+        digest = hashlib.sha256(line)
+        while True:
+            line = fh.readline()
+            if not line.endswith(b"\n"):
+                raise truncated
+            key, _, value = line[:-1].decode("utf-8", "replace").partition(" ")
+            if key == "header_sha256":
+                break
+            if key in ("array", "end"):
+                raise DataError("%s: no header_sha256 line before the arrays" % path)
+            digest.update(line)
+            target = header
+            if key == "meta":
+                target, (key, _, value) = meta, value.partition(" ")
+            if key in target:
+                raise DataError("%s: duplicate header key %r"
+                                % (path, ("meta " if target is meta else "") + key))
+            target[key] = value
+        if value != digest.hexdigest():
+            raise DataError("%s: header lines do not match header_sha256" % path)
+        while True:
+            offset = fh.tell()
+            line = fh.readline()
+            if not line.endswith(b"\n"):
+                raise truncated
+            if line == b"end\n":
+                break
+            match = _ARRAY_LINE.fullmatch(line)
+            if match is None:
+                raise DataError("%s: byte %d: expected 'array NAME ROWS COLS SHA256' or 'end'"
+                                % (path, offset))
+            name, rows, cols = match[1].decode(), int(match[2]), int(match[3])
+            if name in arrays:
+                raise DataError("%s: duplicate array %s" % (path, name))
+            # Checked before allocating, so a huge declared size is a DataError.
+            if 8 * rows * cols > size - fh.tell():
+                raise DataError("%s: array %s declares %dx%d float64 values, but only %d "
+                                "bytes follow" % (path, name, rows, cols, size - fh.tell()))
+            buf = bytearray(8 * rows * cols)
+            fh.readinto(buf)
+            if hashlib.sha256(buf).hexdigest() != match[4].decode():
+                raise DataError("%s: array %s does not match its sha256" % (path, name))
+            arrays[name] = np.frombuffer(buf, dtype="<f8").reshape(rows, cols)
+        if fh.read(1):
+            raise DataError("%s: bytes follow the end marker" % path)
     _check_shapes(path, header, arrays)
     bounds = None
     if "user_bound" in arrays:

@@ -1,13 +1,17 @@
+import hashlib
 import os
+import re
 import shutil
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from critcf.cli import main
 from critcf.config import apply_kv, parse_kv_file
 from critcf.datasets import read_dataset_dir
-from critcf.models import load_checkpoint
+from critcf.models import load_checkpoint, save_checkpoint
 from critcf.training import TrainConfig, train
 
 FAST = ["--override", "epochs=2", "--override", "d=4", "--override", "batch=16",
@@ -201,11 +205,10 @@ def test_dump_bounds_lightgcn_checkpoint(dataset_dir, tmp_path, capsys):
 
 
 def test_evaluate_rejects_non_finite_scores(dataset_dir, run_dir, tmp_path, capsys):
-    lines = open(run_dir + "/checkpoint.txt").read().splitlines()
-    row = lines.index(next(line for line in lines if line.startswith("array user_emb"))) + 4
-    lines[row] = " ".join(["nan"] + lines[row].split()[1:])
+    model, bounds, meta = load_checkpoint(run_dir + "/checkpoint.txt")
+    model.user_emb[3, 0] = np.nan
     bad = tmp_path / "checkpoint.txt"
-    bad.write_text("\n".join(lines) + "\n")
+    save_checkpoint(str(bad), model, bounds, meta=meta)
     assert main(["evaluate", str(bad), dataset_dir, "--cutoffs", "5"]) == 3
     captured = capsys.readouterr()
     assert captured.err == "numerical error: non-finite prediction score for user 3\n"
@@ -242,35 +245,112 @@ def test_evaluate_rejects_bad_dataset_meta(dataset_dir, run_dir, tmp_path, capsy
     assert capsys.readouterr().err == "data error: %s/%s\n" % (data, message)
 
 
-def _drop_user_bound_row(text):
-    head, _, rest = text.partition("array user_bound 24 3\n")
-    return head + "array user_bound 23 3\n" + rest.split("\n", 1)[1]
+def _reseal(blob):
+    """blob with its header_sha256 line recomputed, so an edit to the
+    header reaches the checks behind the digest."""
+    head, _, rest = blob.partition(b"header_sha256 ")
+    return (head + b"header_sha256 " + hashlib.sha256(head).hexdigest().encode()
+            + rest[rest.index(b"\n"):])
+
+
+def _edit_header(old, new):
+    return lambda blob: _reseal(blob.replace(old, new, 1))
+
+
+def _drop_user_bound_row(blob):
+    """Declare 23 user_bound rows, drop the last one and fix the digest."""
+    head, _, rest = blob.partition(b"array user_bound 24 3 ")
+    data = rest[65:65 + 23 * 24]
+    return (head + b"array user_bound 23 3 " + hashlib.sha256(data).hexdigest().encode()
+            + b"\n" + data + rest[65 + 24 * 24:])
 
 
 @pytest.mark.parametrize("edit,message", [
-    (lambda t: t.replace("array user_bound 24 3", "array user_bound 3 3"),
-     ":59: array user_bound has more rows than the 3 it declares"),
-    (lambda t: t.replace("array user_bound 24 3", "array user_bound 25 3"),
-     ": array user_bound does not hold the 25x3 numbers it declares"),
-    (lambda t: t.replace("array user_bound 24 3", "array user_bound -1 3"),
-     ":55: expected 'array NAME ROWS COLS'"),
-    (lambda t: t.replace("num_items 18", "num_items 1.5"),
+    (lambda b: b.replace(b"array user_bound 24 3", b"array user_bound 3 3"),
+     ": array user_bound does not match its sha256"),
+    (lambda b: b.replace(b"array item_bound 18 3", b"array item_bound 19 3"),
+     ": array item_bound declares 19x3 float64 values, but only 436 bytes follow"),
+    (lambda b: b.replace(b"array user_bound 24 3", b"array user_bound -1 3"),
+     ": byte 1824: expected 'array NAME ROWS COLS SHA256' or 'end'"),
+    (_edit_header(b"num_items 18", b"num_items 1.5"),
      ": header key 'num_items' must be a non-negative integer, got '1.5'"),
-    (lambda t: t.replace("bound_ratio 0.5\n", ""), ": missing header key 'bound_ratio'"),
-    (lambda t: t.replace("model gmf\n", ""), ": missing header key 'model'"),
-    (lambda t: t.replace("num_behaviors 3", "num_behaviors 2"),
+    (_edit_header(b"bound_ratio 0.5\n", b""), ": missing header key 'bound_ratio'"),
+    (_edit_header(b"model gmf\n", b""), ": missing header key 'model'"),
+    (_edit_header(b"num_behaviors 3", b"num_behaviors 2"),
      ": array user_bound is 24x3, expected 24x2"),
     (_drop_user_bound_row, ": array user_bound is 23x3, expected 24x3"),
+    (lambda b: b.replace(b"array item_bound 18 3", b"array item_bound 10000000000000000 3"),
+     ": array item_bound declares 10000000000000000x3 float64 values, but only 436 bytes "
+     "follow"),
+    (lambda b: b.replace(b"num_items 18", b"num_items 17"),
+     ": header lines do not match header_sha256"),
+    (_edit_header(b"dim 4\n", b"dim 4\ndim 4\n"), ": duplicate header key 'dim'"),
+    (_edit_header(b"meta variant full\n", b"meta variant full\nmeta variant H\n"),
+     ": duplicate header key 'meta variant'"),
+    (lambda b: b[:b.index(b"array item_emb")] + b[b.index(b"array user_emb"):],
+     ": duplicate array user_emb"),
+    (lambda b: b + b"end\n", ": bytes follow the end marker"),
 ], ids=["short-row-count", "long-row-count", "negative-row-count", "non-integer-count",
         "missing-bound-ratio", "missing-model", "bound-columns",
-        "bound-rows"])
+        "bound-rows", "huge-row-count", "header-edited", "duplicate-key",
+        "duplicate-meta-key", "duplicate-array", "after-end"])
 def test_dump_bounds_rejects_bad_checkpoint(run_dir, tmp_path, capsys, edit, message):
     bad = tmp_path / "checkpoint.txt"
-    bad.write_text(edit(open(run_dir + "/checkpoint.txt").read()))
+    bad.write_bytes(edit(open(run_dir + "/checkpoint.txt", "rb").read()))
     assert main(["dump-bounds", str(bad), "--users", "0", "--items", "0"]) == 2
     captured = capsys.readouterr()
     assert captured.err == "data error: %s%s\n" % (bad, message)
     assert captured.out == ""
+
+
+def _truncate(blob, at, _):
+    return blob[:at % len(blob)]
+
+
+def _flip(blob, at, mask):
+    at %= len(blob)
+    return blob[:at] + bytes([blob[at] ^ mask]) + blob[at + 1:]
+
+
+def _duplicate_line(blob, at, _):
+    """Repeat one text line: a header line or an array line (not its data)."""
+    starts = [0] + [m.end() for m in re.finditer(rb"\n", blob)]
+    lines = [i for i in starts[:-1] if not blob[i:].startswith(b"end")
+             and (i < blob.index(b"array ") or blob[i:].startswith(b"array "))]
+    start = lines[at % len(lines)]
+    line = blob[start:blob.index(b"\n", start) + 1]
+    return blob[:start] + line + blob[start:]
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(corrupt=st.sampled_from([_truncate, _flip, _duplicate_line]),
+       at=st.integers(0, 2**20), mask=st.integers(1, 255))
+def test_corrupt_checkpoint_exits_2(dataset_dir, run_dir, tmp_path, capsys, corrupt, at, mask):
+    """Whatever byte is cut, flipped or line repeated, both commands exit 2
+    with a message naming the file."""
+    bad = str(tmp_path / "corrupt.txt")
+    with open(run_dir + "/checkpoint.txt", "rb") as fh:
+        blob = fh.read()
+    with open(bad, "wb") as fh:
+        fh.write(corrupt(blob, at, mask))
+    capsys.readouterr()
+    for argv in (["dump-bounds", bad, "--users", "0", "--items", "0"],
+                 ["evaluate", bad, dataset_dir, "--cutoffs", "5"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("data error: %s: " % bad)
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", [["train"], ["ablate", "--variant", "H"]])
+def test_failed_run_leaves_no_run_dir(dataset_dir, tmp_path, capsys, command):
+    out = tmp_path / "run"
+    assert main([command[0], dataset_dir, str(out)] + command[1:] + FAST
+                + ["--override", "d=1099511627776"]) == 1
+    assert capsys.readouterr().err.startswith("config error: d=1099511627776")
+    assert not out.exists()
 
 
 def test_prepare_rejects_non_utf8(tmp_path, capsys):

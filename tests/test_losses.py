@@ -642,3 +642,32 @@ def test_kernel_equals_oracles(inst, variant, name, per_user):
         lower = bounds.bound_ratio * upper
         assert_same(hinge_criterion_loss(scores, pos_lists, upper, lower, w, penalty),
                     oracle_hinge_criterion_loss(scores, pos_lists, upper, lower, w, penalty))
+
+
+def oracle_positive_index(pos_lists):
+    """_positive_index as it was before one concatenate replaced the
+    per-user np.asarray calls."""
+    sizes = [len(p) for p in pos_lists]
+    total = sum(sizes)
+    if total == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty
+    rows = np.repeat(np.arange(len(pos_lists), dtype=np.int64), sizes)
+    cols = np.concatenate([np.asarray(p, dtype=np.int64) for p in pos_lists if len(p)])
+    return rows, cols
+
+
+_item_lists = st.lists(st.integers(0, 2**40), max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@example(pos_lists=[])
+@example(pos_lists=[[], np.empty(0, dtype=np.int64), []])
+@example(pos_lists=[[], np.array([3, 1], dtype=np.int64), [], [7]])
+@given(pos_lists=st.lists(st.one_of(_item_lists, _item_lists.map(
+    lambda items: np.array(items, dtype=np.int64))), max_size=8))
+def test_positive_index_equals_oracle(pos_lists):
+    """Int64 arrays, Python lists, empty rows and all-empty batches."""
+    for got, want in zip(_positive_index(pos_lists), oracle_positive_index(pos_lists)):
+        assert got.dtype == want.dtype == np.int64
+        assert np.array_equal(got, want)

@@ -1,15 +1,20 @@
+import io
 import os
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from critcf.cli import main
 from critcf.datasets import BehaviorDataset
 from critcf.errors import ConfigError, DataError
+from critcf.losses import BoundParams
 from critcf.models import (
     GmfModel,
     LightGcnModel,
     MfModel,
+    _check_shapes,
+    _read_checkpoint,
     build_adjacency,
     init_bounds,
     init_model,
@@ -348,15 +353,15 @@ def test_checkpoint_error_paths(tmp_path):
     path = str(tmp_path / "ckpt.txt")
     model = init_model("mf", 3, 4, 2, rng)
     save_checkpoint(path, model, None)
-    with open(path) as fh:
-        text = fh.read()
-    with open(path, "w") as fh:
-        fh.write(text.replace("end\n", ""))
-    with pytest.raises(DataError):
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    with open(path, "wb") as fh:
+        fh.write(blob[:-len(b"end\n")])
+    with pytest.raises(DataError, match="ckpt.txt: truncated checkpoint"):
         load_checkpoint(path)
     with open(path, "w") as fh:
         fh.write("not a checkpoint\n")
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="ckpt.txt: not a checkpoint file"):
         load_checkpoint(path)
     save_checkpoint(path, model, None)
     with pytest.raises(DataError, match="ckpt.txt: checkpoint is 3x4 but dataset is 5x4"):
@@ -370,3 +375,177 @@ def test_checkpoint_error_paths(tmp_path):
     other = make_train(5, 4, [[[0]] * 5])
     with pytest.raises(DataError):
         load_checkpoint(path, train=other)
+
+
+def oracle_save_checkpoint_v1(path, model, bounds, meta=None):
+    """Checkpoint version 1, the writer before raw arrays, kept verbatim.
+
+    Every array row is text at 17 significant digits, which round-trips
+    every finite float64 and +-inf exactly; a nan is written as ``nan``,
+    without its sign or payload bits.
+    """
+    def write_array(fh, name, arr):
+        arr = np.atleast_2d(np.asarray(arr, dtype=float))
+        fh.write("array %s %d %d\n" % (name, arr.shape[0], arr.shape[1]))
+        np.savetxt(fh, arr, fmt="%.17g")
+
+    meta = dict(meta or {})
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("%s %d\n" % ("critcf-checkpoint", 1))
+        fh.write("model %s\n" % model.kind)
+        fh.write("num_users %d\n" % model.user_emb.shape[0])
+        fh.write("num_items %d\n" % model.item_emb.shape[0])
+        fh.write("dim %d\n" % model.dim)
+        if model.kind == "lightgcn":
+            fh.write("num_layers %d\n" % model.num_layers)
+        if bounds is not None:
+            fh.write("num_behaviors %d\n" % bounds.num_behaviors)
+            fh.write("bound_ratio %.17g\n" % bounds.bound_ratio)
+        for key in sorted(meta):
+            fh.write("meta %s %s\n" % (key, meta[key]))
+        for name, arr in model.param_arrays().items():
+            write_array(fh, name, arr)
+        if bounds is not None:
+            write_array(fh, "user_bound", bounds.user_bound)
+            write_array(fh, "item_bound", bounds.item_bound)
+        fh.write("end\n")
+
+
+def oracle_read_checkpoint_v1(path):
+    """(header, meta, arrays, bounds) of a version-1 checkpoint, the text
+    reader before raw arrays, kept verbatim: np.loadtxt per array block."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    if not lines or not lines[0].startswith("critcf-checkpoint"):
+        raise DataError("%s: not a checkpoint file" % path)
+    header = {}
+    meta = {}
+    arrays = {}
+    i = 1
+    while i < len(lines):
+        parts = lines[i].split()
+        if not parts:
+            i += 1
+            continue
+        if parts[0] == "end":
+            break
+        if parts[0] == "array":
+            if len(parts) != 4 or not (parts[2].isdigit() and parts[3].isdigit()):
+                raise DataError("%s:%d: expected 'array NAME ROWS COLS'" % (path, i + 1))
+            name, rows, cols = parts[1], int(parts[2]), int(parts[3])
+            block = "\n".join(lines[i + 1:i + 1 + rows])
+            try:
+                arrays[name] = np.loadtxt(io.StringIO(block), ndmin=2).reshape(rows, cols)
+            except ValueError:
+                raise DataError("%s: array %s does not hold the %dx%d numbers it declares"
+                                % (path, name, rows, cols)) from None
+            i += 1 + rows
+        elif arrays:
+            last = list(arrays)[-1]
+            raise DataError("%s:%d: array %s has more rows than the %d it declares"
+                            % (path, i + 1, last, arrays[last].shape[0]))
+        elif parts[0] == "meta" and len(parts) > 1:
+            meta[parts[1]] = " ".join(parts[2:])
+            i += 1
+        else:
+            header[parts[0]] = " ".join(parts[1:])
+            i += 1
+    else:
+        raise DataError("%s: truncated checkpoint (missing end marker)" % path)
+    _check_shapes(path, header, arrays)
+    bounds = None
+    if "user_bound" in arrays:
+        bounds = BoundParams(arrays["user_bound"], arrays["item_bound"],
+                             float(header["bound_ratio"]))
+    return header, meta, arrays, bounds
+
+
+_SPECIAL_BITS = np.array([0x0000000000000000, 0x8000000000000000,  # +0.0, -0.0
+                          0x0000000000000001, 0x800FFFFFFFFFFFFF,  # subnormals
+                          0x7FF0000000000000, 0xFFF0000000000000,  # +-inf
+                          0x7FF8000000000000, 0x7FF0000000000123,  # nan, signalling nan
+                          0xFFF80000DEADBEEF], dtype=np.uint64)    # negative nan, payload
+
+
+def _models_with_specials(rng):
+    train = make_train(4, 6, [[[0, 5], [1], [], [3]]])
+    models = [init_model("mf", 4, 6, 5, rng),
+              init_model("gmf", 4, 6, 5, rng),
+              init_model("gmf", 4, 6, 5, rng, behavior_layers=3),
+              init_model("lightgcn", 4, 6, 5, rng, num_layers=2, train=train)]
+    bounds = init_bounds(4, 6, 3, 1.0 / 3.0, rng)
+    arrays = [arr for model in models for arr in model.param_arrays().values()]
+    for arr in arrays + [bounds.user_bound, bounds.item_bound]:
+        flat = arr.reshape(-1).view(np.uint64)
+        flat[rng.permutation(flat.size)[:len(_SPECIAL_BITS)]] = _SPECIAL_BITS[:flat.size]
+    return models, bounds, train
+
+
+@pytest.mark.parametrize("with_bounds", [True, False])
+def test_checkpoint_v2_equals_v1_oracle_bitwise(tmp_path, with_bounds):
+    """v2 loads each array with its own bits; the v1 oracle loads the same
+    bits, except that it turns every nan into the default quiet nan."""
+    models, bounds, train = _models_with_specials(np.random.default_rng(11))
+    bounds = bounds if with_bounds else None
+    v1, v2 = str(tmp_path / "v1.txt"), str(tmp_path / "v2.txt")
+    for model in models:
+        oracle_save_checkpoint_v1(v1, model, bounds, meta={"variant": "full"})
+        save_checkpoint(v2, model, bounds, meta={"variant": "full"})
+        old_header, old_meta, old, old_bounds = oracle_read_checkpoint_v1(v1)
+        header, meta, new, new_bounds = _read_checkpoint(v2)
+        assert (header, meta) == (old_header, old_meta)
+        want = dict(model.param_arrays())
+        if with_bounds:
+            want.update(user_bound=bounds.user_bound, item_bound=bounds.item_bound)
+            assert new_bounds.bound_ratio == old_bounds.bound_ratio == bounds.bound_ratio
+        assert list(new) == list(old) == list(want)
+        for name, arr in new.items():
+            assert arr.dtype == np.float64 and arr.dtype.isnative
+            assert arr.flags.c_contiguous and arr.flags.writeable and arr.flags.aligned
+            assert arr.shape == old[name].shape == want[name].shape
+            bits, old_bits = arr.view(np.uint64), old[name].view(np.uint64)
+            assert np.array_equal(bits, want[name].view(np.uint64)), (model.kind, name)
+            nan = np.isnan(arr)
+            assert np.array_equal(nan, np.isnan(old[name]))
+            assert np.array_equal(bits[~nan], old_bits[~nan]), (model.kind, name)
+        loaded, _, _ = load_checkpoint(v2, train=train)
+        for name, arr in model.param_arrays().items():
+            assert loaded.param_arrays()[name].tobytes() == arr.tobytes()
+
+
+def test_version_1_checkpoint_is_rejected(tmp_path, capsys):
+    data, path = str(tmp_path / "data"), str(tmp_path / "checkpoint.txt")
+    assert main(["synth", data, "--users", "24", "--items", "18",
+                 "--densities", "0.4,0.3,0.25", "--latent-dim", "3"]) == 0
+    rng = np.random.default_rng(12)
+    oracle_save_checkpoint_v1(path, init_model("gmf", 24, 18, 4, rng),
+                              init_bounds(24, 18, 3, 0.5, rng), meta={"variant": "full"})
+    capsys.readouterr()
+    for argv in (["dump-bounds", path, "--users", "0", "--items", "0"],
+                 ["evaluate", path, data]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("data error: %s: checkpoint version 1 is not supported; "
+                                "re-run train\n" % path)
+        assert captured.out == ""
+
+
+class _Unwritable:
+    """An item_emb stand-in that fails when the writer converts it."""
+
+    shape = (6, 5)
+
+    def __array__(self, dtype=None, copy=None):
+        raise RuntimeError("disk full")
+
+
+def test_failed_save_keeps_the_earlier_checkpoint(tmp_path):
+    path = tmp_path / "checkpoint.txt"
+    rng = np.random.default_rng(13)
+    model = init_model("mf", 4, 6, 5, rng)
+    save_checkpoint(str(path), model, None)
+    before = path.read_bytes()
+    with pytest.raises(RuntimeError, match="disk full"):
+        save_checkpoint(str(path), MfModel(model.user_emb * 0.5, _Unwritable()), None)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["checkpoint.txt"]
