@@ -36,32 +36,31 @@ def write_toy_log(path, num_users=60, num_items=30, seed=1):
 
 def run():
     """Run each stage in turn; returns the first nonzero exit code, else 0."""
-    workdir = tempfile.mkdtemp(prefix="critcf-demo-")
-    raw = os.path.join(workdir, "log.tsv")
-    write_toy_log(raw)
-    print("wrote toy log: %s" % raw)
+    with tempfile.TemporaryDirectory(prefix="critcf-demo-") as workdir:
+        raw = os.path.join(workdir, "log.tsv")
+        write_toy_log(raw)
+        print("wrote toy log: %s" % raw)
 
-    prepared = os.path.join(workdir, "prepared")
-    run_dir = os.path.join(workdir, "run")
-    stages = [
-        ("\n== critcf prepare (keep users and items with 5+ purchases) ==",
-         ["prepare", raw, prepared, "--min-target", "5"]),
-        ("\n== critcf train ==",
-         ["train", prepared, run_dir,
-          "--override", "epochs=15", "--override", "d=16",
-          "--override", "eval_cutoff=10"]),
-        ("\n== critcf evaluate ==",
-         ["evaluate", os.path.join(run_dir, "checkpoint.txt"), prepared,
-          "--cutoffs", "5,10"]),
-    ]
-    for title, argv in stages:
-        print(title)
-        code = main(argv)
-        if code:
-            return code
+        prepared = os.path.join(workdir, "prepared")
+        run_dir = os.path.join(workdir, "run")
+        stages = [
+            ("\n== critcf prepare (keep users and items with 5+ purchases) ==",
+             ["prepare", raw, prepared, "--min-target", "5"]),
+            ("\n== critcf train ==",
+             ["train", prepared, run_dir,
+              "--override", "epochs=15", "--override", "d=16",
+              "--override", "eval_cutoff=10"]),
+            ("\n== critcf evaluate ==",
+             ["evaluate", os.path.join(run_dir, "checkpoint.txt"), prepared,
+              "--cutoffs", "5,10"]),
+        ]
+        for title, argv in stages:
+            print(title)
+            code = main(argv)
+            if code:
+                return code
 
-    print("\nartifacts left in %s" % workdir)
-    return 0
+        return 0
 
 
 if __name__ == "__main__":

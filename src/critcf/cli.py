@@ -83,9 +83,23 @@ def _load_config(args, num_behaviors):
     return cfg, file_values
 
 
+def _check_run_dir(out_dir):
+    """Fail unless out_dir can be made into or written as the run dir; creates nothing."""
+    if os.path.exists(out_dir) and not os.path.isdir(out_dir):
+        raise DataError("%s: exists and is not a directory" % out_dir)
+    ancestor = os.path.abspath(out_dir)
+    while not os.path.exists(ancestor):
+        ancestor = os.path.dirname(ancestor)
+    if not (os.path.isdir(ancestor) and os.access(ancestor, os.W_OK | os.X_OK)):
+        raise DataError("%s: cannot be made a run dir, because %s is not a writable directory"
+                        % (out_dir, ancestor))
+
+
 def _run_training(split, dataset_dir, out_dir, cfg, file_values, variant):
     """Train and write the run dir; the checkpoint records variant as its label."""
     cfg.validate(split.train.num_behaviors)
+    # Checked before training, so a bad path does not cost a whole run.
+    _check_run_dir(out_dir)
     fingerprint = dataset_fingerprint(dataset_dir)
     check_manifest_keys(file_values, fingerprint,
                         lambda msg: print("warning: %s" % msg, file=sys.stderr))

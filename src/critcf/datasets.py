@@ -15,11 +15,20 @@ those columns with whole-array operations.
 The last behavior index (num_behaviors - 1) is always the target behavior;
 only its records are held out by the split, auxiliary behaviors stay in the
 training positives untouched.
+
+A dataset directory (write_dataset_dir, read_dataset_dir) holds meta.txt,
+index_map.txt, behavior_<k>.txt, validation.txt and test.txt.  Every line
+of every file ends in a newline, the last one included.  behavior_<k>.txt,
+validation.txt and test.txt are ASCII: decimal tokens, optionally
+negative, separated by spaces, with one line per user.  They are written
+and read as whole arrays: the writer formats every index through one table
+of decimal strings, and the reader classifies each block's bytes through
+one 256-entry table and converts all of its tokens in one call.
 """
 
 import os
 from dataclasses import dataclass
-from itertools import chain, count, filterfalse, repeat
+from itertools import compress, count, filterfalse, repeat
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -30,9 +39,11 @@ DEFAULT_BEHAVIORS = ("view", "cart", "buy")
 
 MIN_SPLIT_POSITIVES = 3  # target records to split: test, validation, one to train
 
-# Characters of text parsed per block (the size hint of readlines), for the
-# raw log and for dataset files alike.
+# Characters of text parsed per block: the size hint of readlines for the
+# raw log, and the bytes read at a time from dataset files.
 BLOCK_CHARS = 1 << 16
+
+_EMPTY = np.empty(0, dtype=np.int64)
 
 
 class Interactions(NamedTuple):
@@ -96,8 +107,7 @@ def parse_interactions(path, behavior_labels=DEFAULT_BEHAVIORS, separator=None):
     labels = {label: k for k, label in enumerate(behavior_labels)}
     user_index = {}
     item_index = {}
-    empty = np.empty(0, dtype=np.int64)
-    blocks = [(empty,) * 4]
+    blocks = [(_EMPTY,) * 4]
     for lines_before, lines in _line_blocks(path):
         blocks.append(_parse_block(lines, lines_before, path, labels, behavior_labels,
                                    separator, user_index, item_index))
@@ -292,32 +302,31 @@ def leave_one_out_split(dataset, on_short="error"):
     if on_short not in ("error", "drop"):
         raise ValueError("on_short must be 'error' or 'drop'")
 
-    short = {u for u in range(dataset.num_users)
-             if len(dataset.target_order[u]) < MIN_SPLIT_POSITIVES}
-    if short and on_short == "error":
-        worst = min(short)
+    counts = np.fromiter(map(len, dataset.target_order), dtype=np.int64,
+                         count=dataset.num_users)
+    short = np.flatnonzero(counts < MIN_SPLIT_POSITIVES)
+    if short.size and on_short == "error":
+        worst = short[0]
         raise DataError(
             "user %d has %d target positives; at least %d are required to split"
-            % (worst, len(dataset.target_order[worst]), MIN_SPLIT_POSITIVES)
+            % (worst, counts[worst], MIN_SPLIT_POSITIVES)
         )
-    keep = np.array([u for u in range(dataset.num_users) if u not in short],
-                    dtype=np.int64)
+    keep = np.flatnonzero(counts >= MIN_SPLIT_POSITIVES)
+    ends = np.cumsum(counts)[keep]
+    order = np.concatenate([_EMPTY] + list(dataset.target_order))
+    test, validation = order[ends - 1], order[ends - 2]
 
     target = dataset.num_behaviors - 1
-    positives = []
-    for k in range(dataset.num_behaviors):
-        positives.append([dataset.positives[k][u].copy() for u in keep])
-    validation = np.empty(len(keep), dtype=np.int64)
-    test = np.empty(len(keep), dtype=np.int64)
-    for new_u, u in enumerate(keep):
-        order = dataset.target_order[u]
-        test[new_u] = order[-1]
-        validation[new_u] = order[-2]
-        held = {int(order[-1]), int(order[-2])}
-        kept_items = positives[target][new_u]
-        positives[target][new_u] = np.array(
-            [v for v in kept_items if int(v) not in held], dtype=np.int64
-        )
+    kept_users = keep.tolist()
+    positives = [[dataset.positives[k][u].copy() for u in kept_users] for k in range(target)]
+    # The held-out items leave the target positives through one mask over
+    # the kept users' rows laid end to end.
+    rows = [dataset.positives[target][u] for u in kept_users]
+    items = np.concatenate([_EMPTY] + rows)
+    row = np.repeat(np.arange(len(rows)), np.fromiter(map(len, rows), dtype=np.int64,
+                                                      count=len(rows)))
+    trained = (items != test[row]) & (items != validation[row])
+    positives.append(_split_by_key(row[trained], items[trained], len(rows)))
     train = BehaviorDataset(len(keep), dataset.num_items, dataset.num_behaviors,
                             positives, None)
     return SplitDataset(train, validation, test, keep, dropped_users=len(short))
@@ -350,6 +359,9 @@ def write_dataset_dir(out_dir, split, user_ids, item_ids, behavior_labels):
             % (len(user_ids), len(item_ids), train.num_users, train.num_items)
         )
     os.makedirs(out_dir, exist_ok=True)
+    # Every index is written through one table of decimal strings.
+    names = list(map(str, range(max(train.num_users, train.num_items))))
+    name = names.__getitem__
     with open(os.path.join(out_dir, "meta.txt"), "w", encoding="utf-8") as fh:
         fh.write("num_users %d\n" % train.num_users)
         fh.write("num_items %d\n" % train.num_items)
@@ -357,41 +369,126 @@ def write_dataset_dir(out_dir, split, user_ids, item_ids, behavior_labels):
         fh.write("behaviors %s\n" % ",".join(behavior_labels))
         fh.write("dropped_users %d\n" % split.dropped_users)
     with open(os.path.join(out_dir, "index_map.txt"), "w", encoding="utf-8") as fh:
-        for dense, raw in enumerate(user_ids):
-            fh.write("u\t%s\t%d\n" % (raw, dense))
-        for dense, raw in enumerate(item_ids):
-            fh.write("i\t%s\t%d\n" % (raw, dense))
+        fh.writelines(map("u\t{}\t{}\n".format, user_ids, names))
+        fh.writelines(map("i\t{}\t{}\n".format, item_ids, names))
     for k in range(train.num_behaviors):
         path = os.path.join(out_dir, "behavior_%d.txt" % k)
         with open(path, "w", encoding="utf-8") as fh:
-            for u in range(train.num_users):
-                items = " ".join(str(int(v)) for v in train.positives[k][u])
-                fh.write("%d %s\n" % (u, items) if items else "%d\n" % u)
-    for name, held in (("validation.txt", split.validation), ("test.txt", split.test)):
-        with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
-            for u in range(train.num_users):
-                fh.write("%d %d\n" % (u, int(held[u])))
+            for u, items in enumerate(train.positives[k]):
+                fh.write(" ".join([names[u], *map(name, items.tolist())]) + "\n")
+    for file_name, held in (("validation.txt", split.validation), ("test.txt", split.test)):
+        with open(os.path.join(out_dir, file_name), "w", encoding="utf-8") as fh:
+            fh.writelines(map("{} {}\n".format, names, map(name, held.tolist())))
+
+
+def _byte_blocks(path):
+    """A dataset file in blocks of about BLOCK_CHARS bytes, each ending in a newline.
+
+    Yields (lines_before, block).  A file whose last byte is not a newline
+    raises DataError naming its last line.
+    """
+    lines_before = 0
+    pending = []
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(BLOCK_CHARS), b""):
+            cut = chunk.rfind(b"\n") + 1
+            if not cut:
+                pending.append(chunk)
+                continue
+            block = b"".join(pending + [chunk[:cut]])
+            pending = [chunk[cut:]]
+            yield lines_before, block
+            lines_before += block.count(b"\n")
+    if any(pending):
+        raise DataError("%s:%d: the file ends inside this line (no final newline)"
+                        % (path, lines_before + 1))
+
+
+def _text_blocks(path):
+    """The lines of a UTF-8 dataset file in blocks: (lines_before, lines without newlines)."""
+    for lines_before, block in _byte_blocks(path):
+        try:
+            text = block.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataError("%s: not UTF-8 text (byte 0x%02x)"
+                            % (_where(path, lines_before, block, exc.start),
+                               block[exc.start])) from None
+        yield lines_before, text.split("\n")[:-1]
+
+
+# Dataset files of integers are ASCII: tokens of printable characters,
+# separated by spaces, in lines ended by newlines.  Each byte's class comes
+# from one table; a well-formed token holds only digits and a leading '-'.
+_BAD, _SPACE, _NEWLINE, _DIGIT, _MINUS, _OTHER = range(6)
+_BYTE_CLASS = bytes(
+    _SPACE if b == 0x20 else _NEWLINE if b == 0x0a else _DIGIT if 0x30 <= b <= 0x39
+    else _MINUS if b == 0x2d else _OTHER if 0x20 < b < 0x7f else _BAD
+    for b in range(256)
+)
+# Tokens of at most this many bytes always fit int64 (18 digits, or '-' and 17).
+_SAFE_TOKEN_BYTES = 18
 
 
 def _int_blocks(path):
-    """A file of whitespace-separated integers, one row per line, in blocks.
+    """A dataset file of space-separated integers, one row per line, in blocks.
 
     Yields (first_line, values, starts, lengths): row r of a block is line
-    first_line + r and holds values[starts[r]:starts[r] + lengths[r]].
+    first_line + r and holds values[starts[r]:starts[r] + lengths[r]].  An
+    error names the first bad token or byte in file order.
     """
-    for lines_before, lines in _line_blocks(path):
-        rows = [line.split() for line in lines]
-        try:
-            values = np.array(list(chain.from_iterable(rows)), dtype=np.int64)
-        except (ValueError, OverflowError):
-            for r, row in enumerate(rows):
-                for token in row:
-                    error = _int64_error(token, "integer")
-                    if error:
-                        raise DataError("%s:%d: %s" % (path, lines_before + 1 + r, error)) \
-                            from None
-        lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    for lines_before, block in _byte_blocks(path):
+        # kind[i + 1] is the class of block[i]; the block is read as if after
+        # a newline, so a token at its first byte has an edge like the rest.
+        kind = np.frombuffer((b"\n" + block).translate(_BYTE_CLASS), dtype=np.uint8)
+        token = kind >= _DIGIT
+        first = np.flatnonzero(token[1:] > token[:-1])  # byte offset of each token
+        bad = len(block)
+        if kind.min() == _BAD or kind.max() > _DIGIT:
+            bad = _first_bad_byte(kind)
+        # fromstring saturates at the int64 limits, so longer tokens are checked first.
+        long = first[np.diff(first, append=len(block)) > _SAFE_TOKEN_BYTES + 1]
+        for at in long[long < bad].tolist():
+            error = _int64_error(_token_text(block, token, at), "integer")
+            if error:
+                raise DataError("%s: %s" % (_where(path, lines_before, block, at), error))
+        if bad < len(block):
+            if kind[bad + 1] == _BAD:
+                raise DataError("%s: byte 0x%02x is not allowed; dataset files hold integers "
+                                "separated by spaces, one row per line"
+                                % (_where(path, lines_before, block, bad), block[bad]))
+            at = first[np.searchsorted(first, bad, side="right") - 1]
+            raise DataError("%s: bad integer %r" % (_where(path, lines_before, block, bad),
+                                                    _token_text(block, token, at)))
+        newlines = np.flatnonzero(kind[1:] == _NEWLINE)
+        lengths = np.diff(np.searchsorted(first, newlines), prepend=0)
+        values = np.fromstring(block, dtype=np.int64, sep=" ") if first.size else _EMPTY
         yield lines_before + 1, values, np.cumsum(lengths) - lengths, lengths
+
+
+def _first_bad_byte(kind):
+    """Offset of the first byte outside the token grammar, or the block length.
+
+    kind is as in _int_blocks.  A bad byte is one outside printable ASCII,
+    space and newline, a printable byte other than a digit, or a '-' that
+    does not begin a token and precede a digit.
+    """
+    token = kind >= _DIGIT
+    start = token[1:] > token[:-1]
+    body = kind[1:]
+    digit_next = np.append(body[1:] == _DIGIT, False)
+    hits = np.flatnonzero((body == _BAD) | (body == _OTHER)
+                          | ((body == _MINUS) & ~(start & digit_next)))
+    return int(hits[0]) if hits.size else len(body)
+
+
+def _token_text(block, token, at):
+    """The token that starts at byte at; token[i + 1] marks a token byte block[i]."""
+    return block[at:at + int(np.argmin(token[at + 1:]))].decode("ascii")
+
+
+def _where(path, lines_before, block, at):
+    """'path:line' of byte at of a block."""
+    return "%s:%d" % (path, lines_before + 1 + block.count(b"\n", 0, at))
 
 
 def _check(path, first_line, bad, message, values=None, starts=None):
@@ -422,12 +519,12 @@ def _check_users(path, first_line, users, num_users, seen):
 
 def _read_positives(path, num_users, num_items):
     """Per-user item arrays from a behavior_<k>.txt file, validated."""
-    per_user = [np.empty(0, dtype=np.int64)] * num_users
     seen = np.zeros(num_users, dtype=bool)
-    for first_line, values, starts, lengths in _int_blocks(path):
-        _check(path, first_line, lengths == 0, "empty line, expected a user index")
-        users = values[starts]
-        _check_users(path, first_line, users, num_users, seen)
+    users, items, lengths = [_EMPTY], [_EMPTY], [_EMPTY]
+    for first_line, values, starts, counts in _int_blocks(path):
+        _check(path, first_line, counts == 0, "empty line, expected a user index")
+        users.append(values[starts])
+        _check_users(path, first_line, users[-1], num_users, seen)
         is_item = np.ones(len(values), dtype=bool)
         is_item[starts] = False
         _check(path, first_line, is_item & ((values < 0) | (values >= num_items)),
@@ -435,10 +532,18 @@ def _read_positives(path, num_users, num_items):
         _check(path, first_line, np.concatenate(([False], is_item[1:] & is_item[:-1]
                                                  & (values[1:] <= values[:-1]))),
                "items not strictly increasing at item %d", values, starts)
-        for u, start, stop in zip(users.tolist(), (starts + 1).tolist(),
-                                  (starts + lengths).tolist()):
-            per_user[u] = values[start:stop]
-    return per_user
+        items.append(values[is_item])
+        lengths.append(counts - 1)
+    missing = np.flatnonzero(~seen)
+    if missing.size:
+        raise DataError("%s: user %d has no line" % (path, missing[0]))
+    # Each user is on exactly one line; take the rows in user order.
+    items = np.concatenate(items)
+    lengths = np.concatenate(lengths)
+    ends = np.cumsum(lengths)
+    order = np.argsort(np.concatenate(users))
+    return [items[start:stop] for start, stop in zip((ends - lengths)[order].tolist(),
+                                                     ends[order].tolist())]
 
 
 def _read_heldout(path, num_users, num_items):
@@ -458,22 +563,83 @@ def _read_heldout(path, num_users, num_items):
     return held
 
 
+def _read_index_map(path, num_users, num_items):
+    """The raw user ids and item ids by dense index from index_map.txt, validated.
+
+    Every dense index must be listed exactly once.
+    """
+    sizes = {"u": num_users, "i": num_items}
+    found = {"u": ([], [], []), "i": ([], [], [])}  # dense indices, raw ids, line numbers
+    for lines_before, lines in _text_blocks(path):
+        fields = "\t".join(lines).split("\t")
+        kinds, raws, dense = fields[0::3], fields[1::3], fields[2::3]
+        digits = "".join(dense)
+        tabs = np.fromiter(map(str.count, lines, repeat("\t")), dtype=np.int64,
+                           count=len(lines))
+        if not ((tabs == 2).all() and set(kinds) <= set(sizes) and all(dense)
+                and digits.isascii() and digits.isdigit()
+                and max(map(len, dense), default=0) <= _SAFE_TOKEN_BYTES):
+            _index_map_error(path, lines_before, lines, sizes)
+        index = np.array(dense, dtype=np.int64)
+        is_user = np.fromiter(map("u".__eq__, kinds), dtype=bool, count=len(kinds))
+        if (index >= np.where(is_user, num_users, num_items)).any():
+            _index_map_error(path, lines_before, lines, sizes)
+        lineno = np.arange(lines_before + 1, lines_before + 1 + len(lines))
+        for kind, mine in (("u", is_user), ("i", ~is_user)):
+            found[kind][0].append(index[mine])
+            found[kind][1].extend(compress(raws, mine.tolist()))
+            found[kind][2].append(lineno[mine])
+    ids = []
+    for kind, what in (("u", "user"), ("i", "item")):
+        index, raws, lineno = found[kind]
+        index = np.concatenate([_EMPTY] + index)
+        order = np.argsort(index, kind="stable")
+        index, lineno = index[order], np.concatenate([_EMPTY] + lineno)[order]
+        # Sorted, a complete table is 0, 1, 2, ...; the first entry out of
+        # place is a repeat when below its position and follows a gap when above.
+        wrong = np.flatnonzero(index != np.arange(len(index)))
+        if wrong.size and index[wrong[0]] < wrong[0]:
+            raise DataError("%s:%d: %s index %d is already listed on an earlier line"
+                            % (path, lineno[wrong[0]], what, index[wrong[0]]))
+        if wrong.size or len(index) < sizes[kind]:
+            raise DataError("%s: %s index %d has no line"
+                            % (path, what, wrong[0] if wrong.size else len(index)))
+        ids.append(list(map(raws.__getitem__, order.tolist())))
+    return ids
+
+
+def _index_map_error(path, lines_before, lines, sizes):
+    """Raise DataError at the first malformed line of an index_map.txt block."""
+    for lineno, line in enumerate(lines, lines_before + 1):
+        fields = line.split("\t")
+        if len(fields) != 3 or fields[0] not in sizes:
+            raise DataError("%s:%d: expected 'u' or 'i', a raw id and a dense index, "
+                            "tab-separated" % (path, lineno))
+        dense = fields[2]
+        if not (dense.isascii() and dense.isdigit() and len(dense) <= _SAFE_TOKEN_BYTES
+                and int(dense) < sizes[fields[0]]):
+            raise DataError("%s:%d: dense index %r not in [0, %d)"
+                            % (path, lineno, dense, sizes[fields[0]]))
+
+
 def read_dataset_dir(dataset_dir):
     """Load a serialized split; returns (split, user_ids, item_ids, labels).
 
     A missing, non-integer or zero user or item count in meta.txt, a
-    malformed line, an index out of range or a user listed twice in any
-    file, positives that are not strictly increasing, and users without a
-    held-out item raise DataError naming the file and the key or line.
+    behavior label count that is not num_behaviors, a malformed line, an
+    index out of range, a user or index listed twice or not at all in any
+    file, positives that are not strictly increasing, and a file that does
+    not end in a newline raise DataError naming the file and the key or
+    line.
     """
     meta_path = os.path.join(dataset_dir, "meta.txt")
     if not os.path.exists(meta_path):
         raise DataError("%s: not a dataset directory (missing meta.txt)" % dataset_dir)
     meta = dict(line.strip().partition(" ")[::2]
-                for _, lines in _line_blocks(meta_path) for line in lines)
+                for _, lines in _text_blocks(meta_path) for line in lines)
 
-    def count(key, default=None):
-        text = meta.get(key, default)
+    def count(key):
+        text = meta.get(key)
         if text is None:
             raise DataError("%s: missing key %r" % (meta_path, key))
         if not (text.isascii() and text.isdigit()):
@@ -487,23 +653,16 @@ def read_dataset_dir(dataset_dir):
         raise DataError("%s: the dataset has %d users and %d items; it needs at least one "
                         "of each" % (meta_path, num_users, num_items))
     num_behaviors = count("num_behaviors")
-    dropped_users = count("dropped_users", "0")
+    dropped_users = count("dropped_users")
     labels = tuple(meta["behaviors"].split(",")) if meta.get("behaviors") else ()
+    if num_behaviors == 0 or len(labels) != num_behaviors:
+        raise DataError("%s: %d behavior labels for num_behaviors %d; each of at least one "
+                        "behavior needs a label" % (meta_path, len(labels), num_behaviors))
 
-    ids = {"u": [""] * num_users, "i": [""] * num_items}
-    index_path = os.path.join(dataset_dir, "index_map.txt")
-    for lines_before, lines in _line_blocks(index_path):
-        for lineno, line in enumerate(lines, lines_before + 1):
-            fields = line.rstrip("\n").split("\t")
-            if len(fields) != 3 or fields[0] not in ids:
-                raise DataError("%s:%d: expected 'u' or 'i', a raw id and a dense index, "
-                                "tab-separated" % (index_path, lineno))
-            table, dense = ids[fields[0]], fields[2]
-            if not (dense.isascii() and dense.isdigit()) or int(dense) >= len(table):
-                raise DataError("%s:%d: dense index %r not in [0, %d)"
-                                % (index_path, lineno, dense, len(table)))
-            table[int(dense)] = fields[1]
-
+    # Read before any array of num_users or num_items entries is made, so
+    # that a count larger than the lines listed fails here.
+    user_ids, item_ids = _read_index_map(os.path.join(dataset_dir, "index_map.txt"),
+                                         num_users, num_items)
     positives = [
         _read_positives(os.path.join(dataset_dir, "behavior_%d.txt" % k), num_users, num_items)
         for k in range(num_behaviors)
@@ -513,4 +672,4 @@ def read_dataset_dir(dataset_dir):
     train = BehaviorDataset(num_users, num_items, num_behaviors, positives, None)
     split = SplitDataset(train, validation, test, np.arange(num_users, dtype=np.int64),
                          dropped_users=dropped_users)
-    return split, ids["u"], ids["i"], labels
+    return split, user_ids, item_ids, labels

@@ -353,6 +353,24 @@ def test_failed_run_leaves_no_run_dir(dataset_dir, tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("where", ["file", "under-file"])
+@pytest.mark.parametrize("command", [["train"], ["ablate", "--variant", "H"]])
+def test_unusable_run_dir_fails_before_training(dataset_dir, tmp_path, capsys, monkeypatch,
+                                                command, where):
+    def no_training(*args, **kwargs):
+        raise AssertionError("train ran although the run dir is unusable")
+
+    monkeypatch.setattr("critcf.cli.train", no_training)
+    blocker = tmp_path / "runfile"
+    blocker.write_text("not a run dir\n")
+    out = blocker if where == "file" else blocker / "run"
+    assert main([command[0], dataset_dir, str(out)] + command[1:] + FAST) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: %s: " % out)
+    assert "Traceback" not in err
+    assert blocker.read_text() == "not a run dir\n"
+
+
 def test_prepare_rejects_non_utf8(tmp_path, capsys):
     raw = tmp_path / "raw.tsv"
     raw.write_bytes(b"u0\ti0\tbuy\t1\nu0\ti\xff1\tbuy\t2\n")

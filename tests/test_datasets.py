@@ -1,6 +1,10 @@
+import contextlib
 import importlib.util
+import io
 import os
+import re
 import tempfile
+from itertools import chain
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -15,6 +19,7 @@ from critcf.datasets import (
     BehaviorDataset,
     DEFAULT_BEHAVIORS,
     Interactions,
+    SplitDataset,
     build_dataset,
     detect_separator,
     drop_behavior,
@@ -151,6 +156,92 @@ def oracle_build_dataset(interactions, num_behaviors, min_target=5,
     ds = BehaviorDataset(len(kept_users), len(kept_items), num_behaviors,
                          positives, target_order)
     return ds, kept_users, kept_items
+
+
+# Reference oracles for the dataset-directory layers: the per-user split,
+# the per-record writer and the text-mode integer reader that the
+# whole-array leave_one_out_split, write_dataset_dir and _int_blocks
+# replaced.  Their outputs must agree exactly; the oracle reader also takes
+# tabs, carriage returns, other Unicode whitespace and int() spellings such
+# as '+5' and '1_0', which dataset files no longer allow.
+
+def oracle_leave_one_out_split(dataset, on_short="error"):
+    if dataset.target_order is None:
+        raise DataError("dataset has no target-order information; cannot split")
+    if on_short not in ("error", "drop"):
+        raise ValueError("on_short must be 'error' or 'drop'")
+
+    short = {u for u in range(dataset.num_users)
+             if len(dataset.target_order[u]) < datasets.MIN_SPLIT_POSITIVES}
+    if short and on_short == "error":
+        worst = min(short)
+        raise DataError(
+            "user %d has %d target positives; at least %d are required to split"
+            % (worst, len(dataset.target_order[worst]), datasets.MIN_SPLIT_POSITIVES)
+        )
+    keep = np.array([u for u in range(dataset.num_users) if u not in short],
+                    dtype=np.int64)
+
+    target = dataset.num_behaviors - 1
+    positives = []
+    for k in range(dataset.num_behaviors):
+        positives.append([dataset.positives[k][u].copy() for u in keep])
+    validation = np.empty(len(keep), dtype=np.int64)
+    test = np.empty(len(keep), dtype=np.int64)
+    for new_u, u in enumerate(keep):
+        order = dataset.target_order[u]
+        test[new_u] = order[-1]
+        validation[new_u] = order[-2]
+        held = {int(order[-1]), int(order[-2])}
+        kept_items = positives[target][new_u]
+        positives[target][new_u] = np.array(
+            [v for v in kept_items if int(v) not in held], dtype=np.int64
+        )
+    train = BehaviorDataset(len(keep), dataset.num_items, dataset.num_behaviors,
+                            positives, None)
+    return SplitDataset(train, validation, test, keep, dropped_users=len(short))
+
+
+def oracle_write_dataset_dir(out_dir, split, user_ids, item_ids, behavior_labels):
+    train = split.train
+    os.makedirs(out_dir, exist_ok=True)
+    with open(os.path.join(out_dir, "meta.txt"), "w", encoding="utf-8") as fh:
+        fh.write("num_users %d\n" % train.num_users)
+        fh.write("num_items %d\n" % train.num_items)
+        fh.write("num_behaviors %d\n" % train.num_behaviors)
+        fh.write("behaviors %s\n" % ",".join(behavior_labels))
+        fh.write("dropped_users %d\n" % split.dropped_users)
+    with open(os.path.join(out_dir, "index_map.txt"), "w", encoding="utf-8") as fh:
+        for dense, raw in enumerate(user_ids):
+            fh.write("u\t%s\t%d\n" % (raw, dense))
+        for dense, raw in enumerate(item_ids):
+            fh.write("i\t%s\t%d\n" % (raw, dense))
+    for k in range(train.num_behaviors):
+        path = os.path.join(out_dir, "behavior_%d.txt" % k)
+        with open(path, "w", encoding="utf-8") as fh:
+            for u in range(train.num_users):
+                items = " ".join(str(int(v)) for v in train.positives[k][u])
+                fh.write("%d %s\n" % (u, items) if items else "%d\n" % u)
+    for name, held in (("validation.txt", split.validation), ("test.txt", split.test)):
+        with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
+            for u in range(train.num_users):
+                fh.write("%d %d\n" % (u, int(held[u])))
+
+
+def oracle_int_blocks(path):
+    for lines_before, lines in datasets._line_blocks(path):
+        rows = [line.split() for line in lines]
+        try:
+            values = np.array(list(chain.from_iterable(rows)), dtype=np.int64)
+        except (ValueError, OverflowError):
+            for r, row in enumerate(rows):
+                for token in row:
+                    error = datasets._int64_error(token, "integer")
+                    if error:
+                        raise DataError("%s:%d: %s" % (path, lines_before + 1 + r, error)) \
+                            from None
+        lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+        yield lines_before + 1, values, np.cumsum(lengths) - lengths, lengths
 
 
 def columns(interactions):
@@ -380,8 +471,6 @@ def test_drop_behavior():
         [np.array([0, 1])], [np.array([1])], [np.array([0, 1, 2])],
     ]
     train = BehaviorDataset(1, 3, 3, positives)
-    from critcf.datasets import SplitDataset
-
     split = SplitDataset(train, np.array([2]), np.array([1]), np.array([0]))
     dropped = drop_behavior(split, 0)
     assert dropped.train.num_behaviors == 2
@@ -475,7 +564,7 @@ def outcome(fn, *args, **kwargs):
 
 def assert_same_split(got, expected):
     assert isinstance(got, type(expected))
-    if not isinstance(expected, datasets.SplitDataset):
+    if not isinstance(expected, SplitDataset):
         assert got == expected
         return
     assert_same_dataset(got.train, expected.train)
@@ -514,7 +603,7 @@ def test_columnar_ingestion_equals_record_oracle(log, min_target, block_chars):
         np.testing.assert_array_equal(a, b)
     for on_short in ("drop", "error"):
         assert_same_split(outcome(leave_one_out_split, got[0], on_short=on_short),
-                          outcome(leave_one_out_split, expected[0], on_short=on_short))
+                          outcome(oracle_leave_one_out_split, expected[0], on_short=on_short))
 
 
 @pytest.mark.parametrize("stamp,ok", [
@@ -601,7 +690,7 @@ def test_columnar_ingestion_equals_record_oracle_at_scale(tmp_path, monkeypatch,
         np.testing.assert_array_equal(got_users, kept_users)
         np.testing.assert_array_equal(got_items, kept_items)
         assert_same_split(leave_one_out_split(got, on_short="drop"),
-                          leave_one_out_split(ds, on_short="drop"))
+                          oracle_leave_one_out_split(ds, on_short="drop"))
         sizes.append((got.num_users, got.num_items))
     assert sizes == [(150, 84), (115, 32), (0, 0)]  # 7 cascades down to nothing
 
@@ -625,43 +714,78 @@ def test_read_dataset_dir_in_small_blocks(small_dataset, monkeypatch):
     assert_same_split(blocks, whole)
 
 
-def _edit_line(path, lineno, text):
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if text is None:
-        del lines[lineno - 1]
-    else:
-        lines[lineno - 1] = text
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+def _edit_line(lineno, text):
+    """An edit of a file's bytes: line lineno becomes text, or goes when text is None."""
+    def edit(data):
+        lines = data.split(b"\n")
+        if text is None:
+            del lines[lineno - 1]
+        else:
+            lines[lineno - 1] = text.encode("utf-8") if isinstance(text, str) else text
+        return b"\n".join(lines)
+    return edit
 
 
-@pytest.mark.parametrize("name,lineno,text,message", [
-    ("test.txt", 4, None, r"test.txt: user 3 has no held-out line"),
-    ("validation.txt", 12, None, r"validation.txt: user 11 has no held-out line"),
-    ("behavior_1.txt", 3, "2 1 10", r"behavior_1.txt:3: item 10 out of range \(10 items\)"),
-    ("behavior_0.txt", 5, "4 -1 3", r"behavior_0.txt:5: item -1 out of range"),
-    ("behavior_2.txt", 2, "12 3", r"behavior_2.txt:2: user 12 out of range \(12 users\)"),
-    ("test.txt", 6, "5 10", r"test.txt:6: item 10 out of range"),
-    ("validation.txt", 7, "-6 1", r"validation.txt:7: user -6 out of range"),
-    ("behavior_0.txt", 3, "2 1 4 4 7", r"behavior_0.txt:3: items not strictly increasing"),
-    ("behavior_1.txt", 8, "7 6 2", r"behavior_1.txt:8: items not strictly increasing"),
-    ("behavior_2.txt", 9, "", r"behavior_2.txt:9: empty line"),
-    ("test.txt", 2, "1 2 3", r"test.txt:2: expected 'user item', got 3 fields"),
-    ("behavior_1.txt", 4, "3 1 x", r"behavior_1.txt:4: bad integer 'x'"),
-    ("behavior_2.txt", 9, "2 1 3", r"behavior_2.txt:9: user 2 is already listed on an earlier"),
-    ("validation.txt", 5, "1 4", r"validation.txt:5: user 1 is already listed on an earlier"),
-    ("test.txt", 3, "1 2", r"test.txt:3: user 1 is already listed on an earlier line"),
+def _edit_file(path, edit):
+    with open(path, "rb") as fh:
+        data = fh.read()
+    with open(path, "wb") as fh:
+        fh.write(edit(data))
+
+
+@pytest.mark.parametrize("name,edit,message", [
+    ("test.txt", _edit_line(4, None), r"test.txt: user 3 has no held-out line"),
+    ("validation.txt", _edit_line(12, None), r"validation.txt: user 11 has no held-out line"),
+    ("behavior_1.txt", _edit_line(3, "2 1 10"),
+     r"behavior_1.txt:3: item 10 out of range \(10 items\)"),
+    ("behavior_0.txt", _edit_line(5, "4 -1 3"), r"behavior_0.txt:5: item -1 out of range"),
+    ("behavior_2.txt", _edit_line(2, "12 3"),
+     r"behavior_2.txt:2: user 12 out of range \(12 users\)"),
+    ("test.txt", _edit_line(6, "5 10"), r"test.txt:6: item 10 out of range"),
+    ("validation.txt", _edit_line(7, "-6 1"), r"validation.txt:7: user -6 out of range"),
+    ("behavior_0.txt", _edit_line(3, "2 1 4 4 7"),
+     r"behavior_0.txt:3: items not strictly increasing"),
+    ("behavior_1.txt", _edit_line(8, "7 6 2"), r"behavior_1.txt:8: items not strictly increasing"),
+    ("behavior_2.txt", _edit_line(9, ""), r"behavior_2.txt:9: empty line"),
+    ("test.txt", _edit_line(2, "1 2 3"), r"test.txt:2: expected 'user item', got 3 fields"),
+    ("behavior_1.txt", _edit_line(4, "3 1 x"), r"behavior_1.txt:4: bad integer 'x'"),
+    ("behavior_2.txt", _edit_line(9, "2 1 3"),
+     r"behavior_2.txt:9: user 2 is already listed on an earlier"),
+    ("validation.txt", _edit_line(5, "1 4"),
+     r"validation.txt:5: user 1 is already listed on an earlier"),
+    ("test.txt", _edit_line(3, "1 2"), r"test.txt:3: user 1 is already listed on an earlier line"),
+    ("behavior_0.txt", _edit_line(4, None), r"behavior_0.txt: user 3 has no line$"),
+    ("behavior_1.txt", lambda data: data[:-3],
+     r"behavior_1.txt:12: the file ends inside this line \(no final newline\)"),
+    ("meta.txt", lambda data: data[:-1], r"meta.txt:5: the file ends inside this line"),
+    ("behavior_2.txt", _edit_line(3, "2 9223372036854775808"),
+     r"behavior_2.txt:3: integer '9223372036854775808' outside the int64 range"),
+    ("behavior_0.txt", _edit_line(7, "6 +2"), r"behavior_0.txt:7: bad integer '\+2'"),
+    ("behavior_0.txt", _edit_line(2, "1\t0 1"), r"behavior_0.txt:2: byte 0x09 is not allowed"),
+    ("test.txt", _edit_line(5, "4 1\r"), r"test.txt:5: byte 0x0d is not allowed"),
+    ("validation.txt", _edit_line(3, b"2 \xff"), r"validation.txt:3: byte 0xff is not allowed"),
+    ("behavior_1.txt", _edit_line(6, "5 0 \u0663"), r"behavior_1.txt:6: byte 0xd9 is not allowed"),
+    ("index_map.txt", _edit_line(13, None), r"index_map.txt: item index 0 has no line"),
+    ("index_map.txt", _edit_line(3, "u\t1\t1"),
+     r"index_map.txt:3: user index 1 is already listed on an earlier line"),
+    ("index_map.txt", _edit_line(14, b"i\t\xff\t1"),
+     r"index_map.txt:14: not UTF-8 text \(byte 0xff\)"),
+    ("meta.txt", _edit_line(5, None), r"meta.txt: missing key 'dropped_users'"),
+    ("meta.txt", _edit_line(4, "behaviors view,buy"),
+     r"meta.txt: 2 behavior labels for num_behaviors 3"),
 ], ids=["no-test-line", "no-validation-line", "item-too-large", "item-negative",
         "user-too-large", "heldout-item-too-large", "heldout-user-negative", "repeated-item",
         "falling-items", "empty-line", "three-fields", "bad-integer", "repeated-user",
-        "repeated-heldout-user", "adjacent-heldout-user"])
+        "repeated-heldout-user", "adjacent-heldout-user", "no-behavior-line", "truncated",
+        "no-final-newline", "int64-overflow", "plus-sign", "tab", "carriage-return",
+        "non-utf8", "non-ascii", "no-index-line", "repeated-index", "non-utf8-index",
+        "no-dropped-users", "label-count"])
 @pytest.mark.parametrize("block_chars", [8, 1 << 16])
 def test_read_dataset_dir_rejects_corrupt_files(small_dataset, monkeypatch, block_chars,
-                                                name, lineno, text, message):
+                                                name, edit, message):
     monkeypatch.setattr(datasets, "BLOCK_CHARS", block_chars)
     read_dataset_dir(small_dataset)  # intact before the edit
-    _edit_line(os.path.join(small_dataset, name), lineno, text)
+    _edit_file(os.path.join(small_dataset, name), edit)
     with pytest.raises(DataError, match=message):
         read_dataset_dir(small_dataset)
 
@@ -701,7 +825,167 @@ def test_evaluate_rejects_missing_heldout_line(small_dataset, tmp_path, capsys):
     run = str(tmp_path / "run")
     assert main(["train", small_dataset, run, "--override", "epochs=1",
                  "--override", "d=4"]) == 0
-    _edit_line(os.path.join(small_dataset, "test.txt"), 4, None)
+    _edit_file(os.path.join(small_dataset, "test.txt"), _edit_line(4, None))
     capsys.readouterr()
     assert main(["evaluate", os.path.join(run, "checkpoint.txt"), small_dataset]) == 2
     assert "user 3 has no held-out line" in capsys.readouterr().err
+
+
+BLOCK_SIZES = st.sampled_from([1, 8, 64, 1 << 16])
+RAW_IDS = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\n\r"),
+                  max_size=4)
+
+
+@st.composite
+def random_splits(draw):
+    """(split, user_ids, item_ids, labels) with empty rows and the largest item ids."""
+    num_users = draw(st.integers(1, 12))
+    num_items = draw(st.sampled_from([1, 2, 7, 40, 1000]))
+    num_behaviors = draw(st.integers(1, 3))
+    item = st.one_of(st.integers(0, num_items - 1), st.just(num_items - 1))
+    positives = [[np.array(sorted(draw(st.sets(item, max_size=6))), dtype=np.int64)
+                  for _ in range(num_users)] for _ in range(num_behaviors)]
+    held = [np.array(draw(st.lists(item, min_size=num_users, max_size=num_users)),
+                     dtype=np.int64) for _ in range(2)]
+    train = BehaviorDataset(num_users, num_items, num_behaviors, positives)
+    split = SplitDataset(train, held[0], held[1], np.arange(num_users, dtype=np.int64),
+                         dropped_users=draw(st.integers(0, 3)))
+    user_ids = draw(st.lists(RAW_IDS, min_size=num_users, max_size=num_users))
+    item_ids = [draw(RAW_IDS) if v < 50 else str(v) for v in range(num_items)]
+    return split, user_ids, item_ids, ("view", "cart", "buy")[3 - num_behaviors:]
+
+
+def _rows(blocks):
+    """(values, lengths, line numbers) of every row of an _int_blocks stream."""
+    values, lengths, lines = [], [], []
+    for first_line, block_values, starts, block_lengths in blocks:
+        np.testing.assert_array_equal(starts, np.cumsum(block_lengths) - block_lengths)
+        values.append(block_values)
+        lengths.append(block_lengths)
+        lines.append(first_line + np.arange(len(block_lengths)))
+    return [np.concatenate([np.empty(0, dtype=np.int64)] + c) for c in (values, lengths, lines)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=random_splits(), block_chars=BLOCK_SIZES)
+def test_dataset_dir_round_trip_equals_oracles(case, block_chars):
+    split, user_ids, item_ids, labels = case
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(datasets, "BLOCK_CHARS", block_chars)
+        new, old = os.path.join(tmp, "new"), os.path.join(tmp, "old")
+        write_dataset_dir(new, split, user_ids, item_ids, labels)
+        oracle_write_dataset_dir(old, split, user_ids, item_ids, labels)
+        names = sorted(os.listdir(old))
+        assert sorted(os.listdir(new)) == names
+        for name in names:
+            with open(os.path.join(new, name), "rb") as got, \
+                    open(os.path.join(old, name), "rb") as expected:
+                assert got.read() == expected.read(), name
+        loaded, loaded_users, loaded_items, loaded_labels = read_dataset_dir(new)
+        for name in names:
+            if name not in ("meta.txt", "index_map.txt"):
+                path = os.path.join(new, name)
+                for got, expected in zip(_rows(datasets._int_blocks(path)),
+                                         _rows(oracle_int_blocks(path))):
+                    assert got.dtype == expected.dtype == np.int64
+                    np.testing.assert_array_equal(got, expected)
+        mp.setattr(datasets, "_int_blocks", oracle_int_blocks)
+        expected = read_dataset_dir(new)
+    assert_same_split(loaded, expected[0])
+    assert_same_split(loaded, split)
+    assert (loaded_users, loaded_items, loaded_labels) == (user_ids, item_ids, labels)
+    assert expected[1:] == (user_ids, item_ids, labels)
+
+
+INT64_EDGES = [0, -1, 2 ** 63 - 1, -(2 ** 63)]
+TOKENS = st.one_of(
+    st.integers(-(2 ** 63), 2 ** 63 - 1).map(str),
+    st.sampled_from(INT64_EDGES).map(str),
+    st.sampled_from(["007", "-0", str(2 ** 63), str(-(2 ** 63) - 1), "1" * 25]),
+)
+# Tokens that int() and the dataset grammar both reject.
+JUNK_TOKENS = st.sampled_from(["x", "1.5", "--1", "5-", "-", "1e3", "0x1f", "a-1"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.lists(st.one_of(TOKENS, TOKENS, TOKENS, JUNK_TOKENS), max_size=5),
+                     max_size=12),
+       spaces=st.lists(st.sampled_from([" ", " ", " ", "  "]), min_size=80, max_size=80),
+       pad=st.booleans(), block_chars=BLOCK_SIZES)
+def test_int_blocks_equal_text_oracle(rows, spaces, pad, block_chars):
+    """Values, row lengths and line numbers agree with the text-mode oracle,
+    and so do the first error's line and message."""
+    gaps = iter(spaces * 4)
+    lines = [(" " if pad else "") + "".join(tok + next(gaps) for tok in row)[:-1]
+             if row else "" for row in rows]
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(datasets, "BLOCK_CHARS", block_chars)
+        path = os.path.join(tmp, "rows.txt")
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write("".join(line + "\n" for line in lines))
+        got = outcome(lambda: _rows(datasets._int_blocks(path)))
+        expected = outcome(lambda: _rows(oracle_int_blocks(path)))
+    if expected[0] is DataError:
+        assert got == expected
+        return
+    for a, b in zip(got, expected):
+        assert a.dtype == b.dtype == np.int64
+        np.testing.assert_array_equal(a, b)
+
+
+DATASET_FILES = ["meta.txt", "index_map.txt", "behavior_0.txt", "behavior_1.txt",
+                 "behavior_2.txt", "validation.txt", "test.txt"]
+
+
+@st.composite
+def corrupted_files(draw, files):
+    """(file name, corrupted bytes, kind of corruption) for one file of a dataset dir."""
+    name = draw(st.sampled_from(DATASET_FILES))
+    data = files[name].encode("utf-8")
+    lines = data.split(b"\n")[:-1]
+    kind = draw(st.sampled_from(["delete", "duplicate", "alter", "truncate", "insert"]))
+    at = draw(st.integers(0, len(lines) - 1))
+    if kind == "delete":
+        del lines[at]
+    elif kind == "duplicate":
+        lines.insert(draw(st.integers(0, len(lines))), lines[at])
+    elif kind == "alter":
+        fields = lines[at].replace(b"\t", b" ").split(b" ")
+        fields[draw(st.integers(0, len(fields) - 1))] = draw(st.one_of(
+            st.integers(-3, 2 ** 64).map(str), st.text("0123456789 -xu\t", max_size=8)
+        )).encode("utf-8")
+        lines[at] = (b"\t" if b"\t" in lines[at] else b" ").join(fields)
+    if kind in ("truncate", "insert"):
+        cut = draw(st.integers(0, len(data) - (kind == "truncate")))
+        extra = draw(st.sampled_from(["\t", "\r", b"\xff", "é", "中"]))
+        extra = extra if isinstance(extra, bytes) else extra.encode("utf-8")
+        return name, data[:cut] + (extra + data[cut:] if kind == "insert" else b""), kind
+    return name, b"".join(line + b"\n" for line in lines), kind
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_cli_on_a_corrupted_dataset_dir_exits_0_or_2(small_dataset_lines, data):
+    name, corrupted, kind = data.draw(corrupted_files(small_dataset_lines))
+    with tempfile.TemporaryDirectory() as tmp:
+        dataset_dir = os.path.join(tmp, "ds")
+        os.mkdir(dataset_dir)
+        for file_name, text in small_dataset_lines.items():
+            with open(os.path.join(dataset_dir, file_name), "wb") as fh:
+                fh.write(corrupted if file_name == name else text.encode("utf-8"))
+        run = os.path.join(tmp, "run")
+        commands = [["train", dataset_dir, run, "--override", "epochs=1", "--override", "d=4"],
+                    ["evaluate", os.path.join(run, "checkpoint.txt"), dataset_dir]]
+        for argv in commands:
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 2), err.getvalue()
+            assert "Traceback" not in err.getvalue()
+            if code:
+                assert re.match(r"data error: %s/(%s)" % (re.escape(dataset_dir),
+                                                          "|".join(map(re.escape, DATASET_FILES))),
+                                err.getvalue()), err.getvalue()
+                break
+    if kind in ("delete", "truncate"):
+        assert code == 2

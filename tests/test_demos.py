@@ -15,11 +15,11 @@ DEMOS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..", "demos", 
 
 @pytest.mark.parametrize("script", DEMOS, ids=[os.path.basename(p) for p in DEMOS])
 def test_demo_runs(script, tmp_path):
-    # The demos leave their mkdtemp dirs behind; keep those under tmp_path.
     env = dict(os.environ, TMPDIR=str(tmp_path))
     proc = subprocess.run([sys.executable, script], env=env, capture_output=True, text=True,
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
+    assert os.listdir(tmp_path) == []  # a demo removes its temp dirs
 
 
 CLI_DEMOS = [p for p in DEMOS if os.path.basename(p).startswith(("01_", "04_"))]
