@@ -95,13 +95,14 @@ def _check_run_dir(out_dir):
                         % (out_dir, ancestor))
 
 
-def _run_training(split, dataset_dir, out_dir, cfg, file_values, variant):
-    """Train and write the run dir; the checkpoint records variant as its label."""
+def _run_training(split, args, cfg, file_values, variant):
+    """Train and write args.out_dir; the checkpoint records variant as its label."""
+    out_dir = args.out_dir
     cfg.validate(split.train.num_behaviors)
     # Checked before training, so a bad path does not cost a whole run.
     _check_run_dir(out_dir)
-    fingerprint = dataset_fingerprint(dataset_dir)
-    check_manifest_keys(file_values, fingerprint,
+    fingerprint = dataset_fingerprint(args.dataset_dir)
+    check_manifest_keys(file_values, args.config, fingerprint,
                         lambda msg: print("warning: %s" % msg, file=sys.stderr))
 
     timings = []
@@ -192,8 +193,7 @@ def cmd_synth(args):
 def cmd_train(args):
     split, _, _, _ = read_dataset_dir(args.dataset_dir)
     cfg, file_values = _load_config(args, split.train.num_behaviors)
-    result = _run_training(split, args.dataset_dir, args.out_dir, cfg, file_values,
-                           cfg.variant)
+    result = _run_training(split, args, cfg, file_values, cfg.variant)
     if result.history:
         epoch, loss, hr, ndcg = result.history[result.best_epoch - 1]
         print("best epoch %d: loss %.6g, validation hr@%d %.6f, ndcg@%d %.6f"
@@ -243,7 +243,7 @@ def cmd_ablate(args):
               % (drop_label, ",".join("%.6g" % w for w in cfg.behavior_weights)))
     else:
         cfg = apply_kv(cfg, {"variant": variant}, source="ablate")
-    result = _run_training(split, args.dataset_dir, args.out_dir, cfg, file_values, variant)
+    result = _run_training(split, args, cfg, file_values, variant)
     report = evaluate(result.model, result.bounds, split.train, split.test, cutoffs=cutoffs)
     _write_report(report, args.out_dir)
     return 0

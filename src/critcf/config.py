@@ -36,21 +36,34 @@ MANIFEST_KEYS = ("dataset_hash", "code_version")
 
 
 def parse_kv_file(path):
-    """Read key=value lines; '#' starts a comment, blank lines are skipped."""
+    """Read UTF-8 key=value lines, each key at most once.
+
+    '#' starts a comment and blank lines are skipped.  Lines end at LF, CRLF
+    or CR, as in text mode.
+    """
     values = {}
     try:
-        fh = open(path, "r", encoding="utf-8")
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise ConfigError("cannot read config file %s: %s" % (path, exc)) from None
-    with fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError("%s:%d: expected key=value, got %r" % (path, lineno, raw.strip()))
-            key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
+    for lineno, raw in enumerate(data.splitlines(), start=1):
+        try:
+            raw = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError("%s:%d: not UTF-8 text (byte 0x%02x)"
+                              % (path, lineno, raw[exc.start])) from None
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError("%s:%d: expected key=value, got %r" % (path, lineno, raw.strip()))
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key in values:
+            raise ConfigError("%s:%d: key %r is already set on an earlier line"
+                              % (path, lineno, key))
+        values[key] = value.strip()
     return values
 
 
@@ -122,13 +135,13 @@ def write_manifest(path, cfg, dataset_hash):
         fh.write("code_version=%s\n" % __version__)
 
 
-def check_manifest_keys(values, dataset_hash, warn):
-    """Validate manifest-only keys when a manifest is reused as config."""
+def check_manifest_keys(values, source, dataset_hash, warn):
+    """Validate manifest-only keys when a manifest (source) is reused as config."""
     expected = values.get("dataset_hash")
     if expected is not None and expected != dataset_hash:
         raise DataError(
-            "dataset fingerprint mismatch: config expects %s but directory hashes to %s"
-            % (expected, dataset_hash)
+            "%s: dataset_hash: dataset fingerprint mismatch: config expects %s but "
+            "directory hashes to %s" % (source, expected, dataset_hash)
         )
     version = values.get("code_version")
     if version is not None and version != __version__:

@@ -27,6 +27,7 @@ one 256-entry table and converts all of its tokens in one call.
 """
 
 import os
+import re
 from dataclasses import dataclass
 from itertools import compress, count, filterfalse, repeat
 from typing import NamedTuple, Optional
@@ -44,6 +45,8 @@ MIN_SPLIT_POSITIVES = 3  # target records to split: test, validation, one to tra
 BLOCK_CHARS = 1 << 16
 
 _EMPTY = np.empty(0, dtype=np.int64)
+
+_BEHAVIOR_FILE = re.compile(r"behavior_(0|[1-9][0-9]*)\.txt")
 
 
 class Interactions(NamedTuple):
@@ -177,6 +180,11 @@ def _parse_block(lines, lines_before, path, labels, behavior_labels, separator,
     text = "\n".join(good).replace(sep, "\n")
     fields = list(map(str.strip, text.split("\n"))) if good else []
     users, items, behaviors, stamps = (fields[j::4] for j in range(4))
+    # Only comma mode can leave a tab inside an id; index_map.txt could not hold it.
+    bad_id = end
+    if separator == "," and "\t" in text:
+        bad_id = next((r for r, ids in enumerate(zip(users, items)) if "\t" in "".join(ids)),
+                      end)
 
     user = _number(user_index, users)
     item = _number(item_index, items)
@@ -191,7 +199,7 @@ def _parse_block(lines, lines_before, path, labels, behavior_labels, separator,
         bad_stamp = next(r for r, stamp in enumerate(stamps)
                          if _int64_error(stamp, "timestamp"))
 
-    first = min(end, bad_behavior, bad_stamp)
+    first = min(end, bad_id, bad_behavior, bad_stamp)
     if first < len(rows):
         lineno = lines_before + 1 + [i for i, row in enumerate(stripped) if row][first]
         if first == end:
@@ -199,6 +207,10 @@ def _parse_block(lines, lines_before, path, labels, behavior_labels, separator,
                 detect_separator(rows[first])
             raise DataError("%s:%d: expected 3 or 4 columns, got %d"
                             % (path, lineno, widths[first]))
+        if first == bad_id:
+            raw = users[first] if "\t" in users[first] else items[first]
+            raise DataError("%s:%d: id %r holds a tab, which a dataset dir cannot store"
+                            % (path, lineno, raw))
         if first == bad_behavior:
             raise DataError("%s:%d: unknown behavior %r (allowed: %s)"
                             % (path, lineno, behaviors[first], ", ".join(behavior_labels)))
@@ -350,7 +362,9 @@ def write_dataset_dir(out_dir, split, user_ids, item_ids, behavior_labels):
     Layout: meta.txt (counts and labels), index_map.txt (raw id to dense
     index, users then items), behavior_<k>.txt (one line per user: user
     index then space-separated sorted item indices), validation.txt and
-    test.txt (user index, held-out item).
+    test.txt (user index, held-out item).  behavior_<k>.txt files of an
+    earlier write with more behaviors are removed, so a rewritten dir holds
+    the bytes of a fresh one.
     """
     train = split.train
     if len(user_ids) != train.num_users or len(item_ids) != train.num_items:
@@ -359,6 +373,10 @@ def write_dataset_dir(out_dir, split, user_ids, item_ids, behavior_labels):
             % (len(user_ids), len(item_ids), train.num_users, train.num_items)
         )
     os.makedirs(out_dir, exist_ok=True)
+    for file_name in os.listdir(out_dir):
+        stale = _BEHAVIOR_FILE.fullmatch(file_name)
+        if stale and int(stale.group(1)) >= train.num_behaviors:
+            os.remove(os.path.join(out_dir, file_name))
     # Every index is written through one table of decimal strings.
     names = list(map(str, range(max(train.num_users, train.num_items))))
     name = names.__getitem__
@@ -628,9 +646,10 @@ def read_dataset_dir(dataset_dir):
     A missing, non-integer or zero user or item count in meta.txt, a
     behavior label count that is not num_behaviors, a malformed line, an
     index out of range, a user or index listed twice or not at all in any
-    file, positives that are not strictly increasing, and a file that does
-    not end in a newline raise DataError naming the file and the key or
-    line.
+    file, positives that are not strictly increasing, a file that does not
+    end in a newline, and a held-out item that is one of its user's
+    target-behavior positives raise DataError naming the file and the key,
+    line or user.
     """
     meta_path = os.path.join(dataset_dir, "meta.txt")
     if not os.path.exists(meta_path):
@@ -669,6 +688,18 @@ def read_dataset_dir(dataset_dir):
     ]
     validation, test = (_read_heldout(os.path.join(dataset_dir, name), num_users, num_items)
                         for name in ("validation.txt", "test.txt"))
+    # Ranking leaves a user's target positives out of the candidates, so a
+    # held-out item among them could not be ranked.
+    target = positives[-1]
+    owners = np.repeat(np.arange(num_users),
+                       np.fromiter(map(len, target), dtype=np.int64, count=num_users))
+    items = np.concatenate(target)
+    for name, held in (("validation.txt", validation), ("test.txt", test)):
+        clash = np.flatnonzero(items == held[owners])
+        if clash.size:
+            u = owners[clash[0]]
+            raise DataError("%s: the held-out item %d of user %d is one of its target-behavior "
+                            "training positives" % (os.path.join(dataset_dir, name), held[u], u))
     train = BehaviorDataset(num_users, num_items, num_behaviors, positives, None)
     split = SplitDataset(train, validation, test, np.arange(num_users, dtype=np.int64),
                          dropped_users=dropped_users)

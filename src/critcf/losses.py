@@ -146,11 +146,6 @@ class BoundParams:
         """Dense (len(user_ids), num_items) upper-bound matrix for behavior k."""
         return np.outer(self.user_bound[user_ids, k], self.item_bound[:, k])
 
-    def copy(self):
-        return BoundParams(
-            self.user_bound.copy(), self.item_bound.copy(), self.bound_ratio
-        )
-
 
 @dataclass
 class LossConfig:
@@ -163,12 +158,12 @@ class LossConfig:
     def validate(self, num_behaviors):
         if len(self.behavior_weights) != num_behaviors:
             raise ConfigError(
-                "expected %d behavior weights, got %d"
+                "behavior_weights (lambdas): expected %d weights, got %d"
                 % (num_behaviors, len(self.behavior_weights))
             )
         total = float(sum(self.behavior_weights))
         if abs(total - 1.0) > 1e-9:
-            raise ConfigError("behavior weights must sum to 1, got %.12g" % total)
+            raise ConfigError("behavior_weights (lambdas) must sum to 1, got %.12g" % total)
 
 
 def _positive_index(pos_lists):

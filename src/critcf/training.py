@@ -25,6 +25,7 @@ from .losses import (
     RESIDUAL_SQUARE,
     BoundParams,
     LossConfig,
+    PENALTIES,
     POSITIVITY_FLOOR,
     criterion_total_loss,
     get_penalty,
@@ -61,7 +62,7 @@ class TrainConfig:
         if self.variant not in VARIANTS:
             raise ConfigError("variant must be one of %s" % (VARIANTS,))
         if self.dim < 1:
-            raise ConfigError("dim must be >= 1")
+            raise ConfigError("dim (d) must be >= 1")
         if self.num_layers < 0:
             raise ConfigError("num_layers must be >= 0, got %d" % self.num_layers)
         for name, values in (("lr", (self.lr,)), ("neg_weight (w)", (self.neg_weight,)),
@@ -73,15 +74,15 @@ class TrainConfig:
         if self.lr <= 0.0:
             raise ConfigError("lr must be > 0")
         if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
+            raise ConfigError("batch_size (batch) must be >= 1")
         if self.epochs < 0:
             raise ConfigError("epochs must be >= 0")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError("dropout must lie in [0, 1)")
         if self.neg_weight < 0.0:
-            raise ConfigError("neg_weight must be >= 0")
+            raise ConfigError("neg_weight (w) must be >= 0")
         if not 0.0 <= self.bound_ratio <= 1.0:
-            raise ConfigError("bound_ratio must lie in [0, 1]")
+            raise ConfigError("bound_ratio (alpha) must lie in [0, 1]")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0, got %d" % self.seed)
         if self.patience < 1:
@@ -90,6 +91,9 @@ class TrainConfig:
             raise ConfigError("eval_cutoff must be >= 1")
         if self.variant == "O" and self.model != "gmf":
             raise ConfigError("variant O uses per-behavior output layers; model must be gmf")
+        if self.penalty not in PENALTIES:
+            raise ConfigError("penalty (g) must be one of %s, got %r"
+                              % (", ".join(sorted(PENALTIES)), self.penalty))
         self.loss_config().validate(num_behaviors)
 
     def loss_config(self):
@@ -105,41 +109,29 @@ class TrainResult:
     best_epoch: int
 
 
-class AdagradState:
-    """Per-parameter accumulated squared gradients, shaped like the parameters."""
-
-    def __init__(self):
-        self.acc = {}
-
-    def ensure(self, name, shape):
-        if name not in self.acc:
-            self.acc[name] = np.zeros(shape)
-        return self.acc[name]
-
-
-def adagrad_step(params, grads, state, lr, rows=None):
+def adagrad_step(params, grads, acc, lr, rows):
     """One Adagrad update over named parameter arrays, in place.
 
     acc += grad^2; param -= lr * grad / (sqrt(acc) + eps), at the rows
-    ``rows.get(name, slice(None))`` of the parameter and of its accumulator.
-    A gradient named in rows is a row block whose rows belong to those
-    (unique) parameter rows, which is exactly the dense update with zero
-    gradient rows elsewhere; any other gradient covers every row.  Gradients
-    must be finite; a non-finite entry aborts with the parameter name.
+    ``rows.get(name, slice(None))`` of each parameter in ``params`` and of
+    its accumulator ``acc[name]``; gradients of names not in ``params`` are
+    ignored.  A gradient named in rows is a row block whose rows belong to
+    those (unique) parameter rows, which is exactly the dense update with
+    zero gradient rows elsewhere; any other gradient covers every row.
+    Gradients must be finite; a non-finite entry aborts with the name.
     """
-    rows = rows or {}
-    for name, grad in grads.items():
+    for name, param in params.items():
+        grad = grads[name]
         if not np.all(np.isfinite(grad)):
             raise NumericalError("non-finite gradient for parameter %r" % name)
-        param = params[name]
-        acc = state.ensure(name, param.shape)
         ids = rows.get(name, slice(None))
-        acc_rows = acc[ids] + grad * grad
-        acc[ids] = acc_rows
+        acc_rows = acc[name][ids] + grad * grad
+        acc[name][ids] = acc_rows
         param[ids] -= lr * grad / (np.sqrt(acc_rows) + ADAGRAD_EPS)
 
 
 def _trainable_params(model, bounds, variant):
+    """The arrays a run trains: the model's plus the unfrozen bound factors."""
     params = dict(model.param_arrays())
     if bounds is not None:
         if variant != "U":
@@ -153,8 +145,8 @@ def batch_gradients(model, bounds, user_ids, positives, loss_cfg, variant="full"
                     mask=None):
     """Loss and joint gradients for one batch of users.
 
-    Returns (loss, grads) where grads maps every trainable parameter name
-    (model parameters plus unfrozen bound factors) to its gradient.  The
+    Returns (loss, grads) where grads maps every model parameter name and,
+    given bounds, ``user_bound`` and ``item_bound`` to its gradient.  The
     ``user_bound`` gradient and those of ``model.row_block_params`` are
     (B, ...) row blocks, row i belonging to ``user_ids[i]``; the others are
     dense.  Scores are validated to be finite before the loss is taken.
@@ -195,11 +187,9 @@ def batch_gradients(model, bounds, user_ids, positives, loss_cfg, variant="full"
         scores, user_ids, positives, bounds, loss_cfg
     )
     grads = model.backward(cache, d_scores)
-    if variant != "U":
-        d_user += 0.0  # -0.0 -> +0.0, as scattering into zeros would
-        grads["user_bound"] = d_user
-    if variant != "I":
-        grads["item_bound"] = d_item
+    d_user += 0.0  # -0.0 -> +0.0, as scattering into zeros would
+    grads["user_bound"] = d_user
+    grads["item_bound"] = d_item
     return loss, grads
 
 
@@ -208,36 +198,34 @@ def batch_loss(model, bounds, user_ids, positives, loss_cfg, variant="full", mas
     return batch_gradients(model, bounds, user_ids, positives, loss_cfg, variant, mask)[0]
 
 
-def _apply_constraints(model, bounds, rows):
+def _apply_constraints(params, rows):
     """Project embedding rows and clamp bound factors after a step.
 
-    Each parameter is projected or clamped at ``rows.get(name, slice(None))``,
-    the rows adagrad_step changed; the others still satisfy the constraints,
-    and both operations leave such rows as they are.
+    Each of ``user_emb``, ``item_emb``, ``user_bound`` and ``item_bound``
+    in params is projected or clamped at ``rows.get(name, slice(None))``,
+    the rows adagrad_step changed; the others still satisfy the
+    constraints, and both operations leave such rows as they are.
     """
-    params = model.param_arrays()
-    for name in model.embedding_param_names():
+    for name, arr in params.items():
         ids = rows.get(name, slice(None))
-        params[name][ids] = project_rows(params[name][ids])
-    if bounds is not None:
-        for name in ("user_bound", "item_bound"):
-            factors = getattr(bounds, name)
-            ids = rows.get(name, slice(None))
-            factors[ids] = np.maximum(factors[ids], POSITIVITY_FLOOR)
+        if name in ("user_emb", "item_emb"):
+            arr[ids] = project_rows(arr[ids])
+        elif name in ("user_bound", "item_bound"):
+            arr[ids] = np.maximum(arr[ids], POSITIVITY_FLOOR)
 
 
-def train_epoch(train, model, bounds, state, cfg, rng, step_callback=None,
+def train_epoch(train, model, bounds, params, acc, cfg, rng, step_callback=None,
                 step_offset=0):
     """One pass over all users in seeded-shuffle order; returns summed loss.
 
     Users are shuffled without replacement and cut into ceil(U / B) batches;
-    each batch takes one joint Adagrad step followed by the projection and
-    positivity clamps.  The user-side row blocks touch only the batch rows.
+    each batch takes one joint Adagrad step over ``params`` (accumulators
+    ``acc``) followed by the projection and positivity clamps.  The
+    user-side row blocks touch only the batch rows.
     """
     loss_cfg = cfg.loss_config()
     num_users = train.num_users
     perm = rng.permutation(num_users)
-    params = _trainable_params(model, bounds, cfg.variant)
     total = 0.0
     steps = step_offset
     use_dropout = model.kind == "gmf" and cfg.dropout > 0.0
@@ -252,27 +240,14 @@ def train_epoch(train, model, bounds, state, cfg, rng, step_callback=None,
                                       loss_cfg, cfg.variant, mask)
         total += loss
         rows = dict.fromkeys(row_blocks, batch)
-        adagrad_step(params, grads, state, cfg.lr, rows)
-        _apply_constraints(model, bounds, rows)
+        adagrad_step(params, grads, acc, cfg.lr, rows)
+        _apply_constraints(params, rows)
         steps += 1
         if step_callback is not None:
             step_callback(steps, model, bounds)
     if not np.isfinite(total):
         raise NumericalError("non-finite epoch loss")
     return total, steps
-
-
-def _snapshot(model, bounds):
-    arrays = {name: arr.copy() for name, arr in model.param_arrays().items()}
-    bound_copy = None if bounds is None else bounds.copy()
-    return arrays, bound_copy
-
-
-def _restore(model, snapshot):
-    arrays, bounds = snapshot
-    for name, arr in model.param_arrays().items():
-        arr[...] = arrays[name]
-    return bounds
 
 
 def train(split, cfg, step_callback=None, epoch_callback=None):
@@ -307,16 +282,17 @@ def train(split, cfg, step_callback=None, epoch_callback=None):
         elif cfg.variant == "I":
             bounds.item_bound[...] = 1.0
 
-    state = AdagradState()
+    params = _trainable_params(model, bounds, cfg.variant)
+    acc = {name: np.zeros_like(arr) for name, arr in params.items()}
+    best = {name: arr.copy() for name, arr in params.items()}
     history = []
     best_key = None
     best_epoch = 0
-    best_snapshot = _snapshot(model, bounds)
     since_best = 0
     steps = 0
     cutoff = cfg.eval_cutoff
     for epoch in range(1, cfg.epochs + 1):
-        loss, steps = train_epoch(train_ds, model, bounds, state, cfg, rng,
+        loss, steps = train_epoch(train_ds, model, bounds, params, acc, cfg, rng,
                                   step_callback, steps)
         report = evaluate(model, bounds, train_ds, split.validation, cutoffs=(cutoff,))
         hr, ndcg = report.hr[cutoff], report.ndcg[cutoff]
@@ -327,11 +303,12 @@ def train(split, cfg, step_callback=None, epoch_callback=None):
         if best_key is None or key > best_key:
             best_key = key
             best_epoch = epoch
-            best_snapshot = _snapshot(model, bounds)
+            best = {name: arr.copy() for name, arr in params.items()}
             since_best = 0
         else:
             since_best += 1
             if since_best >= cfg.patience:
                 break
-    bounds = _restore(model, best_snapshot)
+    for name, arr in params.items():
+        arr[...] = best[name]
     return TrainResult(model, bounds, history, best_epoch)

@@ -5,7 +5,7 @@ import shutil
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from critcf.cli import main
@@ -87,7 +87,8 @@ def test_manifest_against_other_dataset_fails(run_dir, tmp_path, capsys):
                  "--config", run_dir + "/manifest.txt"])
     captured = capsys.readouterr()
     assert code == 2
-    assert "fingerprint mismatch" in captured.err
+    assert captured.err.startswith("data error: %s/manifest.txt: dataset_hash: dataset "
+                                   "fingerprint mismatch: " % run_dir)
 
 
 def test_usage_and_config_errors(dataset_dir, tmp_path, capsys):
@@ -114,6 +115,13 @@ def test_usage_and_config_errors(dataset_dir, tmp_path, capsys):
     ("num_layers=-1", "num_layers"),
     # 24 x 2^40 float64 embeddings are 192 TiB: the allocation fails outright
     ("d=1099511627776", "d=1099511627776"),
+    ("batch=0", "batch_size (batch) must be >= 1"),
+    ("d=0", "dim (d) must be >= 1"),
+    ("w=-1", "neg_weight (w) must be >= 0"),
+    ("alpha=2", "bound_ratio (alpha) must lie in [0, 1]"),
+    ("g=nope", "penalty (g) must be one of expm1, linear, square, got 'nope'"),
+    ("lambdas=1,1,1", "behavior_weights (lambdas) must sum to 1, got 3"),
+    ("lambdas=0.5,0.5", "behavior_weights (lambdas): expected 3 weights, got 2"),
 ])
 def test_train_rejects_bad_values(dataset_dir, tmp_path, capsys, override, key):
     out = str(tmp_path / "run")
@@ -565,3 +573,144 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("critcf ")
+
+
+def test_prepare_comma_rejects_an_id_holding_a_tab(tmp_path, capsys):
+    # six users with six buys each; only the first user's id holds a tab
+    raw = tmp_path / "raw.csv"
+    raw.write_text("".join("%s,i%d,buy,%d\n" % ("u\t0" if u == 0 else "u%d" % u, v, 6 * u + v)
+                           for u in range(6) for v in range(6)))
+    out = tmp_path / "out"
+    assert main(["prepare", str(raw), str(out), "--separator", "comma"]) == 2
+    assert capsys.readouterr().err == (
+        "data error: %s:1: id 'u\\t0' holds a tab, which a dataset dir cannot store\n" % raw)
+    assert not out.exists()
+
+
+def _config_file(tmp_path, data):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(data)
+    return str(path)
+
+
+def test_config_file_must_be_utf8(dataset_dir, tmp_path, capsys):
+    cfg = _config_file(tmp_path, b"epochs=1\n# caf\xc3\xa9\nlr=0.\xff5\n")
+    assert main(["train", dataset_dir, str(tmp_path / "run"), "--config", cfg]) == 1
+    assert capsys.readouterr().err == "config error: %s:3: not UTF-8 text (byte 0xff)\n" % cfg
+
+
+def test_config_file_sets_each_key_once(dataset_dir, tmp_path, capsys):
+    cfg = _config_file(tmp_path, b"epochs=1\n# then two\n\nepochs = 2\n")
+    run = tmp_path / "run"
+    assert main(["train", dataset_dir, str(run), "--config", cfg]) == 1
+    assert capsys.readouterr().err == (
+        "config error: %s:4: key 'epochs' is already set on an earlier line\n" % cfg)
+    # repeated --override flags keep the last value
+    assert FAST[:2] == ["--override", "epochs=2"]
+    assert main(["train", dataset_dir, str(run), "--override", "epochs=1",
+                 "--override", "epochs=2"] + FAST[2:]) == 0
+    assert len((run / "history.txt").read_text().splitlines()) == 2
+
+
+def test_rewritten_dataset_dir_drops_stale_behavior_files(tmp_path, capsys):
+    synth = ["--users", "24", "--items", "18", "--latent-dim", "3", "--seed", "3"]
+    two = ["--densities", "0.4,0.25", "--behaviors", "view,buy"]
+    reused, fresh = str(tmp_path / "reused"), str(tmp_path / "fresh")
+    assert main(["synth", reused, "--densities", "0.4,0.3,0.25"] + synth) == 0
+    assert main(["synth", reused] + two + synth) == 0
+    assert sorted(os.listdir(reused)) == ["behavior_0.txt", "behavior_1.txt", "index_map.txt",
+                                          "meta.txt", "test.txt", "validation.txt"]
+    run, rerun = str(tmp_path / "run"), str(tmp_path / "rerun")
+    assert main(["train", reused, run] + FAST) == 0
+    assert main(["synth", fresh] + two + synth) == 0
+    assert main(["train", fresh, rerun, "--config", run + "/manifest.txt"]) == 0
+    for name in ("checkpoint.txt", "history.txt", "manifest.txt"):
+        with open(os.path.join(run, name), "rb") as a, open(os.path.join(rerun, name), "rb") as b:
+            assert a.read() == b.read(), name
+
+
+# Config fuzzing: values that every key rejects or that cost nothing, plus
+# per-key values.  d, epochs, patience and num_layers draw only small values
+# or values validation rejects; seed, eval_cutoff and batch also draw huge ones.
+JUNK_VALUES = ["", "nan", "inf", "-inf", "abc", "-1", "-0.5", "2.5", "1e400", "1,2", " 1 "]
+HUGE = str(10 ** 30)
+KEY_VALUES = {
+    "model": ["mf", "gmf", "lightgcn", "MF"],
+    "d": ["1", "4", "0"],
+    "lr": ["0.05", "1.0", "0", "1e300"],
+    "batch": ["1", "7", "16", HUGE, "0"],
+    "epochs": ["0", "1", "2"],
+    "dropout": ["0", "0.3", "1", "0.999"],
+    "w": ["0", "0.1", "1e300"],
+    "alpha": ["0", "0.5", "1", "2"],
+    "lambdas": ["0.2,0.3,0.5", "1,1,1", "0.5,0.5", "1,0,0", "nan,0.5,0.5", "0.5,,0.5"],
+    "g": ["linear", "square", "expm1", "nope"],
+    "seed": ["0", "7", HUGE],
+    "patience": ["1", "2", "0"],
+    "num_layers": ["0", "1", "2"],
+    "variant": ["full", "O", "H", "U", "I", "X"],
+    "eval_cutoff": ["1", "5", HUGE, "0"],
+    "code_version": ["0.1.0", "9.9"],
+    "nope": ["1"],  # unknown keys
+    "": ["1"],
+}
+
+
+def _now_and_then(draw, one_in):
+    return draw(st.sampled_from([False] * (one_in - 1) + [True]))
+
+
+@st.composite
+def config_files(draw):
+    """(file bytes, keys its lines set): distinct keys, mostly with usable
+    values, now and then a line without '=', a repeated key or a byte that
+    is not UTF-8; comments and blank lines anywhere."""
+    keys = draw(st.lists(st.sampled_from(list(KEY_VALUES) + ["dataset_hash"]),
+                         unique=True, max_size=6))
+    keys += [key for key in ("epochs", "d") if key not in keys]
+    lines = []
+    for key in keys:
+        values = KEY_VALUES.get(key, ["0123abcd"])
+        if _now_and_then(draw, 4):
+            values = JUNK_VALUES
+        lines.append("%s%s=%s" % (key, draw(st.sampled_from(["", " "])),
+                                  draw(st.sampled_from(values)))
+                     + draw(st.sampled_from(["", "", " # note"])))
+    if _now_and_then(draw, 5):
+        lines.append(draw(st.sampled_from(lines)))
+    if _now_and_then(draw, 8):
+        lines.append("no equals here")
+    lines += draw(st.lists(st.sampled_from(["# a comment", "", "  "]), max_size=2))
+    lines = draw(st.permutations(lines))
+    data = "\n".join(lines).encode("utf-8") + draw(st.sampled_from([b"", b"\n", b"\r\n"]))
+    if _now_and_then(draw, 8):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\x80"])) + data[at:]
+    return data, keys
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example(config=(b"model=gmf\nlr=1e300\nepochs=2\nd=4\n", ["model", "lr", "epochs", "d"]))
+@example(config=(b"epochs=1\nd=4\ndataset_hash=0123abcd\n", ["epochs", "d", "dataset_hash"]))
+@example(config=(b"epochs=1\nd=4\nseed=%d\nbatch=%d\neval_cutoff=%d\n" % ((10 ** 30,) * 3),
+                 ["epochs", "d", "seed", "batch", "eval_cutoff"]))
+@given(config=config_files())
+def test_train_on_a_random_config_file_exits_cleanly(dataset_dir, tmp_path, capsys, config):
+    """exit 0, 1, 2 or 3 and never a traceback; a config or data error names
+    the config file, a line of it or a key, and exit 3 is a numerical error."""
+    data, keys = config
+    cfg = _config_file(tmp_path, data)
+    run = tmp_path / "run"
+    shutil.rmtree(run, ignore_errors=True)
+    capsys.readouterr()
+    code = main(["train", dataset_dir, str(run), "--config", cfg])
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
+    if code in (1, 2):
+        assert err.startswith(("config error: ", "data error: "))
+        assert cfg in err or any(re.search(r"(?<!\w)%s(?!\w)" % re.escape(key), err)
+                                 for key in keys if key), err
+    if code == 3:
+        assert err.startswith("numerical error: ")

@@ -61,6 +61,10 @@ def oracle_parse_interactions(path, behavior_labels=DEFAULT_BEHAVIORS, separator
                     "%s:%d: expected 3 or 4 columns, got %d" % (path, lineno, len(parts))
                 )
             user_raw, item_raw, behavior_raw = parts[0], parts[1], parts[2]
+            for raw_id in (user_raw, item_raw):
+                if "\t" in raw_id:
+                    raise DataError("%s:%d: id %r holds a tab, which a dataset dir cannot "
+                                    "store" % (path, lineno, raw_id))
             if behavior_raw not in labels:
                 raise DataError(
                     "%s:%d: unknown behavior %r (allowed: %s)"
@@ -577,6 +581,7 @@ def assert_same_split(got, expected):
 
 @settings(max_examples=300, deadline=None)
 @example(log=("u1\t,i1,buy,3\nu2,i1,buy,4\n", ","), min_target=0, block_chars=1 << 20)
+@example(log=("u1,i1,buy,3\nu2,i\t1,view\n", ","), min_target=0, block_chars=1 << 20)
 @given(log=raw_logs(),
        min_target=st.integers(0, 4),
        block_chars=st.sampled_from([1, 16, 64, 1 << 20]))
@@ -707,6 +712,17 @@ def small_dataset(tmp_path, capsys):
     return out
 
 
+def test_rewrite_removes_only_stale_behavior_files(small_dataset):
+    split, user_ids, item_ids, labels = read_dataset_dir(small_dataset)
+    kept = ["notes.txt", "behavior_02.txt", "behavior_x.txt", "behavior_1.txt.bak"]
+    for name in kept:
+        open(os.path.join(small_dataset, name), "w").close()
+    write_dataset_dir(small_dataset, drop_behavior(split, 0), user_ids, item_ids, labels[1:])
+    assert sorted(os.listdir(small_dataset)) == sorted(
+        kept + ["behavior_0.txt", "behavior_1.txt", "index_map.txt", "meta.txt", "test.txt",
+                "validation.txt"])
+
+
 def test_read_dataset_dir_in_small_blocks(small_dataset, monkeypatch):
     whole, _, _, _ = read_dataset_dir(small_dataset)
     monkeypatch.setattr(datasets, "BLOCK_CHARS", 8)
@@ -773,13 +789,16 @@ def _edit_file(path, edit):
     ("meta.txt", _edit_line(5, None), r"meta.txt: missing key 'dropped_users'"),
     ("meta.txt", _edit_line(4, "behaviors view,buy"),
      r"meta.txt: 2 behavior labels for num_behaviors 3"),
+    ("validation.txt", _edit_line(1, "0 2"),
+     r"validation.txt: the held-out item 2 of user 0 is one of its target-behavior training "
+     r"positives$"),
 ], ids=["no-test-line", "no-validation-line", "item-too-large", "item-negative",
         "user-too-large", "heldout-item-too-large", "heldout-user-negative", "repeated-item",
         "falling-items", "empty-line", "three-fields", "bad-integer", "repeated-user",
         "repeated-heldout-user", "adjacent-heldout-user", "no-behavior-line", "truncated",
         "no-final-newline", "int64-overflow", "plus-sign", "tab", "carriage-return",
         "non-utf8", "non-ascii", "no-index-line", "repeated-index", "non-utf8-index",
-        "no-dropped-users", "label-count"])
+        "no-dropped-users", "label-count", "heldout-is-positive"])
 @pytest.mark.parametrize("block_chars", [8, 1 << 16])
 def test_read_dataset_dir_rejects_corrupt_files(small_dataset, monkeypatch, block_chars,
                                                 name, edit, message):
@@ -847,6 +866,9 @@ def random_splits(draw):
                   for _ in range(num_users)] for _ in range(num_behaviors)]
     held = [np.array(draw(st.lists(item, min_size=num_users, max_size=num_users)),
                      dtype=np.int64) for _ in range(2)]
+    # A held-out item is never among its user's target positives.
+    positives[-1] = [np.setdiff1d(row, [held[0][u], held[1][u]])
+                     for u, row in enumerate(positives[-1])]
     train = BehaviorDataset(num_users, num_items, num_behaviors, positives)
     split = SplitDataset(train, held[0], held[1], np.arange(num_users, dtype=np.int64),
                          dropped_users=draw(st.integers(0, 3)))

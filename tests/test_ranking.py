@@ -264,7 +264,7 @@ def test_per_user_bound_scaling_invariance():
     heldout = np.array([int(set(range(num_items)).difference(p).pop()) for p in
                         (set(int(x) for x in pos[u]) for u in range(num_users))])
     base = evaluate(model, bounds, train, heldout, cutoffs=(num_items,))
-    scaled = bounds.copy()
+    scaled = BoundParams(bounds.user_bound.copy(), bounds.item_bound.copy(), 0.5)
     scaled.user_bound[4, 1] *= 3.0  # target column of one user
     after = evaluate(model, scaled, train, heldout, cutoffs=(num_items,))
     assert base.per_user_rank[4] == after.per_user_rank[4]

@@ -12,7 +12,6 @@ from critcf.models import MfModel, project_rows
 from critcf.synthetic import SynthConfig, generate
 from critcf.training import (
     ADAGRAD_EPS,
-    AdagradState,
     TrainConfig,
     _trainable_params,
     adagrad_step,
@@ -27,14 +26,13 @@ from critcf.training import (
 # replaced.  Every gradient is scattered onto its parameter's full shape, and
 # Adagrad, projection and clamp run over every row.
 
-def oracle_adagrad_step(params, grads, state, lr):
+def oracle_adagrad_step(params, grads, acc, lr):
     """Dense Adagrad: acc += grad^2; param -= lr * grad / (sqrt(acc) + eps)."""
     for name, grad in grads.items():
         if not np.all(np.isfinite(grad)):
             raise NumericalError("non-finite gradient for parameter %r" % name)
-        acc = state.ensure(name, grad.shape)
-        acc += grad * grad
-        params[name] -= lr * grad / (np.sqrt(acc) + ADAGRAD_EPS)
+        acc[name] += grad * grad
+        params[name] -= lr * grad / (np.sqrt(acc[name]) + ADAGRAD_EPS)
 
 
 def oracle_apply_constraints(model, bounds):
@@ -47,22 +45,21 @@ def oracle_apply_constraints(model, bounds):
 
 
 def oracle_dense_gradients(params, grads, user_ids, row_blocks):
-    """Scatter each row block into zeros of its parameter's shape."""
-    dense = dict(grads)
+    """The gradients of params, each row block scattered into zeros of its shape."""
+    dense = {name: grads[name] for name in params}
     for name in row_blocks:
-        if name in grads:
+        if name in params:
             dense[name] = np.zeros_like(params[name])
             np.add.at(dense[name], user_ids, grads[name])
     return dense
 
 
-def oracle_train_epoch(train, model, bounds, state, cfg, rng, step_callback=None,
+def oracle_train_epoch(train, model, bounds, params, acc, cfg, rng, step_callback=None,
                        step_offset=0):
     """train_epoch with dense gradients and the dense Adagrad and constraints."""
     loss_cfg = cfg.loss_config()
     num_users = train.num_users
     perm = rng.permutation(num_users)
-    params = _trainable_params(model, bounds, cfg.variant)
     row_blocks = model.row_block_params + ("user_bound",)
     total = 0.0
     steps = step_offset
@@ -77,7 +74,7 @@ def oracle_train_epoch(train, model, bounds, state, cfg, rng, step_callback=None
                                       loss_cfg, cfg.variant, mask)
         total += loss
         oracle_adagrad_step(params, oracle_dense_gradients(params, grads, batch, row_blocks),
-                            state, cfg.lr)
+                            acc, cfg.lr)
         oracle_apply_constraints(model, bounds)
         steps += 1
         if step_callback is not None:
@@ -102,17 +99,23 @@ def toy_config(**kw):
     return TrainConfig(**base)
 
 
+def fresh_state(model, bounds):
+    """The trained arrays of a variant-full run and zero Adagrad accumulators over them."""
+    params = _trainable_params(model, bounds, "full")
+    return params, {name: np.zeros_like(arr) for name, arr in params.items()}
+
+
 def test_adagrad_first_step_is_signed_lr():
     params = {"w": np.array([1.0, 1.0, 1.0])}
     grads = {"w": np.array([4.0, -0.25, 0.0])}
-    state = AdagradState()
-    adagrad_step(params, grads, state, lr=0.1)
+    acc = {"w": np.zeros(3)}
+    adagrad_step(params, grads, acc, 0.1, {})
     # first step: lr * g / (|g| + eps) = lr * sign(g)
     np.testing.assert_allclose(params["w"], [0.9, 1.1, 1.0], rtol=1e-7)
     # second step with the same gradient: magnitude lr / sqrt(2)
     first = 1.0 - 0.1 * 4.0 / (np.sqrt(16.0) + ADAGRAD_EPS)
     assert params["w"][0] == first
-    adagrad_step(params, {"w": grads["w"].copy()}, state, lr=0.1)
+    adagrad_step(params, {"w": grads["w"].copy()}, acc, 0.1, {})
     expected = first - 0.1 * 4.0 / (np.sqrt(32.0) + ADAGRAD_EPS)
     assert params["w"][0] == pytest.approx(expected, rel=1e-12)
     assert params["w"][0] == pytest.approx(0.9 - 0.1 / np.sqrt(2.0), rel=1e-8)
@@ -120,15 +123,24 @@ def test_adagrad_first_step_is_signed_lr():
 
 def test_adagrad_zero_gradient_is_noop():
     params = {"w": np.array([2.0])}
-    state = AdagradState()
-    adagrad_step(params, {"w": np.array([0.0])}, state, lr=0.5)
+    adagrad_step(params, {"w": np.array([0.0])}, {"w": np.zeros(1)}, 0.5, {})
     assert params["w"][0] == 2.0
 
 
+def test_adagrad_steps_only_params():
+    # a gradient without a parameter, like a frozen bound factor's, is ignored
+    params = {"w": np.array([1.0, 1.0])}
+    acc = {"w": np.zeros(2)}
+    adagrad_step(params, {"w": np.array([2.0]), "frozen": np.array([np.nan])}, acc, 0.5,
+                 {"w": np.array([1])})
+    np.testing.assert_array_equal(acc["w"], [0.0, 4.0])
+    assert params["w"].tolist() == [1.0, 1.0 - 0.5 * 2.0 / (2.0 + ADAGRAD_EPS)]
+
+
 def test_adagrad_rejects_nonfinite():
-    state = AdagradState()
     with pytest.raises(NumericalError, match="'w'"):
-        adagrad_step({"w": np.ones(2)}, {"w": np.array([1.0, np.nan])}, state, 0.1)
+        adagrad_step({"w": np.ones(2)}, {"w": np.array([1.0, np.nan])}, {"w": np.zeros(2)},
+                     0.1, {})
 
 
 def test_train_epoch_lr_zero_is_noop():
@@ -140,7 +152,7 @@ def test_train_epoch_lr_zero_is_noop():
     before = {n: a.copy() for n, a in model.param_arrays().items()}
     ub, ib = bounds.user_bound.copy(), bounds.item_bound.copy()
     cfg.lr = 0.0
-    train_epoch(split.train, model, bounds, AdagradState(), cfg,
+    train_epoch(split.train, model, bounds, *fresh_state(model, bounds), cfg,
                 np.random.default_rng(0))
     for name, arr in model.param_arrays().items():
         np.testing.assert_array_equal(arr, before[name])
@@ -186,10 +198,10 @@ def test_loss_descends_on_convex_single_pair():
     model = MfModel(np.full((1, 2), 0.1), np.full((2, 2), 0.1))
     bounds = BoundParams(np.ones((1, 1)), np.ones((2, 1)), 0.5)
     cfg = toy_config(behavior_weights=(1.0,), batch_size=1, lr=0.2)
-    state = AdagradState()
+    params, acc = fresh_state(model, bounds)
     losses = []
     for _ in range(4):
-        loss, _ = train_epoch(train_ds, model, bounds, state, cfg,
+        loss, _ = train_epoch(train_ds, model, bounds, params, acc, cfg,
                               np.random.default_rng(0))
         losses.append(loss)
     assert losses == sorted(losses, reverse=True)
@@ -322,9 +334,9 @@ def test_sparse_step_equals_dense_oracle(sparse_step_dataset, tmp_path, monkeypa
             (bounds.user_bound == POSITIVITY_FLOOR).any()
             or (bounds.item_bound == POSITIVITY_FLOOR).any()))
 
-    def recording_oracle(train_ds, model, bounds, state, cfg, rng, step_callback,
+    def recording_oracle(train_ds, model, bounds, params, acc, cfg, rng, step_callback,
                          step_offset):
-        return oracle_train_epoch(train_ds, model, bounds, state, cfg, rng, record,
+        return oracle_train_epoch(train_ds, model, bounds, params, acc, cfg, rng, record,
                                   step_offset)
 
     assert main(["train", sparse_step_dataset, sparse] + argv) == 0
