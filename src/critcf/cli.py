@@ -67,20 +67,24 @@ def _split_cutoffs(text):
 
 
 def _load_config(args, num_behaviors):
+    """The run config, and (source, values) of the config file and the overrides."""
     cfg = TrainConfig()
     if num_behaviors != len(cfg.behavior_weights):
         cfg = apply_kv(cfg, {"lambdas": ",".join(["%.17g" % (1.0 / num_behaviors)] * num_behaviors)},
                        source="defaults")
-    file_values = {}
+    given = []
     if args.config:
-        file_values = parse_kv_file(args.config)
-        cfg = apply_kv(cfg, file_values, source=args.config)
+        values = parse_kv_file(args.config)
+        cfg = apply_kv(cfg, values, source=args.config)
+        given.append((args.config, values))
+    overrides = {}
     for item in args.override or []:
         if "=" not in item:
             raise ConfigError("--override expects key=value, got %r" % item)
         key, _, value = item.partition("=")
+        overrides[key.strip()] = value.strip()
         cfg = apply_kv(cfg, {key.strip(): value.strip()}, source="--override")
-    return cfg, file_values
+    return cfg, given + [("--override", overrides)]
 
 
 def _check_run_dir(out_dir):
@@ -95,15 +99,16 @@ def _check_run_dir(out_dir):
                         % (out_dir, ancestor))
 
 
-def _run_training(split, args, cfg, file_values, variant):
+def _run_training(split, args, cfg, given, variant):
     """Train and write args.out_dir; the checkpoint records variant as its label."""
     out_dir = args.out_dir
     cfg.validate(split.train.num_behaviors)
     # Checked before training, so a bad path does not cost a whole run.
     _check_run_dir(out_dir)
     fingerprint = dataset_fingerprint(args.dataset_dir)
-    check_manifest_keys(file_values, args.config, fingerprint,
-                        lambda msg: print("warning: %s" % msg, file=sys.stderr))
+    for source, values in given:
+        check_manifest_keys(values, source, fingerprint,
+                            lambda msg: print("warning: %s" % msg, file=sys.stderr))
 
     timings = []
     last_mark = time.monotonic()
@@ -192,8 +197,8 @@ def cmd_synth(args):
 
 def cmd_train(args):
     split, _, _, _ = read_dataset_dir(args.dataset_dir)
-    cfg, file_values = _load_config(args, split.train.num_behaviors)
-    result = _run_training(split, args, cfg, file_values, cfg.variant)
+    cfg, given = _load_config(args, split.train.num_behaviors)
+    result = _run_training(split, args, cfg, given, cfg.variant)
     if result.history:
         epoch, loss, hr, ndcg = result.history[result.best_epoch - 1]
         print("best epoch %d: loss %.6g, validation hr@%d %.6f, ndcg@%d %.6f"
@@ -229,7 +234,7 @@ def _ablate_split(split, labels, variant):
 def cmd_ablate(args):
     cutoffs = _split_cutoffs(args.cutoffs)
     split, _, _, labels = read_dataset_dir(args.dataset_dir)
-    cfg, file_values = _load_config(args, split.train.num_behaviors)
+    cfg, given = _load_config(args, split.train.num_behaviors)
     variant = args.variant
     if variant in ("V", "C"):
         split, dropped, drop_label = _ablate_split(split, labels, variant)
@@ -243,7 +248,7 @@ def cmd_ablate(args):
               % (drop_label, ",".join("%.6g" % w for w in cfg.behavior_weights)))
     else:
         cfg = apply_kv(cfg, {"variant": variant}, source="ablate")
-    result = _run_training(split, args, cfg, file_values, variant)
+    result = _run_training(split, args, cfg, given, variant)
     report = evaluate(result.model, result.bounds, split.train, split.test, cutoffs=cutoffs)
     _write_report(report, args.out_dir)
     return 0

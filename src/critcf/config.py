@@ -136,7 +136,7 @@ def write_manifest(path, cfg, dataset_hash):
 
 
 def check_manifest_keys(values, source, dataset_hash, warn):
-    """Validate manifest-only keys when a manifest (source) is reused as config."""
+    """Validate the manifest-only keys of a config file or of the overrides (source)."""
     expected = values.get("dataset_hash")
     if expected is not None and expected != dataset_hash:
         raise DataError(
@@ -145,4 +145,5 @@ def check_manifest_keys(values, source, dataset_hash, warn):
         )
     version = values.get("code_version")
     if version is not None and version != __version__:
-        warn("config was written by code version %s, running %s" % (version, __version__))
+        warn("%s: code_version: config was written by code version %s, running %s"
+             % (source, version, __version__))

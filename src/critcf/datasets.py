@@ -20,16 +20,17 @@ A dataset directory (write_dataset_dir, read_dataset_dir) holds meta.txt,
 index_map.txt, behavior_<k>.txt, validation.txt and test.txt.  Every line
 of every file ends in a newline, the last one included.  behavior_<k>.txt,
 validation.txt and test.txt are ASCII: decimal tokens, optionally
-negative, separated by spaces, with one line per user.  They are written
+negative, separated by spaces; line n holds user n - 1.  They are written
 and read as whole arrays: the writer formats every index through one table
 of decimal strings, and the reader classifies each block's bytes through
 one 256-entry table and converts all of its tokens in one call.
+index_map.txt lists the users, then the items, in dense order.
 """
 
 import os
 import re
 from dataclasses import dataclass
-from itertools import compress, count, filterfalse, repeat
+from itertools import count, filterfalse, repeat
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -229,10 +230,22 @@ def _number(index, keys):
     return np.fromiter(map(index.__getitem__, keys), dtype=np.int64, count=len(keys))
 
 
-def _split_by_key(keys, values, num_keys):
-    """One array per key 0..num_keys-1 from values grouped by ascending key."""
-    ends = np.cumsum(np.bincount(keys, minlength=num_keys)).tolist()
-    return [values[start:stop] for start, stop in zip([0] + ends[:-1], ends)]
+def rows_by_user(users, items, num_users):
+    """One array per user 0..num_users-1 from items grouped by ascending user."""
+    ends = np.cumsum(np.bincount(users, minlength=num_users)).tolist()
+    return [items[start:stop] for start, stop in zip([0] + ends[:-1], ends)]
+
+
+def positive_pairs(per_user, users):
+    """(rows, items) of the positives of the rows ``users`` of a per-user list.
+
+    items[j] is a positive of user users[rows[j]]; rows and items are int64.
+    """
+    sets = list(map(per_user.__getitem__, users))
+    sizes = np.fromiter(map(len, sets), dtype=np.int64, count=len(sets))
+    # An empty Python list converts as float64; "unsafe" casts it like the rest.
+    items = np.concatenate([_EMPTY] + sets, dtype=np.int64, casting="unsafe")
+    return np.repeat(np.arange(len(sets), dtype=np.int64), sizes), items
 
 
 def build_dataset(interactions, num_behaviors, min_target=5,
@@ -291,13 +304,13 @@ def build_dataset(interactions, num_behaviors, min_target=5,
     # user's items under each behavior.
     rows, items = np.divmod(np.sort((behavior * num_kept + user) * len(kept_items) + item),
                             len(kept_items))
-    groups = _split_by_key(rows, items, num_behaviors * num_kept)
+    groups = rows_by_user(rows, items, num_behaviors * num_kept)
     positives = [groups[k * num_kept:(k + 1) * num_kept] for k in range(num_behaviors)]
     # Chronological order; lexsort is stable, so file order breaks timestamp
     # ties (and stands in entirely when timestamps are absent).
     is_target = behavior == target
     order = np.lexsort((timestamp[is_target], user[is_target]))
-    target_order = _split_by_key(user[is_target][order], item[is_target][order], num_kept)
+    target_order = rows_by_user(user[is_target][order], item[is_target][order], num_kept)
     ds = BehaviorDataset(num_kept, len(kept_items), num_behaviors, positives, target_order)
     return ds, kept_users, kept_items
 
@@ -333,12 +346,9 @@ def leave_one_out_split(dataset, on_short="error"):
     positives = [[dataset.positives[k][u].copy() for u in kept_users] for k in range(target)]
     # The held-out items leave the target positives through one mask over
     # the kept users' rows laid end to end.
-    rows = [dataset.positives[target][u] for u in kept_users]
-    items = np.concatenate([_EMPTY] + rows)
-    row = np.repeat(np.arange(len(rows)), np.fromiter(map(len, rows), dtype=np.int64,
-                                                      count=len(rows)))
+    row, items = positive_pairs(dataset.positives[target], kept_users)
     trained = (items != test[row]) & (items != validation[row])
-    positives.append(_split_by_key(row[trained], items[trained], len(rows)))
+    positives.append(rows_by_user(row[trained], items[trained], len(keep)))
     train = BehaviorDataset(len(keep), dataset.num_items, dataset.num_behaviors,
                             positives, None)
     return SplitDataset(train, validation, test, keep, dropped_users=len(short))
@@ -524,25 +534,27 @@ def _check(path, first_line, bad, message, values=None, starts=None):
                                        message if values is None else message % values[i]))
 
 
-def _check_users(path, first_line, users, num_users, seen):
-    """Every user index in range and on one line only; marks them in seen."""
-    _check(path, first_line, (users < 0) | (users >= num_users),
-           "user %%d out of range (%d users)" % num_users, users)
-    order = np.argsort(users, kind="stable")
-    repeat = seen[users]
-    repeat[order[1:]] |= users[order[1:]] == users[order[:-1]]
-    _check(path, first_line, repeat, "user %d is already listed on an earlier line", users)
-    seen[users] = True
+def _check_users(path, first_line, users):
+    """Line n of a per-user file holds user n - 1."""
+    wrong = np.flatnonzero(users != np.arange(first_line - 1, first_line - 1 + len(users)))
+    if wrong.size:
+        lineno = first_line + int(wrong[0])
+        raise DataError("%s:%d: expected user %d, got %d"
+                        % (path, lineno, lineno - 1, users[wrong[0]]))
+
+
+def _check_line_count(path, lines, num_users):
+    """A per-user file has one line per user."""
+    if lines != num_users:
+        raise DataError("%s: %d lines for %d users" % (path, lines, num_users))
 
 
 def _read_positives(path, num_users, num_items):
     """Per-user item arrays from a behavior_<k>.txt file, validated."""
-    seen = np.zeros(num_users, dtype=bool)
-    users, items, lengths = [_EMPTY], [_EMPTY], [_EMPTY]
+    items, lengths = [_EMPTY], [_EMPTY]
     for first_line, values, starts, counts in _int_blocks(path):
         _check(path, first_line, counts == 0, "empty line, expected a user index")
-        users.append(values[starts])
-        _check_users(path, first_line, users[-1], num_users, seen)
+        _check_users(path, first_line, values[starts])
         is_item = np.ones(len(values), dtype=bool)
         is_item[starts] = False
         _check(path, first_line, is_item & ((values < 0) | (values >= num_items)),
@@ -552,104 +564,72 @@ def _read_positives(path, num_users, num_items):
                "items not strictly increasing at item %d", values, starts)
         items.append(values[is_item])
         lengths.append(counts - 1)
-    missing = np.flatnonzero(~seen)
-    if missing.size:
-        raise DataError("%s: user %d has no line" % (path, missing[0]))
-    # Each user is on exactly one line; take the rows in user order.
-    items = np.concatenate(items)
     lengths = np.concatenate(lengths)
-    ends = np.cumsum(lengths)
-    order = np.argsort(np.concatenate(users))
-    return [items[start:stop] for start, stop in zip((ends - lengths)[order].tolist(),
-                                                     ends[order].tolist())]
+    _check_line_count(path, len(lengths), num_users)
+    # Line n holds user n - 1, so the rows are cut in file order.
+    items = np.concatenate(items)
+    ends = np.cumsum(lengths).tolist()
+    return [items[start:stop] for start, stop in zip([0] + ends[:-1], ends)]
 
 
 def _read_heldout(path, num_users, num_items):
     """The held-out item of every user from validation.txt or test.txt, validated."""
-    held = np.full(num_users, -1, dtype=np.int64)
-    seen = np.zeros(num_users, dtype=bool)
+    held = [_EMPTY]
     for first_line, values, _, lengths in _int_blocks(path):
         _check(path, first_line, lengths != 2, "expected 'user item', got %d fields", lengths)
-        users, items = values[0::2], values[1::2]
-        _check_users(path, first_line, users, num_users, seen)
+        _check_users(path, first_line, values[0::2])
+        items = values[1::2]
         _check(path, first_line, (items < 0) | (items >= num_items),
                "item %%d out of range (%d items)" % num_items, items)
-        held[users] = items
-    missing = np.flatnonzero(~seen)
-    if missing.size:
-        raise DataError("%s: user %d has no held-out line" % (path, missing[0]))
+        held.append(items)
+    held = np.concatenate(held)
+    _check_line_count(path, len(held), num_users)
     return held
 
 
 def _read_index_map(path, num_users, num_items):
     """The raw user ids and item ids by dense index from index_map.txt, validated.
 
-    Every dense index must be listed exactly once.
+    Line n holds user n - 1 while n <= num_users, and item n - 1 - num_users
+    after that.
     """
-    sizes = {"u": num_users, "i": num_items}
-    found = {"u": ([], [], []), "i": ([], [], [])}  # dense indices, raw ids, line numbers
+    num_lines = num_users + num_items
+    raws = []
+    lines_read = 0
     for lines_before, lines in _text_blocks(path):
+        lines_read = lines_before + len(lines)
+        # Lines past the last item are left to the line count.
+        lines = lines[:max(num_lines - lines_before, 0)]
+        position = np.arange(lines_before, lines_before + len(lines))
+        is_user = position < num_users
+        kinds = np.where(is_user, "u", "i").tolist()
+        dense = list(map(str, np.where(is_user, position, position - num_users).tolist()))
         fields = "\t".join(lines).split("\t")
-        kinds, raws, dense = fields[0::3], fields[1::3], fields[2::3]
-        digits = "".join(dense)
         tabs = np.fromiter(map(str.count, lines, repeat("\t")), dtype=np.int64,
                            count=len(lines))
-        if not ((tabs == 2).all() and set(kinds) <= set(sizes) and all(dense)
-                and digits.isascii() and digits.isdigit()
-                and max(map(len, dense), default=0) <= _SAFE_TOKEN_BYTES):
-            _index_map_error(path, lines_before, lines, sizes)
-        index = np.array(dense, dtype=np.int64)
-        is_user = np.fromiter(map("u".__eq__, kinds), dtype=bool, count=len(kinds))
-        if (index >= np.where(is_user, num_users, num_items)).any():
-            _index_map_error(path, lines_before, lines, sizes)
-        lineno = np.arange(lines_before + 1, lines_before + 1 + len(lines))
-        for kind, mine in (("u", is_user), ("i", ~is_user)):
-            found[kind][0].append(index[mine])
-            found[kind][1].extend(compress(raws, mine.tolist()))
-            found[kind][2].append(lineno[mine])
-    ids = []
-    for kind, what in (("u", "user"), ("i", "item")):
-        index, raws, lineno = found[kind]
-        index = np.concatenate([_EMPTY] + index)
-        order = np.argsort(index, kind="stable")
-        index, lineno = index[order], np.concatenate([_EMPTY] + lineno)[order]
-        # Sorted, a complete table is 0, 1, 2, ...; the first entry out of
-        # place is a repeat when below its position and follows a gap when above.
-        wrong = np.flatnonzero(index != np.arange(len(index)))
-        if wrong.size and index[wrong[0]] < wrong[0]:
-            raise DataError("%s:%d: %s index %d is already listed on an earlier line"
-                            % (path, lineno[wrong[0]], what, index[wrong[0]]))
-        if wrong.size or len(index) < sizes[kind]:
-            raise DataError("%s: %s index %d has no line"
-                            % (path, what, wrong[0] if wrong.size else len(index)))
-        ids.append(list(map(raws.__getitem__, order.tolist())))
-    return ids
-
-
-def _index_map_error(path, lines_before, lines, sizes):
-    """Raise DataError at the first malformed line of an index_map.txt block."""
-    for lineno, line in enumerate(lines, lines_before + 1):
-        fields = line.split("\t")
-        if len(fields) != 3 or fields[0] not in sizes:
-            raise DataError("%s:%d: expected 'u' or 'i', a raw id and a dense index, "
-                            "tab-separated" % (path, lineno))
-        dense = fields[2]
-        if not (dense.isascii() and dense.isdigit() and len(dense) <= _SAFE_TOKEN_BYTES
-                and int(dense) < sizes[fields[0]]):
-            raise DataError("%s:%d: dense index %r not in [0, %d)"
-                            % (path, lineno, dense, sizes[fields[0]]))
+        if not ((tabs == 2).all() and fields[0::3] == kinds and fields[2::3] == dense):
+            for lineno, line, kind, index in zip(count(lines_before + 1), lines, kinds, dense):
+                if line.count("\t") != 2 or line.split("\t")[::2] != [kind, index]:
+                    raise DataError("%s:%d: expected '%s', a raw id and dense index %s, "
+                                    "tab-separated" % (path, lineno, kind, index))
+        raws.extend(fields[1::3])
+    if lines_read != num_lines:
+        raise DataError("%s: %d lines for %d users and %d items"
+                        % (path, lines_read, num_users, num_items))
+    return raws[:num_users], raws[num_users:]
 
 
 def read_dataset_dir(dataset_dir):
     """Load a serialized split; returns (split, user_ids, item_ids, labels).
 
-    A missing, non-integer or zero user or item count in meta.txt, a
-    behavior label count that is not num_behaviors, a malformed line, an
-    index out of range, a user or index listed twice or not at all in any
-    file, positives that are not strictly increasing, a file that does not
-    end in a newline, and a held-out item that is one of its user's
-    target-behavior positives raise DataError naming the file and the key,
-    line or user.
+    The files are read in the order write_dataset_dir writes them.  A
+    missing, non-integer or zero user or item count in meta.txt, a behavior
+    label count that is not num_behaviors, a malformed line, an item out of
+    range, a line that does not hold the user or dense index of its
+    position, a file with too many or too few lines, positives that are not
+    strictly increasing, a file that does not end in a newline, and a
+    held-out item that is one of its user's target-behavior positives raise
+    DataError naming the file and the key or line.
     """
     meta_path = os.path.join(dataset_dir, "meta.txt")
     if not os.path.exists(meta_path):
@@ -690,10 +670,7 @@ def read_dataset_dir(dataset_dir):
                         for name in ("validation.txt", "test.txt"))
     # Ranking leaves a user's target positives out of the candidates, so a
     # held-out item among them could not be ranked.
-    target = positives[-1]
-    owners = np.repeat(np.arange(num_users),
-                       np.fromiter(map(len, target), dtype=np.int64, count=num_users))
-    items = np.concatenate(target)
+    owners, items = positive_pairs(positives[-1], range(num_users))
     for name, held in (("validation.txt", validation), ("test.txt", test)):
         clash = np.flatnonzero(items == held[owners])
         if clash.size:

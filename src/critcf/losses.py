@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .datasets import positive_pairs
 from .errors import ConfigError
 
 # Overflow guard for the exponential penalty; exp(700) is near the float64
@@ -161,21 +162,12 @@ class LossConfig:
                 "behavior_weights (lambdas): expected %d weights, got %d"
                 % (num_behaviors, len(self.behavior_weights))
             )
+        if min(self.behavior_weights) < 0:
+            raise ConfigError("behavior_weights (lambdas) must be >= 0, got %s"
+                              % ",".join("%.12g" % w for w in self.behavior_weights))
         total = float(sum(self.behavior_weights))
         if abs(total - 1.0) > 1e-9:
             raise ConfigError("behavior_weights (lambdas) must sum to 1, got %.12g" % total)
-
-
-def _positive_index(pos_lists):
-    """Row/column index arrays for all observed entries of a batch."""
-    sizes = np.fromiter(map(len, pos_lists), dtype=np.int64, count=len(pos_lists))
-    if not sizes.any():
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    rows = np.repeat(np.arange(len(pos_lists), dtype=np.int64), sizes)
-    # An empty Python list converts as float64; "unsafe" casts it like the rest.
-    cols = np.concatenate(pos_lists, dtype=np.int64, casting="unsafe")
-    return rows, cols
 
 
 def _criterion_kernel(scores, rows, cols, upper_pos, work, neg_weight, penalty):
@@ -232,7 +224,7 @@ def hinge_criterion_loss(scores, pos_lists, upper, lower, neg_weight, penalty):
         (loss, d_scores, d_upper, d_lower); gradient arrays match (B, V).
     """
     scores = np.asarray(scores, dtype=float)
-    rows, cols = _positive_index(pos_lists)
+    rows, cols = positive_pairs(pos_lists, range(len(pos_lists)))
     work = (np.array(lower, dtype=float), np.empty_like(scores))
     loss, pos_grad = _criterion_kernel(scores, rows, cols, np.asarray(upper)[rows, cols],
                                        work, neg_weight, penalty)
@@ -275,7 +267,7 @@ def criterion_total_loss(scores, user_ids, positives, bounds, cfg):
         lam = cfg.behavior_weights[k]
         if lam == 0.0:
             continue
-        rows, cols = _positive_index([positives[k][u] for u in user_ids])
+        rows, cols = positive_pairs(positives[k], user_ids)
         ub = bounds.user_bound[user_ids, k]
         ib = bounds.item_bound[:, k]
         upper = np.multiply.outer(ub, ib, out=work[0])

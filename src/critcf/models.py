@@ -26,7 +26,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .atomic import atomic_write
-from .errors import ConfigError, DataError
+from .datasets import positive_pairs
+from .errors import ConfigError, DataError, NumericalError
 
 MODEL_KINDS = ("mf", "gmf", "lightgcn")
 
@@ -41,10 +42,15 @@ def project_rows(arr):
     Rows with norm <= 1 are left untouched.  A single division can leave the
     recomputed norm one ulp above 1, so the scaling repeats until every row
     either measures <= 1 or stops changing; both outcomes are fixed points,
-    which makes the projection exactly idempotent.
+    which makes the projection exactly idempotent.  A row whose norm is not
+    finite raises NumericalError, because dividing by that norm would zero
+    the row; the squares of finite entries can overflow it.
     """
     for _ in range(8):
-        norms = np.linalg.norm(arr, axis=1)
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(arr, axis=1)
+        if not np.isfinite(norms).all():
+            raise NumericalError("non-finite row norm")
         over = norms > 1.0
         if not over.any():
             break
@@ -219,15 +225,13 @@ def build_adjacency(train):
     without one gets a unit self-loop.  Returns the (N, N) csr matrix with
     entries 1/sqrt(deg_u * deg_v), N = num_users + num_items.
     """
-    from .losses import _positive_index
-
     num_users = train.num_users
     n = num_users + train.num_items
     # Each edge (u, U + v) is encoded as u * N + U + v, so sorting the codes
     # orders the edges row-major and repeated edges become neighbours.
     codes = [np.empty(0, dtype=np.int64)]
     for per_user in train.positives:
-        users, items = _positive_index(per_user)
+        users, items = positive_pairs(per_user, range(num_users))
         codes.append(users * n + num_users + items)
     codes = np.sort(np.concatenate(codes))
     first = np.ones(len(codes), dtype=bool)

@@ -12,8 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .datasets import positive_pairs
 from .errors import DataError, NumericalError
-from .losses import POSITIVITY_FLOOR, _positive_index
+from .losses import POSITIVITY_FLOOR
 from .models import LightGcnModel, MfModel
 
 DEFAULT_CUTOFFS = (10, 50, 100, 200)
@@ -118,7 +119,7 @@ def evaluate(model, bounds, train, heldout, cutoffs=DEFAULT_CUTOFFS, batch_users
         batch = np.arange(start, min(start + batch_users, num_users))
         scores = predict_scores(model, bounds, batch)
         items = heldout[batch]
-        rows, cols = _positive_index(train.positives[target][start:start + len(batch)])
+        rows, cols = positive_pairs(train.positives[target], batch)
         clash = np.flatnonzero(cols == items[rows])
         if clash.size:
             u = batch[rows[clash[0]]]

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datasets import MIN_SPLIT_POSITIVES, BehaviorDataset
+from .datasets import MIN_SPLIT_POSITIVES, BehaviorDataset, rows_by_user
 from .errors import DataError
 
 
@@ -150,10 +150,8 @@ def generate(cfg):
         del adjusted
 
     target = cfg.num_behaviors - 1
-    positives = [
-        [np.flatnonzero(masks[k][u]).astype(np.int64) for u in range(cfg.num_users)]
-        for k in range(cfg.num_behaviors)
-    ]
+    positives = [rows_by_user(*np.divmod(np.flatnonzero(mask), cfg.num_items), cfg.num_users)
+                 for mask in masks]
     target_order = [rng.permutation(positives[target][u]).astype(np.int64)
                     for u in range(cfg.num_users)]
     dataset = BehaviorDataset(cfg.num_users, cfg.num_items, cfg.num_behaviors,

@@ -209,7 +209,11 @@ def _apply_constraints(params, rows):
     for name, arr in params.items():
         ids = rows.get(name, slice(None))
         if name in ("user_emb", "item_emb"):
-            arr[ids] = project_rows(arr[ids])
+            try:
+                arr[ids] = project_rows(arr[ids])
+            except NumericalError as exc:
+                raise NumericalError("%s for parameter %r; use a smaller lr"
+                                     % (exc, name)) from None
         elif name in ("user_bound", "item_bound"):
             arr[ids] = np.maximum(arr[ids], POSITIVITY_FLOOR)
 

@@ -122,12 +122,42 @@ def test_usage_and_config_errors(dataset_dir, tmp_path, capsys):
     ("g=nope", "penalty (g) must be one of expm1, linear, square, got 'nope'"),
     ("lambdas=1,1,1", "behavior_weights (lambdas) must sum to 1, got 3"),
     ("lambdas=0.5,0.5", "behavior_weights (lambdas): expected 3 weights, got 2"),
+    ("lambdas=2,-1,0", "behavior_weights (lambdas) must be >= 0, got 2,-1,0"),
 ])
 def test_train_rejects_bad_values(dataset_dir, tmp_path, capsys, override, key):
     out = str(tmp_path / "run")
     assert main(["train", dataset_dir, out] + FAST + ["--override", override]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and key in err
+
+
+def test_train_checks_manifest_keys_given_as_overrides(run_dir, dataset_dir, tmp_path, capsys):
+    out = str(tmp_path / "run")
+    assert main(["train", dataset_dir, out] + FAST
+                + ["--override", "dataset_hash=nothex"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "data error: --override: dataset_hash: dataset fingerprint mismatch: config expects "
+        "nothex but directory hashes to ")
+    assert not os.path.exists(out)
+    manifest = parse_kv_file(run_dir + "/manifest.txt")
+    assert main(["train", dataset_dir, out] + FAST
+                + ["--override", "dataset_hash=" + manifest["dataset_hash"],
+                   "--override", "code_version=9.9"]) == 0
+    assert ("warning: --override: code_version: config was written by code version 9.9, "
+            "running %s\n" % manifest["code_version"]) in capsys.readouterr().err
+    assert open(out + "/manifest.txt").read() == open(run_dir + "/manifest.txt").read()
+
+
+@pytest.mark.filterwarnings("error")
+def test_train_stops_when_a_huge_lr_overflows_the_row_norms(dataset_dir, tmp_path, capsys):
+    # the first step moves the rows to about 1e200; their norms once
+    # overflowed to inf, and the projection divided every row to 0.0
+    out = str(tmp_path / "run")
+    assert main(["train", dataset_dir, out, "--override", "model=mf", "--override", "lr=1e200",
+                 "--override", "epochs=2"]) == 3
+    assert capsys.readouterr().err == (
+        "numerical error: non-finite row norm for parameter 'user_emb'; use a smaller lr\n")
+    assert not os.path.exists(out)
 
 
 @pytest.mark.filterwarnings("error")
@@ -234,13 +264,13 @@ def test_evaluate_rejects_non_finite_scores(dataset_dir, run_dir, tmp_path, caps
     ("meta.txt", lambda t: t.replace("num_items 18", "num_items 0"),
      "meta.txt: the dataset has 24 users and 0 items; it needs at least one of each"),
     ("index_map.txt", lambda t: t.replace("i\t17\t17\n", "i\t17\t18\n"),
-     "index_map.txt:42: dense index '18' not in [0, 18)"),
+     "index_map.txt:42: expected 'i', a raw id and dense index 17, tab-separated"),
     ("index_map.txt", lambda t: t.replace("u\t5\t5\n", "u\t5\t-1\n"),
-     "index_map.txt:6: dense index '-1' not in [0, 24)"),
+     "index_map.txt:6: expected 'u', a raw id and dense index 5, tab-separated"),
     ("index_map.txt", lambda t: t.replace("u\t2\t2\n", "u\t2\tx\n"),
-     "index_map.txt:3: dense index 'x' not in [0, 24)"),
+     "index_map.txt:3: expected 'u', a raw id and dense index 2, tab-separated"),
     ("index_map.txt", lambda t: t.replace("u\t3\t3\n", "u\t3\n"),
-     "index_map.txt:4: expected 'u' or 'i', a raw id and a dense index, tab-separated"),
+     "index_map.txt:4: expected 'u', a raw id and dense index 3, tab-separated"),
 ], ids=["missing-key", "non-integer-count", "negative-count", "zero-users", "zero-items",
         "index-past-count", "negative-index", "non-integer-index", "two-field-line"])
 def test_evaluate_rejects_bad_dataset_meta(dataset_dir, run_dir, tmp_path, capsys, name, edit,
@@ -536,7 +566,7 @@ def test_train_rejects_a_repeated_user_line(dataset_dir, tmp_path, capsys, name,
         fh.write(line + "\n")
     assert main(["train", data, str(tmp_path / "run")] + FAST) == 2
     assert capsys.readouterr().err == (
-        "data error: %s/%s:25: user 0 is already listed on an earlier line\n" % (data, name))
+        "data error: %s/%s:25: expected user 24, got 0\n" % (data, name))
     assert not (tmp_path / "run").exists()
 
 

@@ -4,7 +4,7 @@ import io
 import os
 import re
 import tempfile
-from itertools import chain
+from itertools import chain, zip_longest
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -750,15 +750,15 @@ def _edit_file(path, edit):
 
 
 @pytest.mark.parametrize("name,edit,message", [
-    ("test.txt", _edit_line(4, None), r"test.txt: user 3 has no held-out line"),
-    ("validation.txt", _edit_line(12, None), r"validation.txt: user 11 has no held-out line"),
+    ("test.txt", _edit_line(4, None), r"test.txt:4: expected user 3, got 4$"),
+    ("validation.txt", _edit_line(12, None), r"validation.txt: 11 lines for 12 users$"),
     ("behavior_1.txt", _edit_line(3, "2 1 10"),
      r"behavior_1.txt:3: item 10 out of range \(10 items\)"),
     ("behavior_0.txt", _edit_line(5, "4 -1 3"), r"behavior_0.txt:5: item -1 out of range"),
     ("behavior_2.txt", _edit_line(2, "12 3"),
-     r"behavior_2.txt:2: user 12 out of range \(12 users\)"),
+     r"behavior_2.txt:2: expected user 1, got 12$"),
     ("test.txt", _edit_line(6, "5 10"), r"test.txt:6: item 10 out of range"),
-    ("validation.txt", _edit_line(7, "-6 1"), r"validation.txt:7: user -6 out of range"),
+    ("validation.txt", _edit_line(7, "-6 1"), r"validation.txt:7: expected user 6, got -6$"),
     ("behavior_0.txt", _edit_line(3, "2 1 4 4 7"),
      r"behavior_0.txt:3: items not strictly increasing"),
     ("behavior_1.txt", _edit_line(8, "7 6 2"), r"behavior_1.txt:8: items not strictly increasing"),
@@ -766,11 +766,11 @@ def _edit_file(path, edit):
     ("test.txt", _edit_line(2, "1 2 3"), r"test.txt:2: expected 'user item', got 3 fields"),
     ("behavior_1.txt", _edit_line(4, "3 1 x"), r"behavior_1.txt:4: bad integer 'x'"),
     ("behavior_2.txt", _edit_line(9, "2 1 3"),
-     r"behavior_2.txt:9: user 2 is already listed on an earlier"),
+     r"behavior_2.txt:9: expected user 8, got 2$"),
     ("validation.txt", _edit_line(5, "1 4"),
-     r"validation.txt:5: user 1 is already listed on an earlier"),
-    ("test.txt", _edit_line(3, "1 2"), r"test.txt:3: user 1 is already listed on an earlier line"),
-    ("behavior_0.txt", _edit_line(4, None), r"behavior_0.txt: user 3 has no line$"),
+     r"validation.txt:5: expected user 4, got 1$"),
+    ("test.txt", _edit_line(3, "1 2"), r"test.txt:3: expected user 2, got 1$"),
+    ("behavior_0.txt", _edit_line(4, None), r"behavior_0.txt:4: expected user 3, got 4$"),
     ("behavior_1.txt", lambda data: data[:-3],
      r"behavior_1.txt:12: the file ends inside this line \(no final newline\)"),
     ("meta.txt", lambda data: data[:-1], r"meta.txt:5: the file ends inside this line"),
@@ -781,9 +781,10 @@ def _edit_file(path, edit):
     ("test.txt", _edit_line(5, "4 1\r"), r"test.txt:5: byte 0x0d is not allowed"),
     ("validation.txt", _edit_line(3, b"2 \xff"), r"validation.txt:3: byte 0xff is not allowed"),
     ("behavior_1.txt", _edit_line(6, "5 0 \u0663"), r"behavior_1.txt:6: byte 0xd9 is not allowed"),
-    ("index_map.txt", _edit_line(13, None), r"index_map.txt: item index 0 has no line"),
+    ("index_map.txt", _edit_line(13, None),
+     r"index_map.txt:13: expected 'i', a raw id and dense index 0, tab-separated$"),
     ("index_map.txt", _edit_line(3, "u\t1\t1"),
-     r"index_map.txt:3: user index 1 is already listed on an earlier line"),
+     r"index_map.txt:3: expected 'u', a raw id and dense index 2, tab-separated$"),
     ("index_map.txt", _edit_line(14, b"i\t\xff\t1"),
      r"index_map.txt:14: not UTF-8 text \(byte 0xff\)"),
     ("meta.txt", _edit_line(5, None), r"meta.txt: missing key 'dropped_users'"),
@@ -833,9 +834,44 @@ def test_a_repeated_user_line_is_rejected_at_its_second_copy(small_dataset_lines
         for file_name, text in dict(small_dataset_lines, **{name: "".join(lines)}).items():
             with open(os.path.join(out, file_name), "w", encoding="utf-8") as fh:
                 fh.write(text)
-        with pytest.raises(DataError, match=r"%s:%d: user %d is already listed"
-                           % (name, after + 2, source)):
+        with pytest.raises(DataError, match=r"%s:%d: expected user %d, got %d$"
+                           % (name, after + 2, after + 1, source)):
             read_dataset_dir(out)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(),
+       name=st.sampled_from(["behavior_0.txt", "behavior_1.txt", "behavior_2.txt",
+                             "validation.txt", "test.txt", "index_map.txt"]),
+       edit=st.sampled_from(["swap", "delete", "duplicate"]),
+       block_chars=st.sampled_from([8, 1 << 16]))
+def test_a_line_out_of_place_is_rejected(small_dataset_lines, data, name, edit, block_chars):
+    """Line n of a per-user file holds user n - 1, and index_map.txt lists
+    users then items in dense order: two swapped lines, a deleted line or a
+    duplicated one name the file and its first line out of place, or its
+    line count."""
+    lines = small_dataset_lines[name].splitlines(keepends=True)
+    edited = list(lines)
+    at = data.draw(st.integers(0, len(lines) - 1))
+    if edit == "swap":
+        other = data.draw(st.integers(0, len(lines) - 1).filter(lambda k: k != at))
+        edited[at], edited[other] = lines[other], lines[at]
+    elif edit == "delete":
+        del edited[at]
+    else:
+        edited.insert(data.draw(st.integers(0, len(lines))), lines[at])
+    first = next(n for n, (got, want) in enumerate(zip_longest(edited, lines), 1)
+                 if got != want)
+    with tempfile.TemporaryDirectory() as out, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(datasets, "BLOCK_CHARS", block_chars)
+        for file_name, text in dict(small_dataset_lines, **{name: "".join(edited)}).items():
+            with open(os.path.join(out, file_name), "w", encoding="utf-8") as fh:
+                fh.write(text)
+        with pytest.raises(DataError) as exc:
+            read_dataset_dir(out)
+        assert re.fullmatch(r"%s(:%d: .*|: %d lines for .*)"
+                            % (re.escape(os.path.join(out, name)), first, len(edited)),
+                            str(exc.value)), str(exc.value)
 
 
 def test_evaluate_rejects_missing_heldout_line(small_dataset, tmp_path, capsys):
@@ -847,7 +883,7 @@ def test_evaluate_rejects_missing_heldout_line(small_dataset, tmp_path, capsys):
     _edit_file(os.path.join(small_dataset, "test.txt"), _edit_line(4, None))
     capsys.readouterr()
     assert main(["evaluate", os.path.join(run, "checkpoint.txt"), small_dataset]) == 2
-    assert "user 3 has no held-out line" in capsys.readouterr().err
+    assert "test.txt:4: expected user 3, got 4\n" in capsys.readouterr().err
 
 
 BLOCK_SIZES = st.sampled_from([1, 8, 64, 1 << 16])

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from critcf.datasets import positive_pairs
 from critcf.errors import ConfigError
 from critcf.losses import (
     POSITIVITY_FLOOR,
@@ -20,7 +21,6 @@ from critcf.losses import (
     BoundParams,
     LossConfig,
     PENALTIES,
-    _positive_index,
     criterion_total_loss,
     get_penalty,
     hinge_criterion_loss,
@@ -57,7 +57,7 @@ def oracle_hinge_criterion_loss(scores, pos_lists, upper, lower, neg_weight, pen
     neg_val = penalty.value(neg_margin)
     neg_grad = np.where(neg_margin > 0.0, penalty.grad(neg_margin), 0.0)
 
-    rows, cols = _positive_index(pos_lists)
+    rows, cols = positive_pairs(pos_lists, range(len(pos_lists)))
     pos_margin = np.maximum(upper[rows, cols] - scores[rows, cols], 0.0)
     pos_val = penalty.value(pos_margin)
     pos_grad = np.where(pos_margin > 0.0, penalty.grad(pos_margin), 0.0)
@@ -139,7 +139,7 @@ def oracle_regression_loss(scores, pos_lists, neg_weight):
     """
     scores = np.asarray(scores, dtype=float)
     w = float(neg_weight)
-    rows, cols = _positive_index(pos_lists)
+    rows, cols = positive_pairs(pos_lists, range(len(pos_lists)))
     sq_all = scores * scores
     pos_scores = scores[rows, cols]
     pos_resid = 1.0 - pos_scores
@@ -162,7 +162,7 @@ def oracle_bounded_regression_loss(scores, pos_lists, upper, lower, neg_weight):
     """
     scores = np.asarray(scores, dtype=float)
     w = float(neg_weight)
-    rows, cols = _positive_index(pos_lists)
+    rows, cols = positive_pairs(pos_lists, range(len(pos_lists)))
 
     neg_resid = scores - lower
     pos_resid = upper[rows, cols] - scores[rows, cols]
@@ -645,7 +645,7 @@ def test_kernel_equals_oracles(inst, variant, name, per_user):
 
 
 def oracle_positive_index(pos_lists):
-    """_positive_index as it was before one concatenate replaced the
+    """positive_pairs over a whole batch as it was before one concatenate replaced the
     per-user np.asarray calls."""
     sizes = [len(p) for p in pos_lists]
     total = sum(sizes)
@@ -668,6 +668,7 @@ _item_lists = st.lists(st.integers(0, 2**40), max_size=6)
     lambda items: np.array(items, dtype=np.int64))), max_size=8))
 def test_positive_index_equals_oracle(pos_lists):
     """Int64 arrays, Python lists, empty rows and all-empty batches."""
-    for got, want in zip(_positive_index(pos_lists), oracle_positive_index(pos_lists)):
+    for got, want in zip(positive_pairs(pos_lists, range(len(pos_lists))),
+                         oracle_positive_index(pos_lists)):
         assert got.dtype == want.dtype == np.int64
         assert np.array_equal(got, want)
