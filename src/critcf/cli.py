@@ -27,6 +27,7 @@ from .datasets import (
     leave_one_out_split,
     parse_interactions,
     read_dataset_dir,
+    split_behavior_labels,
     write_dataset_dir,
 )
 from .errors import ConfigError, DataError, NumericalError
@@ -147,7 +148,7 @@ def _write_report(report, out_dir):
 
 
 def cmd_prepare(args):
-    labels = tuple(args.behaviors.split(","))
+    labels = split_behavior_labels(args.behaviors, "--behaviors", ConfigError)
     separator = {"tab": "\t", "comma": ",", "auto": None}[args.separator]
     interactions, user_ids, item_ids = parse_interactions(args.raw_file, labels, separator)
     dataset, kept_users, kept_items = build_dataset(
@@ -174,7 +175,7 @@ def cmd_prepare(args):
 
 def cmd_synth(args):
     densities = _split(args.densities, "--densities", float)
-    labels = tuple(args.behaviors.split(","))
+    labels = split_behavior_labels(args.behaviors, "--behaviors", ConfigError)
     if len(labels) != len(densities):
         raise ConfigError("%d behavior labels but %d densities" % (len(labels), len(densities)))
     cfg = SynthConfig(
@@ -257,6 +258,8 @@ def cmd_ablate(args):
 def cmd_verify_bound(args):
     if args.seed < 0:
         raise ConfigError("--seed must be >= 0, got %d" % args.seed)
+    if args.instances < 1:
+        raise ConfigError("--instances must be >= 1, got %d" % args.instances)
     overall_ok = True
     for name in args.penalties.split(","):
         penalty = get_penalty(name.strip())

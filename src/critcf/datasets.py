@@ -93,6 +93,17 @@ class SplitDataset:
     dropped_users: int = 0
 
 
+def split_behavior_labels(text, where, error):
+    """The comma-separated labels of text.  An empty or repeated label, which
+    would leave a behavior without records, raises error naming where."""
+    labels = tuple(text.split(","))
+    for k, label in enumerate(labels):
+        if not label or label in labels[:k]:
+            raise error("%s: behavior label %r is %s"
+                        % (where, label, "repeated" if label else "empty"))
+    return labels
+
+
 def detect_separator(line):
     if "\t" in line:
         return "\t"
@@ -624,12 +635,12 @@ def read_dataset_dir(dataset_dir):
 
     The files are read in the order write_dataset_dir writes them.  A
     missing, non-integer or zero user or item count in meta.txt, a behavior
-    label count that is not num_behaviors, a malformed line, an item out of
-    range, a line that does not hold the user or dense index of its
-    position, a file with too many or too few lines, positives that are not
-    strictly increasing, a file that does not end in a newline, and a
-    held-out item that is one of its user's target-behavior positives raise
-    DataError naming the file and the key or line.
+    label count that is not num_behaviors, an empty or repeated label, a
+    malformed line, an item out of range, a line that does not hold the user
+    or dense index of its position, a file with too many or too few lines,
+    positives that are not strictly increasing, a file that does not end in
+    a newline, and a held-out item that is one of its user's target-behavior
+    positives raise DataError naming the file and the key or line.
     """
     meta_path = os.path.join(dataset_dir, "meta.txt")
     if not os.path.exists(meta_path):
@@ -653,7 +664,8 @@ def read_dataset_dir(dataset_dir):
                         "of each" % (meta_path, num_users, num_items))
     num_behaviors = count("num_behaviors")
     dropped_users = count("dropped_users")
-    labels = tuple(meta["behaviors"].split(",")) if meta.get("behaviors") else ()
+    labels = (split_behavior_labels(meta["behaviors"], meta_path, DataError)
+              if meta.get("behaviors") else ())
     if num_behaviors == 0 or len(labels) != num_behaviors:
         raise DataError("%s: %d behavior labels for num_behaviors %d; each of at least one "
                         "behavior needs a label" % (meta_path, len(labels), num_behaviors))

@@ -8,6 +8,11 @@ lists in ``row_block_params`` get a (B, ...) row block: row i is the gradient
 of row ``user_ids[i]``, and every other row's gradient is zero.  Every other
 parameter gets a dense gradient shaped like the parameter.
 
+There is one factorization head, GmfModel.  MfModel is GmfModel with its one
+output row fixed at all ones, bitwise the plain dot product because
+multiplying by 1.0 is exact; LightGcnModel is MfModel over propagated
+embeddings.
+
 Embedding rows live inside the unit Euclidean ball; the trainer re-projects
 after every optimizer step and ``project_rows`` implements that projection.
 
@@ -59,39 +64,6 @@ def project_rows(arr):
         if np.array_equal(arr[over], before):
             break
     return arr
-
-
-class MfModel:
-    """Dot-product factorization: score(u, v) = <user_emb[u], item_emb[v]>."""
-
-    kind = "mf"
-    row_block_params = ("user_emb",)
-
-    def __init__(self, user_emb, item_emb):
-        self.user_emb = user_emb
-        self.item_emb = item_emb
-
-    @property
-    def dim(self):
-        return self.user_emb.shape[1]
-
-    def param_arrays(self):
-        return {"user_emb": self.user_emb, "item_emb": self.item_emb}
-
-    def embedding_param_names(self):
-        return ("user_emb", "item_emb")
-
-    def score_batch(self, user_ids, mask=None, layer=0):
-        user_ids = np.asarray(user_ids, dtype=np.int64)
-        scores = self.user_emb[user_ids] @ self.item_emb.T
-        return scores, user_ids
-
-    def backward(self, cache, d_scores):
-        user_ids = cache
-        d_user = d_scores @ self.item_emb
-        d_user += 0.0  # -0.0 -> +0.0, as scattering into zeros would
-        d_item = d_scores.T @ self.user_emb[user_ids]
-        return {"user_emb": d_user, "item_emb": d_item}
 
 
 class GmfModel:
@@ -151,7 +123,20 @@ class GmfModel:
         return {"user_emb": d_user, "item_emb": d_item, "pred_weight": d_pred}
 
 
-class LightGcnModel:
+class MfModel(GmfModel):
+    """Dot-product factorization: GMF with one all-ones output row, which
+    param_arrays leaves out, so that it is neither trained nor saved."""
+
+    kind = "mf"
+
+    def __init__(self, user_emb, item_emb):
+        super().__init__(user_emb, item_emb, np.ones((1, user_emb.shape[1])))
+
+    def param_arrays(self):
+        return {"user_emb": self.user_emb, "item_emb": self.item_emb}
+
+
+class LightGcnModel(MfModel):
     """Layer-averaged embedding propagation over the user-item graph.
 
     Base embeddings are propagated num_layers times through the symmetric
@@ -170,20 +155,9 @@ class LightGcnModel:
     row_block_params = ()
 
     def __init__(self, user_emb, item_emb, adjacency, num_layers):
-        self.user_emb = user_emb
-        self.item_emb = item_emb
+        super().__init__(user_emb, item_emb)
         self.adjacency = adjacency  # (N, N) csr, N = users + items
         self.num_layers = num_layers
-
-    @property
-    def dim(self):
-        return self.user_emb.shape[1]
-
-    def param_arrays(self):
-        return {"user_emb": self.user_emb, "item_emb": self.item_emb}
-
-    def embedding_param_names(self):
-        return ("user_emb", "item_emb")
 
     def _propagate(self, base):
         """Layer-averaged propagation of a full (N, dim) stack."""

@@ -19,6 +19,9 @@ from .models import LightGcnModel, MfModel
 
 DEFAULT_CUTOFFS = (10, 50, 100, 200)
 
+# Users scored per predict_scores call; a batch holds this many rows of scores.
+EVAL_BATCH_USERS = 1024
+
 
 @dataclass
 class RankingReport:
@@ -99,7 +102,7 @@ def _metrics_from_ranks(ranks, num_users, cutoffs):
     return report
 
 
-def evaluate(model, bounds, train, heldout, cutoffs=DEFAULT_CUTOFFS, batch_users=1024):
+def evaluate(model, bounds, train, heldout, cutoffs=DEFAULT_CUTOFFS):
     """HR@N / NDCG@N of one held-out item per user over the full candidate set.
 
     heldout maps user index -> held-out item.  Candidates are all items
@@ -115,8 +118,8 @@ def evaluate(model, bounds, train, heldout, cutoffs=DEFAULT_CUTOFFS, batch_users
         # lightgcn score.
         model = MfModel(*model.propagated_embeddings())
     ranks = {}
-    for start in range(0, num_users, batch_users):
-        batch = np.arange(start, min(start + batch_users, num_users))
+    for start in range(0, num_users, EVAL_BATCH_USERS):
+        batch = np.arange(start, min(start + EVAL_BATCH_USERS, num_users))
         scores = predict_scores(model, bounds, batch)
         items = heldout[batch]
         rows, cols = positive_pairs(train.positives[target], batch)

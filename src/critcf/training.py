@@ -118,16 +118,22 @@ def adagrad_step(params, grads, acc, lr, rows):
     ignored.  A gradient named in rows is a row block whose rows belong to
     those (unique) parameter rows, which is exactly the dense update with
     zero gradient rows elsewhere; any other gradient covers every row.
-    Gradients must be finite; a non-finite entry aborts with the name.
+    Gradients must be finite; a non-finite entry aborts with the name, and
+    so does an update that overflows.
     """
     for name, param in params.items():
         grad = grads[name]
         if not np.all(np.isfinite(grad)):
             raise NumericalError("non-finite gradient for parameter %r" % name)
         ids = rows.get(name, slice(None))
-        acc_rows = acc[name][ids] + grad * grad
-        acc[name][ids] = acc_rows
-        param[ids] -= lr * grad / (np.sqrt(acc_rows) + ADAGRAD_EPS)
+        try:
+            with np.errstate(over="raise"):
+                acc_rows = acc[name][ids] + grad * grad
+                acc[name][ids] = acc_rows
+                param[ids] -= lr * grad / (np.sqrt(acc_rows) + ADAGRAD_EPS)
+        except FloatingPointError:
+            raise NumericalError("Adagrad step overflows for parameter %r at lr %g; use a "
+                                 "smaller lr" % (name, lr)) from None
 
 
 def _trainable_params(model, bounds, variant):

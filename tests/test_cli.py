@@ -2,6 +2,7 @@ import hashlib
 import os
 import re
 import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -160,6 +161,21 @@ def test_train_stops_when_a_huge_lr_overflows_the_row_norms(dataset_dir, tmp_pat
     assert not os.path.exists(out)
 
 
+def test_train_stops_when_an_adagrad_step_overflows(dataset_dir, tmp_path, capsys):
+    # lr * grad once overflowed to inf with only a RuntimeWarning, and an
+    # inf accumulator would have frozen its entry without an error
+    out = str(tmp_path / "run")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["train", dataset_dir, out, "--override", "lr=1e308",
+                     "--override", "epochs=2"])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "numerical error: Adagrad step overflows for parameter 'user_emb' at lr 1e+308; "
+        "use a smaller lr\n")
+    assert not os.path.exists(out)
+
+
 @pytest.mark.filterwarnings("error")
 def test_train_rejects_negative_seed(dataset_dir, tmp_path, capsys):
     out = str(tmp_path / "run")
@@ -183,6 +199,30 @@ def test_synth_argument_validation(tmp_path, capsys):
     assert main(["synth", str(tmp_path / "b"), "--users", "5", "--items", "20",
                  "--densities", "0.3,0.2,0.1"]) == 2  # 2 expected target items < 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["prepare", "synth"])
+@pytest.mark.parametrize("labels,message", [
+    ("view,view,buy", "behavior label 'view' is repeated"),
+    ("view,,buy", "behavior label '' is empty"),
+])
+def test_behaviors_rejects_empty_or_repeated_labels(tmp_path, capsys, command, labels,
+                                                     message):
+    # a repeated label once left the first of its behaviors without records
+    raw = tmp_path / "raw.tsv"
+    raw.write_text("u0\ti0\tbuy\t1\n")
+    out = tmp_path / "out"
+    args = [str(raw), str(out)] if command == "prepare" else [str(out)]
+    assert main([command] + args + ["--behaviors", labels]) == 1
+    assert capsys.readouterr().err == "config error: --behaviors: %s\n" % message
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("instances", ["0", "-5"])
+def test_verify_bound_rejects_instances_below_one(capsys, instances):
+    assert main(["verify-bound", "--instances", instances]) == 1
+    assert capsys.readouterr() == (
+        "", "config error: --instances must be >= 1, got %s\n" % instances)
 
 
 def test_verify_bound_output(capsys):

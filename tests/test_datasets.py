@@ -790,6 +790,9 @@ def _edit_file(path, edit):
     ("meta.txt", _edit_line(5, None), r"meta.txt: missing key 'dropped_users'"),
     ("meta.txt", _edit_line(4, "behaviors view,buy"),
      r"meta.txt: 2 behavior labels for num_behaviors 3"),
+    ("meta.txt", _edit_line(4, "behaviors view,view,buy"),
+     r"meta.txt: behavior label 'view' is repeated$"),
+    ("meta.txt", _edit_line(4, "behaviors view,,buy"), r"meta.txt: behavior label '' is empty$"),
     ("validation.txt", _edit_line(1, "0 2"),
      r"validation.txt: the held-out item 2 of user 0 is one of its target-behavior training "
      r"positives$"),
@@ -799,7 +802,8 @@ def _edit_file(path, edit):
         "repeated-heldout-user", "adjacent-heldout-user", "no-behavior-line", "truncated",
         "no-final-newline", "int64-overflow", "plus-sign", "tab", "carriage-return",
         "non-utf8", "non-ascii", "no-index-line", "repeated-index", "non-utf8-index",
-        "no-dropped-users", "label-count", "heldout-is-positive"])
+        "no-dropped-users", "label-count", "repeated-label", "empty-label",
+        "heldout-is-positive"])
 @pytest.mark.parametrize("block_chars", [8, 1 << 16])
 def test_read_dataset_dir_rejects_corrupt_files(small_dataset, monkeypatch, block_chars,
                                                 name, edit, message):

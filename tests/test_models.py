@@ -60,13 +60,38 @@ def test_batch_basis_selection():
     np.testing.assert_array_equal(scores, [[0.0, 1.0, 0.0]])
 
 
-def test_gmf_with_ones_equals_mf():
+def test_gmf_with_ones_equals_mf(tmp_path):
     rng = np.random.default_rng(0)
     p = project_rows(rng.normal(size=(6, 5)))
     q = project_rows(rng.normal(size=(9, 5)))
     mf, _ = MfModel(p, q).score_batch(np.arange(6))
     gmf, _ = GmfModel(p, q, np.ones((1, 5))).score_batch(np.arange(6))
     np.testing.assert_array_equal(mf, gmf)
+    # MfModel is GmfModel with a fixed unit row; the plain dot-product
+    # formulas it replaced stay here as the oracle, compared byte for byte.
+    # Exact zeros of both signs let -0.0 reach the products.
+    p = project_rows(rng.normal(size=(8, 5)) * rng.integers(0, 2, size=(8, 5)))
+    q = project_rows(rng.normal(size=(9, 5)) * rng.integers(0, 2, size=(9, 5)))
+    p[2] = -0.0
+    q[4] = -0.0
+    ids = np.array([5, 2, 0, 7, 3])
+    d = rng.normal(size=(5, 9)) * rng.integers(0, 2, size=(5, 9))
+    d[1] = -0.0
+    d[:, 6] = -0.0
+    model = MfModel(p, q)
+    scores, cache = model.score_batch(ids)
+    assert scores.tobytes() == (p[ids] @ q.T).tobytes()
+    grads = model.backward(cache, d)
+    d_user = d @ q
+    d_user += 0.0
+    assert grads["user_emb"].tobytes() == d_user.tobytes()
+    assert grads["item_emb"].tobytes() == (d.T @ p[ids]).tobytes()
+    # the unit row is neither trained nor saved
+    assert set(model.param_arrays()) == {"user_emb", "item_emb"}
+    path = str(tmp_path / "mf.txt")
+    save_checkpoint(path, model, None)
+    with open(path, "rb") as fh:
+        assert b"pred_weight" not in fh.read()
 
 
 def test_batch_matches_pointwise():

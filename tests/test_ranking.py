@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from critcf import ranking
 from critcf.datasets import BehaviorDataset
 from critcf.errors import DataError, NumericalError
 from critcf.losses import BoundParams
@@ -136,14 +139,15 @@ def test_heldout_item_must_not_be_train_positive():
 
 
 @pytest.mark.parametrize("batch_users", [1, 2, 3, 1024])
-def test_heldout_clash_names_first_user(batch_users):
+def test_heldout_clash_names_first_user(batch_users, monkeypatch):
     # users 2 and 4 hold out a training positive; the error names user 2,
     # as the per-user loop did, whether or not they share a batch
+    monkeypatch.setattr(ranking, "EVAL_BATCH_USERS", batch_users)
     train = single_behavior_train(6, 4, [[0], [1], [2, 3], [], [0, 1], [3]])
     heldout = np.array([1, 2, 3, 0, 1, 2])
     model = TableModel(np.zeros((6, 4)))
     with pytest.raises(DataError, match="^held-out item 3 of user 2 is a training positive$"):
-        evaluate(model, None, train, heldout, cutoffs=(1,), batch_users=batch_users)
+        evaluate(model, None, train, heldout, cutoffs=(1,))
 
 
 SCORE_VALUES = (-2.0, -1.0, -0.0, 0.0, 1.0, 2.0)
@@ -189,8 +193,8 @@ def test_batch_ranks_equal_oracle(inst):
     got = rank_in_candidates(table, heldout, rows, cols)
     assert got.tolist() == [want[u] for u in range(num_users)]
     # every rank lies within the candidate count, so the report keeps them all
-    report = evaluate(TableModel(table), None, train, heldout, cutoffs=(num_items,),
-                      batch_users=batch_users)
+    with mock.patch.object(ranking, "EVAL_BATCH_USERS", batch_users):
+        report = evaluate(TableModel(table), None, train, heldout, cutoffs=(num_items,))
     assert report.per_user_rank == want
 
 
