@@ -2,7 +2,6 @@ import hashlib
 import os
 import re
 import shutil
-import warnings
 
 import numpy as np
 import pytest
@@ -161,15 +160,13 @@ def test_train_stops_when_a_huge_lr_overflows_the_row_norms(dataset_dir, tmp_pat
     assert not os.path.exists(out)
 
 
+@pytest.mark.filterwarnings("error")
 def test_train_stops_when_an_adagrad_step_overflows(dataset_dir, tmp_path, capsys):
     # lr * grad once overflowed to inf with only a RuntimeWarning, and an
     # inf accumulator would have frozen its entry without an error
     out = str(tmp_path / "run")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code = main(["train", dataset_dir, out, "--override", "lr=1e308",
-                     "--override", "epochs=2"])
-    assert code == 3
+    assert main(["train", dataset_dir, out, "--override", "lr=1e308",
+                 "--override", "epochs=2"]) == 3
     assert capsys.readouterr().err == (
         "numerical error: Adagrad step overflows for parameter 'user_emb' at lr 1e+308; "
         "use a smaller lr\n")
