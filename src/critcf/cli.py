@@ -61,9 +61,11 @@ def _split(text, flag, cast):
 
 def _split_cutoffs(text):
     cutoffs = _split(text, "--cutoffs", int)
-    for n in cutoffs:
+    for k, n in enumerate(cutoffs):
         if n < 1:
             raise ConfigError("--cutoffs: %d is not >= 1" % n)
+        if n in cutoffs[:k]:
+            raise ConfigError("--cutoffs: %d is repeated" % n)
     return cutoffs
 
 
@@ -89,14 +91,14 @@ def _load_config(args, num_behaviors):
 
 
 def _check_run_dir(out_dir):
-    """Fail unless out_dir can be made into or written as the run dir; creates nothing."""
+    """Fail unless out_dir can be made into or written as a directory; creates nothing."""
     if os.path.exists(out_dir) and not os.path.isdir(out_dir):
         raise DataError("%s: exists and is not a directory" % out_dir)
     ancestor = os.path.abspath(out_dir)
     while not os.path.exists(ancestor):
         ancestor = os.path.dirname(ancestor)
     if not (os.path.isdir(ancestor) and os.access(ancestor, os.W_OK | os.X_OK)):
-        raise DataError("%s: cannot be made a run dir, because %s is not a writable directory"
+        raise DataError("%s: cannot be made a directory, because %s is not a writable directory"
                         % (out_dir, ancestor))
 
 
@@ -149,6 +151,10 @@ def _write_report(report, out_dir):
 
 def cmd_prepare(args):
     labels = split_behavior_labels(args.behaviors, "--behaviors", ConfigError)
+    if args.min_target < 0:
+        raise ConfigError("--min-target: %d is not >= 0" % args.min_target)
+    # Checked before the log is read, so a bad path does not cost the parse.
+    _check_run_dir(args.out_dir)
     separator = {"tab": "\t", "comma": ",", "auto": None}[args.separator]
     interactions, user_ids, item_ids = parse_interactions(args.raw_file, labels, separator)
     dataset, kept_users, kept_items = build_dataset(
@@ -187,6 +193,7 @@ def cmd_synth(args):
         criterion_spread=args.spread,
         seed=args.seed,
     )
+    _check_run_dir(args.out_dir)
     dataset, user_ids, item_ids = generate(cfg)
     split = leave_one_out_split(dataset, on_short="error")
     write_dataset_dir(args.out_dir, split, user_ids, item_ids, labels)

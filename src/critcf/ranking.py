@@ -81,24 +81,18 @@ def rank_in_candidates(scores, items, excluded_rows, excluded_items):
     return ranks - np.bincount(excluded_rows[beaten], minlength=len(items))
 
 
-def _metrics_from_ranks(ranks, num_users, cutoffs):
-    # Sequential accumulation in user order, as in the brute-force oracle
-    # less its no-op +0.0 terms for misses, so the two paths agree exactly.
+def _metrics_from_ranks(ranks, cutoffs):
+    # ranks[u] is user u's 1-based rank.  The NDCG gains are added in user
+    # order, as in the brute-force oracle less its no-op +0.0 terms for
+    # misses, so the two paths agree exactly; np.sum would add pairwise.
     report = RankingReport(tuple(cutoffs))
-    max_cut = max(cutoffs)
-    for u in sorted(ranks):
-        if ranks[u] <= max_cut:
-            report.per_user_rank[u] = ranks[u]
+    kept = np.flatnonzero(ranks <= max(cutoffs))
+    report.per_user_rank = dict(zip(kept.tolist(), ranks[kept].tolist()))
+    gains = 1.0 / np.log2(ranks + 1.0)
     for n in cutoffs:
-        hr_total = 0.0
-        ndcg_total = 0.0
-        for u in sorted(ranks):
-            rank = ranks[u]
-            if rank <= n:
-                hr_total += 1.0
-                ndcg_total += 1.0 / np.log2(rank + 1.0)
-        report.hr[n] = hr_total / num_users
-        report.ndcg[n] = ndcg_total / num_users
+        hit_gains = gains[ranks <= n]
+        report.hr[n] = len(hit_gains) / len(ranks)
+        report.ndcg[n] = np.cumsum(np.append(0.0, hit_gains))[-1] / len(ranks)
     return report
 
 
@@ -117,7 +111,7 @@ def evaluate(model, bounds, train, heldout, cutoffs=DEFAULT_CUTOFFS):
         # scoring the propagated embeddings by dot product is bitwise the
         # lightgcn score.
         model = MfModel(*model.propagated_embeddings())
-    ranks = {}
+    ranks = np.empty(num_users, dtype=np.int64)
     for start in range(0, num_users, EVAL_BATCH_USERS):
         batch = np.arange(start, min(start + EVAL_BATCH_USERS, num_users))
         scores = predict_scores(model, bounds, batch)
@@ -128,9 +122,8 @@ def evaluate(model, bounds, train, heldout, cutoffs=DEFAULT_CUTOFFS):
             u = batch[rows[clash[0]]]
             raise DataError("held-out item %d of user %d is a training positive"
                             % (heldout[u], u))
-        batch_ranks = rank_in_candidates(scores, items, rows, cols)
-        ranks.update(zip(batch.tolist(), batch_ranks.tolist()))
-    return _metrics_from_ranks(ranks, num_users, cutoffs)
+        ranks[batch] = rank_in_candidates(scores, items, rows, cols)
+    return _metrics_from_ranks(ranks, cutoffs)
 
 
 def brute_force_metrics(score_table, train, heldout, cutoffs=DEFAULT_CUTOFFS):

@@ -296,9 +296,7 @@ def train(split, cfg, step_callback=None, epoch_callback=None):
     acc = {name: np.zeros_like(arr) for name, arr in params.items()}
     best = {name: arr.copy() for name, arr in params.items()}
     history = []
-    best_key = None
     best_epoch = 0
-    since_best = 0
     steps = 0
     cutoff = cfg.eval_cutoff
     for epoch in range(1, cfg.epochs + 1):
@@ -309,16 +307,12 @@ def train(split, cfg, step_callback=None, epoch_callback=None):
         history.append((epoch, loss, hr, ndcg))
         if epoch_callback is not None:
             epoch_callback(epoch, loss, hr, ndcg)
-        key = (hr, ndcg)
-        if best_key is None or key > best_key:
-            best_key = key
-            best_epoch = epoch
+        # max keeps the first of equal rows, so only a larger pair moves it.
+        best_epoch = max(history, key=lambda row: row[2:])[0]
+        if best_epoch == epoch:
             best = {name: arr.copy() for name, arr in params.items()}
-            since_best = 0
-        else:
-            since_best += 1
-            if since_best >= cfg.patience:
-                break
+        elif epoch - best_epoch >= cfg.patience:
+            break
     for name, arr in params.items():
         arr[...] = best[name]
     return TrainResult(model, bounds, history, best_epoch)

@@ -446,6 +446,16 @@ def test_unusable_run_dir_fails_before_training(dataset_dir, tmp_path, capsys, m
     assert blocker.read_text() == "not a run dir\n"
 
 
+@pytest.mark.parametrize("argv", [["prepare", "{missing}"], ["synth"]])
+def test_unusable_dataset_dir_fails_before_reading_or_generating(tmp_path, capsys, argv):
+    blocker = tmp_path / "afile"
+    blocker.write_text("not a dataset dir\n")
+    argv = [a.format(missing=tmp_path / "missing.tsv") for a in argv]
+    assert main(argv + [str(blocker)]) == 2
+    assert capsys.readouterr().err == "data error: %s: exists and is not a directory\n" % blocker
+    assert blocker.read_text() == "not a dataset dir\n"
+
+
 def test_prepare_rejects_non_utf8(tmp_path, capsys):
     raw = tmp_path / "raw.tsv"
     raw.write_bytes(b"u0\ti0\tbuy\t1\nu0\ti\xff1\tbuy\t2\n")
@@ -543,8 +553,12 @@ def test_ablate_and_train_write_the_same_run_files(dataset_dir, run_dir, tmp_pat
     (["dump-bounds", "{run}/checkpoint.txt", "--users", "a", "--items", "0"], "--users"),
     (["dump-bounds", "{run}/checkpoint.txt", "--users", "0", "--items", "1.5"], "--items"),
     (["synth", "{out}", "--densities", "0.4,x"], "--densities"),
+    (["evaluate", "{run}/checkpoint.txt", "{data}", "--cutoffs", "5,5"], "--cutoffs"),
+    (["ablate", "{data}", "{out}", "--variant", "H", "--cutoffs", "10,5,10"], "--cutoffs"),
+    (["prepare", "{out}/missing.tsv", "{out}", "--min-target", "-5"], "--min-target"),
 ], ids=["evaluate-token", "evaluate-below-one", "ablate-token", "ablate-below-one",
-        "dump-bounds-users", "dump-bounds-items", "synth-densities"])
+        "dump-bounds-users", "dump-bounds-items", "synth-densities", "evaluate-repeated",
+        "ablate-repeated", "prepare-min-target"])
 def test_malformed_list_flags_are_config_errors(dataset_dir, run_dir, tmp_path, capsys, argv,
                                                 flag):
     out = tmp_path / "out"

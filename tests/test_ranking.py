@@ -11,6 +11,8 @@ from critcf.errors import DataError, NumericalError
 from critcf.losses import BoundParams
 from critcf.models import MfModel, project_rows
 from critcf.ranking import (
+    DEFAULT_CUTOFFS,
+    _metrics_from_ranks,
     brute_force_metrics,
     evaluate,
     predict_scores,
@@ -45,6 +47,31 @@ def oracle_rank_in_candidates(scores_row, excluded, item):
     if len(excluded):
         contenders[excluded] = False
     return 1 + int(np.count_nonzero(contenders))
+
+
+def oracle_metrics_from_ranks(ranks, num_users, cutoffs):
+    """Reference: HR@N and NDCG@N from a dict of user -> 1-based rank.
+
+    The dict-walking form the array _metrics_from_ranks replaced.  It adds
+    in user order, one float at a time, as the brute-force oracle does less
+    its no-op +0.0 terms for misses.
+    """
+    report = ranking.RankingReport(tuple(cutoffs))
+    max_cut = max(cutoffs)
+    for u in sorted(ranks):
+        if ranks[u] <= max_cut:
+            report.per_user_rank[u] = ranks[u]
+    for n in cutoffs:
+        hr_total = 0.0
+        ndcg_total = 0.0
+        for u in sorted(ranks):
+            rank = ranks[u]
+            if rank <= n:
+                hr_total += 1.0
+                ndcg_total += 1.0 / np.log2(rank + 1.0)
+        report.hr[n] = hr_total / num_users
+        report.ndcg[n] = ndcg_total / num_users
+    return report
 
 
 def rank_one(row, excluded, item):
@@ -196,6 +223,22 @@ def test_batch_ranks_equal_oracle(inst):
     with mock.patch.object(ranking, "EVAL_BATCH_USERS", batch_users):
         report = evaluate(TableModel(table), None, train, heldout, cutoffs=(num_items,))
     assert report.per_user_rank == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(num_users=st.integers(1, 5000), max_rank=st.integers(1, 600),
+       seed=st.integers(0, 2 ** 32 - 1),
+       cutoffs=st.one_of(st.just(DEFAULT_CUTOFFS),
+                         st.lists(st.integers(1, 600), min_size=1, max_size=5, unique=True)))
+def test_metrics_from_ranks_equal_oracle_bit_for_bit(num_users, max_rank, seed, cutoffs):
+    # Thousands of hits per cutoff: a sum in any order but the users' (np.sum
+    # adds pairwise) differs from the oracle in the last bits.
+    ranks = np.random.default_rng(seed).integers(1, max_rank + 1, size=num_users)
+    fast = _metrics_from_ranks(ranks, cutoffs)
+    slow = oracle_metrics_from_ranks(dict(enumerate(ranks.tolist())), num_users, cutoffs)
+    assert fast.hr == slow.hr
+    assert fast.ndcg == slow.ndcg
+    assert list(fast.per_user_rank.items()) == list(slow.per_user_rank.items())
 
 
 def _random_instance(rng, num_users, num_items):

@@ -224,6 +224,14 @@ def test_patience_one_stops_after_two_epochs():
     assert result.best_epoch == 1
 
 
+@pytest.mark.parametrize("lr,patience", [(0.05, 1), (0.1, 2), (0.2, 3), (0.5, 1), (0.5, 2)])
+def test_best_epoch_is_first_largest_pair_and_patience_counts_from_it(lr, patience):
+    result = train(toy_split(), toy_config(lr=lr, patience=patience, epochs=8))
+    keys = [(hr, ndcg) for _, _, hr, ndcg in result.history]
+    assert result.best_epoch == keys.index(max(keys)) + 1
+    assert len(result.history) == min(8, result.best_epoch + patience)
+
+
 def test_best_epoch_snapshot_is_restored():
     split = toy_split()
     result = train(split, toy_config(epochs=4, lr=0.5))
