@@ -193,6 +193,7 @@ def cmd_synth(args):
         criterion_spread=args.spread,
         seed=args.seed,
     )
+    cfg.validate()
     _check_run_dir(args.out_dir)
     dataset, user_ids, item_ids = generate(cfg)
     split = leave_one_out_split(dataset, on_short="error")

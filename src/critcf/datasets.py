@@ -6,11 +6,11 @@ are densified by first appearance.  The pipeline is
 
     parse_interactions -> build_dataset -> leave_one_out_split -> write_dataset_dir
 
-The log is held as columns, not records: parse_interactions reads it in
-blocks of about BLOCK_CHARS characters, so memory holds one block of text
-at a time, and returns an Interactions record of four int64 columns with
-one entry per log line.  build_dataset deduplicates, filters and densifies
-those columns with whole-array operations.
+The log is held as columns, not records: parse_interactions reads its
+bytes in blocks of about BLOCK_CHARS, so memory holds one block at a time,
+and returns an Interactions record of four int64 columns with one entry
+per log line.  build_dataset deduplicates, filters and densifies those
+columns with whole-array operations.
 
 The last behavior index (num_behaviors - 1) is always the target behavior;
 only its records are held out by the split, auxiliary behaviors stay in the
@@ -27,10 +27,11 @@ one 256-entry table and converts all of its tokens in one call.
 index_map.txt lists the users, then the items, in dense order.
 """
 
+import codecs
 import os
 import re
 from dataclasses import dataclass
-from itertools import count, filterfalse, repeat
+from itertools import count, repeat
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -41,9 +42,7 @@ DEFAULT_BEHAVIORS = ("view", "cart", "buy")
 
 MIN_SPLIT_POSITIVES = 3  # target records to split: test, validation, one to train
 
-# Characters of text parsed per block: the size hint of readlines for the
-# raw log, and the bytes read at a time from dataset files.
-BLOCK_CHARS = 1 << 16
+BLOCK_CHARS = 1 << 16  # bytes read at a time from a raw log or a dataset file
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
@@ -113,45 +112,175 @@ def detect_separator(line):
 
 
 def parse_interactions(path, behavior_labels=DEFAULT_BEHAVIORS, separator=None):
-    """Read a raw interaction log, one block of lines at a time.
+    """Read a raw interaction log, one block of bytes at a time.
 
-    Returns (interactions, user_ids, item_ids): an Interactions record and
-    the id lists that map dense index -> raw string in first-appearance
-    order.  An error names the first bad line in file order.
+    separator is "\t", "," or None, which splits a line on tabs if it holds
+    one and on commas if not.  Returns (interactions, user_ids, item_ids):
+    an Interactions record and the id lists that map dense index -> raw
+    string in first-appearance order.  An error names the first bad line.
     """
-    labels = {label: k for k, label in enumerate(behavior_labels)}
-    user_index = {}
-    item_index = {}
-    blocks = [(_EMPTY,) * 4]
-    for lines_before, lines in _line_blocks(path):
-        blocks.append(_parse_block(lines, lines_before, path, labels, behavior_labels,
-                                   separator, user_index, item_index))
-    interactions = Interactions(*(np.concatenate(column) for column in zip(*blocks)))
-    return interactions, list(user_index), list(item_index)
-
-
-def _line_blocks(path):
-    """The lines of a UTF-8 text file in blocks of about BLOCK_CHARS characters.
-
-    Yields (lines_before, lines).  Bytes that are not UTF-8 raise DataError
-    naming the first line that holds them.
-    """
+    columns = [(np.empty((1, 0), dtype=np.uint64),) * 2 + (_EMPTY, _EMPTY)]
     lines_before = 0
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lines in iter(lambda: fh.readlines(BLOCK_CHARS), []):
-                yield lines_before, lines
-                lines_before += len(lines)
-    except UnicodeDecodeError:
-        with open(path, "rb") as fh:
-            # bytes.splitlines splits where text mode does: \n, \r\n and \r
-            for lineno, line in enumerate(fh.read().splitlines(), 1):
-                try:
-                    line.decode("utf-8")
-                except UnicodeDecodeError as exc:
-                    raise DataError("%s:%d: not UTF-8 text (byte 0x%02x)"
-                                    % (path, lineno, line[exc.start])) from None
-        raise DataError("%s: not UTF-8 text" % path) from None
+    for newlines_before, block in _byte_blocks(path):
+        # A byte-order mark is skipped at the start of the log only.
+        block = block if newlines_before else block.removeprefix(codecs.BOM_UTF8)
+        lines, block_columns = _log_block(path, block, lines_before, behavior_labels, separator)
+        columns.append(block_columns)
+        lines_before += lines
+    users, items, behavior, timestamp = zip(*columns)
+    (user, user_ids), (item, item_ids) = _first_appearance(users), _first_appearance(items)
+    interactions = Interactions(user, item, np.concatenate(behavior), np.concatenate(timestamp))
+    return interactions, user_ids, item_ids
+
+
+# Raw-log bytes that shape a line: separators, line ends and the ASCII
+# whitespace that str.strip removes.  Every other byte is part of a field.
+_TAB, _COMMA, _BLANK, _LF, _CR = range(1, 6)
+_LOG_CLASS = bytes({9: _TAB, 44: _COMMA, 10: _LF, 13: _CR}.get(
+    b, _BLANK if b in b"\x0b\x0c\x1c\x1d\x1e\x1f " else 0) for b in range(256))
+# _PAD[r] sets the bytes after the first r of a big-endian word to 0xff,
+# which UTF-8 never holds, so padded keys stay distinct.
+_PAD = np.array([(1 << (64 - 8 * r)) - 1 for r in range(9)], dtype=np.uint64)
+_STAMP = re.compile(r"[+-]?[0-9]+")
+
+
+def _log_block(path, block, lines_before, behavior_labels, separator):
+    """(lines, columns) of one block of a raw log: its line count, and the user
+    and item keys, behaviors and timestamps of its records.  Lines and fields
+    are spans between two of the block's structural bytes, and only those
+    bytes are worked on."""
+    kind = np.frombuffer(block.translate(_LOG_CLASS), dtype=np.uint8)
+    # Structural bytes between a line end before the block and one after it,
+    # which ends the last line if the block does not.
+    at = np.concatenate(([-1], np.flatnonzero(kind), [len(block)]))
+    cls = np.concatenate(([_LF], kind[at[1:-1]], [_BLANK if block[-1:] in b"\n\r" else _LF]))
+    adjacent, blank = np.diff(at) == 1, cls != _COMMA
+    # A \r ends a line unless a \n follows it.
+    lf_next = np.append(adjacent & (cls[1:] == _LF), False)
+    eol = np.flatnonzero((cls == _LF) | (cls == _CR) & ~lf_next)
+    # Runs of adjacent blanks: after[i] is the offset past byte at[i] and the
+    # blanks after it, before[i] the first offset of the blanks before it.
+    cut = np.flatnonzero(~(adjacent & blank[:-1] & blank[1:]))
+    run = np.repeat(np.arange(len(cut) + 1), np.diff(cut, prepend=-1, append=len(at) - 1))
+    first, last = at[np.append(0, cut + 1)][run], at[np.append(cut, len(at) - 1)][run]
+    after = np.append(np.where(adjacent & blank[1:], last[1:] + 1, at[:-1] + 1), 0)
+    before = np.append(0, np.where(adjacent & blank[:-1], first[:-1], at[1:]))
+
+    def span(left, right):
+        """(start, stop) of the stripped field between structural bytes left and right."""
+        start = np.minimum(after[left], at[right])
+        return start, np.maximum(before[right], start)
+
+    line_start, line_stop = span(eol[:-1], eol[1:])
+    # Separators are the tabs or commas inside a stripped line; auto mode
+    # takes tabs in a line that holds one.
+    sep = np.flatnonzero((cls == _TAB) | (cls == _COMMA))
+    is_tab, sep_line, lines = cls[sep] == _TAB, np.searchsorted(eol, sep) - 1, len(eol) - 1
+    inside = (at[sep] >= line_start[sep_line]) & (at[sep] < line_stop[sep_line])
+    tabbed = (np.bincount(sep_line[inside & is_tab], minlength=lines) > 0
+              if separator is None else np.full(lines, separator == "\t"))
+    keep = inside & (is_tab == tabbed[sep_line])
+    sep, seps = sep[keep], np.bincount(sep_line[keep], minlength=lines)
+    nonempty, good = line_stop > line_start, (seps == 2) | (seps == 3)
+    rows = np.flatnonzero(nonempty & good)
+    first_sep, four = (np.cumsum(seps) - seps)[rows], seps[rows] == 3
+    third = np.where(four, sep[np.minimum(first_sep + 2, len(sep) - 1)], eol[rows + 1])
+    bounds = [eol[rows], sep[first_sep], sep[first_sep + 1], third, eol[rows + 1]]
+    fields = [span(left, right) for left, right in zip(bounds, bounds[1:])]
+    keys = [_pack(block, start, stop - start, (stop - start).max(initial=0))
+            for start, stop in fields[:2]]
+    # Only comma mode can leave a tab inside an id; index_map.txt could not hold it.
+    tabs = at[cls == _TAB] if separator == "," else at[:0]
+    bad_id = sum(np.searchsorted(tabs, stop) - np.searchsorted(tabs, start)
+                 for start, stop in fields[:2]) > 0
+    # Labels are matched as keys; a field longer than every label matches none.
+    labels = [label.encode("utf-8") for label in behavior_labels]
+    sizes = np.array(list(map(len, labels)), dtype=np.int64)
+    label_keys = _pack(b"".join(labels), np.cumsum(sizes) - sizes, sizes, sizes.max(initial=0))
+    packed = _pack(block, fields[2][0], fields[2][1] - fields[2][0], sizes.max(initial=0))
+    behavior = np.full(len(rows), -1, dtype=np.int64)
+    for k in range(len(labels)):
+        behavior[(packed == label_keys[:, k:k + 1]).all(axis=0)] = k
+    timestamp, bad_stamp = _timestamps(block, *fields[3], four)
+    bad = [np.flatnonzero(nonempty & ~good)[:1], rows[bad_id | (behavior < 0) | bad_stamp][:1]]
+    bad_utf8 = -1
+    if not block.isascii():
+        try:
+            block.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            bad_byte, bad_utf8 = exc.start, np.searchsorted(at[eol], exc.start) - 1
+            bad.append([bad_utf8])
+    bad = np.concatenate(bad)
+    if not bad.size:
+        return lines, (keys[0], keys[1], behavior, timestamp)
+
+    line = bad.min()
+    where = "%s:%d:" % (path, lines_before + 1 + line)
+    if line == bad_utf8:
+        raise DataError("%s not UTF-8 text (byte 0x%02x)" % (where, block[bad_byte]))
+    if not good[line]:
+        if separator is None and seps[line] == 0:
+            detect_separator(block[line_start[line]:line_stop[line]].decode("utf-8"))
+        raise DataError("%s expected 3 or 4 columns, got %d" % (where, seps[line] + 1))
+    r = np.searchsorted(rows, line)
+    user, item, label, stamp = (block[start[r]:stop[r]].decode("utf-8") for start, stop in fields)
+    if bad_id[r]:
+        raise DataError("%s id %r holds a tab, which a dataset dir cannot store"
+                        % (where, user if "\t" in user else item))
+    if behavior[r] < 0:
+        raise DataError("%s unknown behavior %r (allowed: %s)"
+                        % (where, label, ", ".join(behavior_labels)))
+    raise DataError("%s %s" % (where, _int64_error(stamp, "timestamp")
+                               if _STAMP.fullmatch(stamp) else "bad timestamp %r" % stamp))
+
+
+def _pack(block, start, length, longest):
+    """The fields block[start:start + length] as (longest // 8 + 1, n) big-endian
+    uint64 words, padded with 0xff.  A longer field is cut after those words,
+    where it still differs from every field of at most longest bytes."""
+    words = np.ndarray((len(block) + 1,), dtype=">u8", buffer=block + bytes(8), strides=(1,))
+    return np.array([words[np.minimum(start + k, len(block))].astype(np.uint64)
+                     | _PAD[np.clip(length - k, 0, 8)] for k in range(0, longest + 1, 8)])
+
+
+def _timestamps(block, start, stop, present):
+    """The int64 timestamps in block[start:stop], 0 where not present, and a
+    mask of the present ones that are not ASCII [+-]?[0-9]+ within int64.
+    Digits are gathered a column at a time, from the last."""
+    data = np.frombuffer(block + bytes(1), dtype=np.uint8)
+    sign = data[start]
+    digits = np.where(present, stop - start - ((sign == ord("+")) | (sign == ord("-"))), 0)
+    column = np.arange(min(int(digits.max(initial=0)), _SAFE_TOKEN_BYTES))
+    digit = np.where(column < digits[:, None], data[stop[:, None] - 1 - column] - np.uint8(48), 0)
+    bad = present & ((digits == 0) | (digit > 9).any(axis=1))
+    value = np.where(sign == ord("-"), -1, 1) * (digit.astype(np.int64) @ 10 ** column)
+    # Longer tokens may leave int64, so Python's int reads them.
+    for i in np.flatnonzero(present & (stop - start > _SAFE_TOKEN_BYTES)).tolist():
+        text = block[start[i]:stop[i]].decode("latin-1")
+        bad[i] = not _STAMP.fullmatch(text) or _int64_error(text, "timestamp") is not None
+        value[i] = 0 if bad[i] else int(text)
+    return value, bad
+
+
+def _first_appearance(blocks):
+    """Dense ids, numbered by first appearance, of keys given in (width, n)
+    blocks of words, and the ids as str.  The keys are sorted a word at a
+    time, from the last; a run of equal keys is one id, first seen at the
+    run's least index."""
+    width = max(map(len, blocks))
+    keys = np.concatenate([np.vstack([keys, np.full((width - len(keys), keys.shape[1]), _PAD[0])])
+                           for keys in blocks], axis=1)
+    order = np.argsort(keys[-1])
+    for word in keys[-2::-1]:
+        order = order[np.argsort(word[order], kind="stable")]
+    head = np.ones(len(order), dtype=bool)
+    head[1:] = (np.diff(keys[:, order], axis=1) != 0).any(axis=0)
+    first = np.minimum.reduceat(order, np.flatnonzero(head))
+    dense = np.empty_like(order)
+    dense[order] = np.argsort(np.argsort(first))[np.cumsum(head) - 1]
+    data = np.ascontiguousarray(keys[:, np.sort(first)].T, dtype=">u8").view(np.uint8)
+    data = np.column_stack([data, np.full(len(data), ord("\n"), dtype=np.uint8)])
+    return dense, data.tobytes().replace(b"\xff", b"").decode("utf-8").split("\n")[:-1]
 
 
 def _int64_error(text, what):
@@ -163,82 +292,6 @@ def _int64_error(text, what):
     if not -2 ** 63 <= value < 2 ** 63:
         return "%s %r outside the int64 range" % (what, text)
     return None
-
-
-def _parse_block(lines, lines_before, path, labels, behavior_labels, separator,
-                 user_index, item_index):
-    """Columns of one block of log lines; ids extend the shared index dicts.
-
-    The block's fields are split out of one joined string, and each check
-    runs over the whole block.  Only when a check fails is the block's
-    first bad line located and reported.
-    """
-    stripped = list(map(str.strip, lines))
-    rows = list(filter(None, stripped))
-    sep = separator or "\t"
-    widths = _count(rows, sep)
-    if not separator and not widths.all():
-        # A line without a tab splits on commas, so its commas become tabs.
-        rows = [row if "\t" in row else row.replace(",", "\t") for row in rows]
-        widths = _count(rows, sep)
-    widths += 1
-    bad_width = np.flatnonzero((widths != 3) & (widths != 4))
-    end = int(bad_width[0]) if bad_width.size else len(rows)
-    good = rows[:end]
-    if (widths[:end] == 3).any():
-        # a missing timestamp is stored as 0
-        good = [row if w == 4 else row + sep + "0" for row, w in zip(good, widths.tolist())]
-    # No line holds a newline, so one can stand for every separator.
-    text = "\n".join(good).replace(sep, "\n")
-    fields = list(map(str.strip, text.split("\n"))) if good else []
-    users, items, behaviors, stamps = (fields[j::4] for j in range(4))
-    # Only comma mode can leave a tab inside an id; index_map.txt could not hold it.
-    bad_id = end
-    if separator == "," and "\t" in text:
-        bad_id = next((r for r, ids in enumerate(zip(users, items)) if "\t" in "".join(ids)),
-                      end)
-
-    user = _number(user_index, users)
-    item = _number(item_index, items)
-    behavior = np.fromiter(map(labels.get, behaviors, repeat(-1)), dtype=np.int64,
-                           count=end)
-    unknown = np.flatnonzero(behavior < 0)
-    bad_behavior = int(unknown[0]) if unknown.size else end
-    try:
-        timestamp = np.array(stamps, dtype=np.int64)  # int() of each field
-        bad_stamp = end
-    except (ValueError, OverflowError):
-        bad_stamp = next(r for r, stamp in enumerate(stamps)
-                         if _int64_error(stamp, "timestamp"))
-
-    first = min(end, bad_id, bad_behavior, bad_stamp)
-    if first < len(rows):
-        lineno = lines_before + 1 + [i for i, row in enumerate(stripped) if row][first]
-        if first == end:
-            if not separator and widths[first] == 1:
-                detect_separator(rows[first])
-            raise DataError("%s:%d: expected 3 or 4 columns, got %d"
-                            % (path, lineno, widths[first]))
-        if first == bad_id:
-            raw = users[first] if "\t" in users[first] else items[first]
-            raise DataError("%s:%d: id %r holds a tab, which a dataset dir cannot store"
-                            % (path, lineno, raw))
-        if first == bad_behavior:
-            raise DataError("%s:%d: unknown behavior %r (allowed: %s)"
-                            % (path, lineno, behaviors[first], ", ".join(behavior_labels)))
-        raise DataError("%s:%d: %s" % (path, lineno, _int64_error(stamps[first], "timestamp")))
-    return user, item, behavior, timestamp
-
-
-def _count(rows, sep):
-    return np.fromiter(map(str.count, rows, repeat(sep)), dtype=np.int64, count=len(rows))
-
-
-def _number(index, keys):
-    """Dense ids of keys; unseen keys are numbered in order of first appearance."""
-    fresh = dict.fromkeys(filterfalse(index.__contains__, keys))
-    index.update(zip(fresh, count(len(index))))
-    return np.fromiter(map(index.__getitem__, keys), dtype=np.int64, count=len(keys))
 
 
 def rows_by_user(users, items, num_users):
@@ -421,10 +474,10 @@ def write_dataset_dir(out_dir, split, user_ids, item_ids, behavior_labels):
 
 
 def _byte_blocks(path):
-    """A dataset file in blocks of about BLOCK_CHARS bytes, each ending in a newline.
+    """A file in blocks of about BLOCK_CHARS bytes, each ending in a newline.
 
-    Yields (lines_before, block).  A file whose last byte is not a newline
-    raises DataError naming its last line.
+    Yields (lines_before, block), where lines_before counts newlines.  What
+    follows the file's last newline comes last, as a block of its own.
     """
     lines_before = 0
     pending = []
@@ -439,13 +492,22 @@ def _byte_blocks(path):
             yield lines_before, block
             lines_before += block.count(b"\n")
     if any(pending):
-        raise DataError("%s:%d: the file ends inside this line (no final newline)"
-                        % (path, lines_before + 1))
+        yield lines_before, b"".join(pending)
+
+
+def _dataset_blocks(path):
+    """_byte_blocks of a dataset file.  A file whose last byte is not a
+    newline raises DataError naming its last line."""
+    for lines_before, block in _byte_blocks(path):
+        if not block.endswith(b"\n"):
+            raise DataError("%s:%d: the file ends inside this line (no final newline)"
+                            % (path, lines_before + 1))
+        yield lines_before, block
 
 
 def _text_blocks(path):
     """The lines of a UTF-8 dataset file in blocks: (lines_before, lines without newlines)."""
-    for lines_before, block in _byte_blocks(path):
+    for lines_before, block in _dataset_blocks(path):
         try:
             text = block.decode("utf-8")
         except UnicodeDecodeError as exc:
@@ -475,7 +537,7 @@ def _int_blocks(path):
     first_line + r and holds values[starts[r]:starts[r] + lengths[r]].  An
     error names the first bad token or byte in file order.
     """
-    for lines_before, block in _byte_blocks(path):
+    for lines_before, block in _dataset_blocks(path):
         # kind[i + 1] is the class of block[i]; the block is read as if after
         # a newline, so a token at its first byte has an edge like the rest.
         kind = np.frombuffer((b"\n" + block).translate(_BYTE_CLASS), dtype=np.uint8)

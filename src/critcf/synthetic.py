@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import MIN_SPLIT_POSITIVES, BehaviorDataset, rows_by_user
-from .errors import DataError
+from .errors import ConfigError, DataError
 
 
 @dataclass
@@ -34,30 +34,30 @@ class SynthConfig:
 
     def validate(self):
         if self.num_users < 1 or self.num_items < 2:
-            raise DataError("need at least 1 user and 2 items")
+            raise ConfigError("need at least 1 user and 2 items")
         if self.seed < 0:
-            raise DataError("seed (--seed) must be >= 0, got %d" % self.seed)
+            raise ConfigError("seed (--seed) must be >= 0, got %d" % self.seed)
         if self.latent_dim < 1:
-            raise DataError("latent_dim (--latent-dim) must be >= 1, got %d" % self.latent_dim)
+            raise ConfigError("latent_dim (--latent-dim) must be >= 1, got %d" % self.latent_dim)
         if not np.isfinite(self.criterion_spread):
-            raise DataError("criterion_spread (--spread) must be finite, got %r"
-                            % self.criterion_spread)
+            raise ConfigError("criterion_spread (--spread) must be finite, got %r"
+                              % self.criterion_spread)
         if len(self.densities) != self.num_behaviors:
-            raise DataError(
+            raise ConfigError(
                 "expected %d densities, got %d" % (self.num_behaviors, len(self.densities))
             )
         for a, b in zip(self.densities, self.densities[1:]):
             if b > a:
-                raise DataError(
+                raise ConfigError(
                     "densities must be non-increasing toward the target behavior, got %s"
                     % (self.densities,)
                 )
         for rho in self.densities:
             if not 0.0 < rho <= 1.0:
-                raise DataError("densities must lie in (0, 1], got %s" % (self.densities,))
+                raise ConfigError("densities must lie in (0, 1], got %s" % (self.densities,))
         expected_target = self.densities[-1] * self.num_items
         if expected_target < MIN_SPLIT_POSITIVES:
-            raise DataError(
+            raise ConfigError(
                 "target density %.4g yields %.2f expected target items per user; "
                 "need at least %.4g to guarantee %d positives per user"
                 % (self.densities[-1], expected_target,

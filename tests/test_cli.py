@@ -184,17 +184,28 @@ def test_train_rejects_negative_seed(dataset_dir, tmp_path, capsys):
 @pytest.mark.filterwarnings("error")
 def test_synth_rejects_negative_seed(tmp_path, capsys):
     out = tmp_path / "data"
-    assert main(["synth", str(out), "--seed", "-1"]) == 2
+    assert main(["synth", str(out), "--seed", "-1"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("data error: ") and "--seed" in err
+    assert err.startswith("config error: ") and "--seed" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag,value", [("--seed", "-1"), ("--latent-dim", "0"),
+                                        ("--spread", "inf"), ("--densities", "0.1,0.2,0.3")])
+def test_synth_flag_errors_exit_1_before_the_output_path_is_checked(tmp_path, capsys, flag,
+                                                                     value):
+    afile = tmp_path / "afile"
+    afile.write_text("not a dataset dir\n")
+    assert main(["synth", str(afile), flag, value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "afile" not in err
 
 
 def test_synth_argument_validation(tmp_path, capsys):
     assert main(["synth", str(tmp_path / "a"), "--densities", "0.4,0.3",
                  "--behaviors", "view,cart,buy"]) == 1
     assert main(["synth", str(tmp_path / "b"), "--users", "5", "--items", "20",
-                 "--densities", "0.3,0.2,0.1"]) == 2  # 2 expected target items < 3
+                 "--densities", "0.3,0.2,0.1"]) == 1  # 2 expected target items < 3
     capsys.readouterr()
 
 

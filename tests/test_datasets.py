@@ -1,3 +1,4 @@
+import codecs
 import contextlib
 import importlib.util
 import io
@@ -34,6 +35,10 @@ from critcf.errors import DataError
 # Reference oracles: the record-at-a-time ingestion that the columnar
 # parse_interactions and build_dataset replaced.  Their outputs must agree
 # exactly, except that the oracle parse accepts timestamps outside int64.
+# Raw logs strip only str.strip's ASCII whitespace, and timestamps are ASCII
+# [+-]?[0-9]+; a byte-order mark at the start of the log is skipped.
+ASCII_BLANKS = "\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f "
+STAMP = re.compile(r"[+-]?[0-9]+")
 
 class Interaction(NamedTuple):
     user: int
@@ -49,13 +54,13 @@ def oracle_parse_interactions(path, behavior_labels=DEFAULT_BEHAVIORS, separator
     item_index = {}
     user_ids = []
     item_ids = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
+            line = raw.strip(ASCII_BLANKS)
             if not line:
                 continue
             sep = separator or detect_separator(line)
-            parts = [p.strip() for p in line.split(sep)]
+            parts = [p.strip(ASCII_BLANKS) for p in line.split(sep)]
             if len(parts) not in (3, 4):
                 raise DataError(
                     "%s:%d: expected 3 or 4 columns, got %d" % (path, lineno, len(parts))
@@ -72,12 +77,9 @@ def oracle_parse_interactions(path, behavior_labels=DEFAULT_BEHAVIORS, separator
                 )
             timestamp = None
             if len(parts) == 4:
-                try:
-                    timestamp = int(parts[3])
-                except ValueError:
-                    raise DataError(
-                        "%s:%d: bad timestamp %r" % (path, lineno, parts[3])
-                    ) from None
+                if not STAMP.fullmatch(parts[3]):
+                    raise DataError("%s:%d: bad timestamp %r" % (path, lineno, parts[3]))
+                timestamp = int(parts[3])
             if user_raw not in user_index:
                 user_index[user_raw] = len(user_ids)
                 user_ids.append(user_raw)
@@ -233,19 +235,18 @@ def oracle_write_dataset_dir(out_dir, split, user_ids, item_ids, behavior_labels
 
 
 def oracle_int_blocks(path):
-    for lines_before, lines in datasets._line_blocks(path):
-        rows = [line.split() for line in lines]
-        try:
-            values = np.array(list(chain.from_iterable(rows)), dtype=np.int64)
-        except (ValueError, OverflowError):
-            for r, row in enumerate(rows):
-                for token in row:
-                    error = datasets._int64_error(token, "integer")
-                    if error:
-                        raise DataError("%s:%d: %s" % (path, lines_before + 1 + r, error)) \
-                            from None
-        lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
-        yield lines_before + 1, values, np.cumsum(lengths) - lengths, lengths
+    with open(path, "r", encoding="utf-8") as fh:
+        rows = [line.split() for line in fh]
+    try:
+        values = np.array(list(chain.from_iterable(rows)), dtype=np.int64)
+    except (ValueError, OverflowError):
+        for r, row in enumerate(rows):
+            for token in row:
+                error = datasets._int64_error(token, "integer")
+                if error:
+                    raise DataError("%s:%d: %s" % (path, 1 + r, error)) from None
+    lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    yield 1, values, np.cumsum(lengths) - lengths, lengths
 
 
 def columns(interactions):
@@ -517,11 +518,12 @@ def test_read_dataset_dir_missing(tmp_path):
 
 
 # Generated logs for the oracle comparison: a few users and items (some
-# non-ASCII) so duplicates and min-target cascades are common, mostly target
-# records, padded fields, mixed separators and line endings, and now and
-# then a malformed line.
-USERS = ["u1", "u2", "u3", "ü", "用户", "a b"]
-ITEMS = ["i1", "i2", "i3", "é9", "7", "x,y"]
+# non-ASCII, some of 8-40 bytes, and some that differ only by a trailing NUL)
+# so duplicates and min-target cascades are common, mostly target records,
+# padded fields, mixed separators and line endings, and now and then a
+# malformed line.
+USERS = ["u1", "u2", "u3", "ü", "用户", "a b", "u1\0", "user-0001", "用户名-" + "長" * 10]
+ITEMS = ["i1", "i2", "i3", "é9", "7", "x,y", "i1\0", "item.8by", "item-0123456789abcdef-é"]
 PADS = ["", "", "", "", " ", "  ", "　", "\x0c", "\x85", "\t"]
 STAMPS = st.one_of(st.integers(-3, 3), st.sampled_from([-(2 ** 63), 2 ** 63 - 1, 10 ** 12]))
 JUNK = [
@@ -635,6 +637,87 @@ def test_parse_reports_first_bad_line_across_blocks(tmp_path, monkeypatch):
         parse_interactions(path)
 
 
+def parse_bytes(tmp_path, data, **kwargs):
+    path = tmp_path / "raw.log"
+    path.write_bytes(data)
+    return parse_interactions(str(path), **kwargs)
+
+
+def test_parse_skips_a_byte_order_mark_at_the_start_only(tmp_path):
+    log = "u1\ti1\tbuy\t1\nu1\ti2\tbuy\t2\n\ufeffu1\ti1\tview\t3\n".encode("utf-8")
+    interactions, user_ids, item_ids = parse_bytes(tmp_path, codecs.BOM_UTF8 + log)
+    expected = parse_bytes(tmp_path, log)
+    assert_same_columns(interactions, expected[0])
+    assert (user_ids, item_ids) == expected[1:] == (["u1", "\ufeffu1"], ["i1", "i2"])
+
+
+@pytest.mark.parametrize("stem", ["a", "abcdefg", "abcdefgh", "é" * 20])
+def test_parse_tells_ids_apart_by_a_trailing_nul(tmp_path, stem):
+    log = "".join("%s\t%s\tbuy\n" % (u, v) for u, v in
+                  [(stem, stem + "\0"), (stem + "\0", stem), (stem, stem), (stem + "\0\0", stem)])
+    interactions, user_ids, item_ids = parse_bytes(tmp_path, log.encode("utf-8"))
+    assert interactions.user.tolist() == [0, 1, 0, 2]
+    assert interactions.item.tolist() == [0, 1, 1, 1]
+    assert user_ids == [stem, stem + "\0", stem + "\0\0"]
+    assert item_ids == [stem + "\0", stem]
+
+
+def test_parse_line_ends_at_every_block_boundary(tmp_path, monkeypatch):
+    ends = ["\r\n", "\r", "\n", "\r\n", "\r", "\r", "\n", "\r\n"]
+    lines = ["u%d\titem-%d-long-enough\tbuy\t%d" % (n % 3, n % 5, n) for n in range(24)]
+    path = write_raw(tmp_path, "".join(l + ends[n % 8] for n, l in enumerate(lines)))
+    expected, expected_users, expected_items = oracle_parse_interactions(path)
+    for block_chars in range(1, 65):
+        monkeypatch.setattr(datasets, "BLOCK_CHARS", block_chars)
+        interactions, user_ids, item_ids = parse_interactions(path)
+        assert_same_columns(interactions, columns(expected))
+        assert (user_ids, item_ids) == (expected_users, expected_items)
+
+
+@pytest.mark.parametrize("block_chars", [1, 8, 1 << 16])
+def test_parse_reads_a_last_line_without_a_newline(tmp_path, monkeypatch, block_chars):
+    monkeypatch.setattr(datasets, "BLOCK_CHARS", block_chars)
+    interactions, user_ids, _ = parse_bytes(tmp_path, b"a\tb\tbuy\t1\r\nc\td\tview\t2")
+    assert interactions.timestamp.tolist() == [1, 2] and user_ids == ["a", "c"]
+    with pytest.raises(DataError, match=r":2: expected 3 or 4 columns, got 2"):
+        parse_bytes(tmp_path, b"a\tb\tbuy\t1\nc\td")
+
+
+def test_parse_reads_lone_carriage_returns_as_line_ends(tmp_path, monkeypatch):
+    monkeypatch.setattr(datasets, "BLOCK_CHARS", 4)
+    interactions, user_ids, _ = parse_bytes(tmp_path, b"a\tb\tbuy\t1\r\rc\td\tview\t2\r")
+    assert interactions.timestamp.tolist() == [1, 2] and user_ids == ["a", "c"]
+    with pytest.raises(DataError, match=r":3: unknown behavior 'purchase'"):
+        parse_bytes(tmp_path, b"a\tb\tbuy\r\rc\td\tpurchase\r")
+    with pytest.raises(DataError, match=r":2: not UTF-8 text \(byte 0xff\)"):
+        parse_bytes(tmp_path, b"a\tb\tbuy\rc\xff\td\tbuy\n")
+
+
+@pytest.mark.parametrize("lines,error", [
+    (["a\tb\tbuy\tsoon", "a\tb\tbuy", "a\tb"], r":1: bad timestamp 'soon'"),
+    (["a\tb", "a\tb\tbuy", "a\tb\tpurchase"], r":1: expected 3 or 4 columns, got 2"),
+    (["a\tb\tbuy", "a\tb\tinspect", "a\tb\tbuy\t1\t2"], r":2: unknown behavior 'inspect'"),
+    (["a\tb\tbuy", "a\tb\tbuy\t1e3", "a\t\xff\tbuy"], r":2: bad timestamp '1e3'"),
+    (["a\tb\tbuy", "a\t\xff\tbuy\t1e3", "a\tb"], r":2: not UTF-8 text \(byte 0xff\)"),
+    (["a\tb\tbuy", "no separator", "a\t\xff\tbuy"],
+     r"cannot detect separator \(no tab or comma\): 'no separator'"),
+])
+def test_parse_names_the_first_bad_line_of_a_block_across_checks(tmp_path, lines, error):
+    log = "\n".join(lines).encode("utf-8").replace(b"\xc3\xbf", b"\xff") + b"\n"
+    with pytest.raises(DataError, match=error):
+        parse_bytes(tmp_path, log)
+
+
+def test_parse_strips_only_ascii_whitespace(tmp_path):
+    interactions, user_ids, item_ids = parse_bytes(
+        tmp_path, "\x1c u1\xa0\t\u3000i1\x0b\tbuy\t+07\f\n\x85\tu1\xa0\tview\n".encode("utf-8"))
+    assert user_ids == ["u1\xa0", "\x85"] and item_ids == ["\u3000i1", "u1\xa0"]
+    assert interactions.timestamp.tolist() == [7, 0]
+    for stamp in ("1_0", "٣", "1 0", "+", "-", "--1", "0x1f"):
+        with pytest.raises(DataError, match=re.escape(":1: bad timestamp %r" % stamp)):
+            parse_bytes(tmp_path, ("a\tb\tbuy\t%s\n" % stamp).encode("utf-8"))
+
+
 def _demo_toy_log(path):
     demo = os.path.join(os.path.dirname(__file__), "..", "demos", "04_prepare_raw_log.py")
     spec = importlib.util.spec_from_file_location("prepare_raw_log_demo", demo)
@@ -698,6 +781,28 @@ def test_columnar_ingestion_equals_record_oracle_at_scale(tmp_path, monkeypatch,
                           oracle_leave_one_out_split(ds, on_short="drop"))
         sizes.append((got.num_users, got.num_items))
     assert sizes == [(150, 84), (115, 32), (0, 0)]  # 7 cascades down to nothing
+
+
+@pytest.mark.parametrize("block_chars", [256, 1 << 20])
+def test_long_ids_equal_record_oracle_at_scale(tmp_path, monkeypatch, block_chars):
+    # ids of 7-41 bytes, some non-ASCII and some that differ only by trailing
+    # NULs, so that keys take one to six words
+    monkeypatch.setattr(datasets, "BLOCK_CHARS", block_chars)
+    rng = np.random.default_rng(7)
+    n = 4000
+    users = ["user-%d-%s" % (u, "ü" * (u % 17)) for u in rng.integers(0, 300, size=n).tolist()]
+    items = ["商品-%08d%s" % (v, "\0" * k)
+             for v, k in zip(rng.integers(0, 200, size=n).tolist(), rng.integers(0, 3, size=n))]
+    kinds = rng.choice(["view", "cart", "buy"], size=n)
+    stamps = rng.integers(-50, 400, size=n)
+    lines = ["%s,%s,%s,%d" % row for row in zip(users, items, kinds, stamps)]
+    path = write_raw(tmp_path, "\r\n".join(lines) + "\r\n")
+    interactions, user_ids, item_ids = parse_interactions(path, separator=",")
+    expected, expected_users, expected_items = oracle_parse_interactions(path, separator=",")
+    assert_same_columns(interactions, columns(expected))
+    assert (user_ids, item_ids) == (expected_users, expected_items)
+    assert max(len(raw.encode("utf-8")) for raw in user_ids + item_ids) == 41
+    assert any(raw.endswith("\0\0") for raw in item_ids)
 
 
 SMALL_SYNTH = ["--users", "12", "--items", "10", "--densities", "0.5,0.4,0.3",

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from critcf.cli import main
 from critcf.config import dataset_fingerprint
 from critcf.datasets import MIN_SPLIT_POSITIVES, leave_one_out_split
-from critcf.errors import DataError
+from critcf.errors import ConfigError, DataError
 from critcf.synthetic import SynthConfig, _floored_mask, generate
 
 
@@ -113,21 +113,21 @@ def test_target_order_is_permutation():
 
 
 def test_unreachable_target_density():
-    with pytest.raises(DataError, match="need at least"):
+    with pytest.raises(ConfigError, match="need at least"):
         generate(small_cfg(densities=(0.30, 0.20, 0.05)))  # 0.05 * 30 = 1.5 < 3
 
 
 def test_densities_must_not_increase():
-    with pytest.raises(DataError, match="non-increasing"):
+    with pytest.raises(ConfigError, match="non-increasing"):
         generate(small_cfg(densities=(0.12, 0.20, 0.30)))
 
 
 def test_density_range_checked():
-    with pytest.raises(DataError):
+    with pytest.raises(ConfigError):
         generate(small_cfg(densities=(0.30, 0.20, 0.0)))
-    with pytest.raises(DataError):
+    with pytest.raises(ConfigError):
         generate(small_cfg(densities=(1.5, 0.2, 0.12)))
-    with pytest.raises(DataError, match="expected 3 densities"):
+    with pytest.raises(ConfigError, match="expected 3 densities"):
         generate(small_cfg(densities=(0.3, 0.2)))
 
 
@@ -212,10 +212,13 @@ def test_floored_mask_equals_oracle_at_scale(kind):
     ["--latent-dim", "-2"],
 ])
 def test_synth_rejects_non_finite_scores(tmp_path, capsys, argv):
+    # A flag out of range is a configuration error; planted thresholds that
+    # overflow inside generate are a data error.
+    overflow = argv == ["--spread", "1e3"]
     out = tmp_path / "data"
-    assert main(["synth", str(out)] + argv) == 2
+    assert main(["synth", str(out)] + argv) == (2 if overflow else 1)
     err = capsys.readouterr().err
-    assert err.startswith("data error: ") and argv[0] in err
+    assert err.startswith("data error: " if overflow else "config error: ") and argv[0] in err
     assert not out.exists()
 
 
