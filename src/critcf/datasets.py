@@ -48,6 +48,10 @@ _EMPTY = np.empty(0, dtype=np.int64)
 
 _BEHAVIOR_FILE = re.compile(r"behavior_(0|[1-9][0-9]*)\.txt")
 
+# The ASCII whitespace that str.strip removes; raw-log lines and fields are
+# stripped of these bytes only.
+_BLANKS = "\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f "
+
 
 class Interactions(NamedTuple):
     """Interaction records as int64 columns, one entry per log line in file
@@ -94,21 +98,17 @@ class SplitDataset:
 
 def split_behavior_labels(text, where, error):
     """The comma-separated labels of text.  An empty or repeated label, which
-    would leave a behavior without records, raises error naming where."""
+    would leave a behavior without records, and a label that no stripped log
+    field can equal raise error naming where."""
     labels = tuple(text.split(","))
     for k, label in enumerate(labels):
         if not label or label in labels[:k]:
             raise error("%s: behavior label %r is %s"
                         % (where, label, "repeated" if label else "empty"))
+        if label != label.strip(_BLANKS) or "\n" in label or "\r" in label:
+            raise error("%s: behavior label %r starts or ends with whitespace or holds a "
+                        "line end, so no log field can match it" % (where, label))
     return labels
-
-
-def detect_separator(line):
-    if "\t" in line:
-        return "\t"
-    if "," in line:
-        return ","
-    raise DataError("cannot detect separator (no tab or comma): %r" % line[:80])
 
 
 def parse_interactions(path, behavior_labels=DEFAULT_BEHAVIORS, separator=None):
@@ -121,9 +121,9 @@ def parse_interactions(path, behavior_labels=DEFAULT_BEHAVIORS, separator=None):
     """
     columns = [(np.empty((1, 0), dtype=np.uint64),) * 2 + (_EMPTY, _EMPTY)]
     lines_before = 0
-    for newlines_before, block in _byte_blocks(path):
+    for block in _byte_blocks(path, cr=True):
         # A byte-order mark is skipped at the start of the log only.
-        block = block if newlines_before else block.removeprefix(codecs.BOM_UTF8)
+        block = block if lines_before else block.removeprefix(codecs.BOM_UTF8)
         lines, block_columns = _log_block(path, block, lines_before, behavior_labels, separator)
         columns.append(block_columns)
         lines_before += lines
@@ -133,11 +133,11 @@ def parse_interactions(path, behavior_labels=DEFAULT_BEHAVIORS, separator=None):
     return interactions, user_ids, item_ids
 
 
-# Raw-log bytes that shape a line: separators, line ends and the ASCII
-# whitespace that str.strip removes.  Every other byte is part of a field.
+# Raw-log bytes that shape a line: separators, line ends and the other
+# _BLANKS.  Every other byte is part of a field.
 _TAB, _COMMA, _BLANK, _LF, _CR = range(1, 6)
 _LOG_CLASS = bytes({9: _TAB, 44: _COMMA, 10: _LF, 13: _CR}.get(
-    b, _BLANK if b in b"\x0b\x0c\x1c\x1d\x1e\x1f " else 0) for b in range(256))
+    b, _BLANK if chr(b) in _BLANKS else 0) for b in range(256))
 # _PAD[r] sets the bytes after the first r of a big-endian word to 0xff,
 # which UTF-8 never holds, so padded keys stay distinct.
 _PAD = np.array([(1 << (64 - 8 * r)) - 1 for r in range(9)], dtype=np.uint64)
@@ -219,8 +219,6 @@ def _log_block(path, block, lines_before, behavior_labels, separator):
     if line == bad_utf8:
         raise DataError("%s not UTF-8 text (byte 0x%02x)" % (where, block[bad_byte]))
     if not good[line]:
-        if separator is None and seps[line] == 0:
-            detect_separator(block[line_start[line]:line_stop[line]].decode("utf-8"))
         raise DataError("%s expected 3 or 4 columns, got %d" % (where, seps[line] + 1))
     r = np.searchsorted(rows, line)
     user, item, label, stamp = (block[start[r]:stop[r]].decode("utf-8") for start, stop in fields)
@@ -473,36 +471,37 @@ def write_dataset_dir(out_dir, split, user_ids, item_ids, behavior_labels):
             fh.writelines(map("{} {}\n".format, names, map(name, held.tolist())))
 
 
-def _byte_blocks(path):
-    """A file in blocks of about BLOCK_CHARS bytes, each ending in a newline.
-
-    Yields (lines_before, block), where lines_before counts newlines.  What
-    follows the file's last newline comes last, as a block of its own.
+def _byte_blocks(path, cr=False):
+    """A file in blocks of about BLOCK_CHARS bytes, each cut after a line end:
+    a newline, or also a carriage return when cr is true.  What follows the
+    file's last cut comes last, as a block of its own.
     """
-    lines_before = 0
     pending = []
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(BLOCK_CHARS), b""):
-            cut = chunk.rfind(b"\n") + 1
+            # A \r at the end of a chunk may begin a \r\n, so one more byte is
+            # read, and a \r that is still the last byte is not cut after.
+            chunk += fh.read(chunk.endswith(b"\r"))
+            cut = max(chunk.rfind(b"\n"), chunk.rfind(b"\r", 0, -1) if cr else -1) + 1
             if not cut:
                 pending.append(chunk)
                 continue
-            block = b"".join(pending + [chunk[:cut]])
+            yield b"".join(pending + [chunk[:cut]])
             pending = [chunk[cut:]]
-            yield lines_before, block
-            lines_before += block.count(b"\n")
     if any(pending):
-        yield lines_before, b"".join(pending)
+        yield b"".join(pending)
 
 
 def _dataset_blocks(path):
-    """_byte_blocks of a dataset file.  A file whose last byte is not a
-    newline raises DataError naming its last line."""
-    for lines_before, block in _byte_blocks(path):
+    """_byte_blocks of a dataset file as (lines_before, block).  A file whose
+    last byte is not a newline raises DataError naming its last line."""
+    lines_before = 0
+    for block in _byte_blocks(path):
         if not block.endswith(b"\n"):
             raise DataError("%s:%d: the file ends inside this line (no final newline)"
                             % (path, lines_before + 1))
         yield lines_before, block
+        lines_before += block.count(b"\n")
 
 
 def _text_blocks(path):

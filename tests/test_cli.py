@@ -209,14 +209,23 @@ def test_synth_argument_validation(tmp_path, capsys):
     capsys.readouterr()
 
 
+UNMATCHABLE = "starts or ends with whitespace or holds a line end, so no log field can match it"
+
+
 @pytest.mark.parametrize("command", ["prepare", "synth"])
 @pytest.mark.parametrize("labels,message", [
     ("view,view,buy", "behavior label 'view' is repeated"),
     ("view,,buy", "behavior label '' is empty"),
+    ("view, cart,buy", "behavior label ' cart' " + UNMATCHABLE),
+    ("view,cart,buy\t", "behavior label 'buy\\t' " + UNMATCHABLE),
+    ("\x1cview,cart,buy", "behavior label '\\x1cview' " + UNMATCHABLE),
+    ("view,ca\rrt,buy", "behavior label 'ca\\rrt' " + UNMATCHABLE),
+    ("view,cart,b\nuy", "behavior label 'b\\nuy' " + UNMATCHABLE),
 ])
 def test_behaviors_rejects_empty_or_repeated_labels(tmp_path, capsys, command, labels,
                                                      message):
-    # a repeated label once left the first of its behaviors without records
+    # a repeated label once left the first of its behaviors without records, and
+    # prepare blamed the log's first cart line for --behaviors "view, cart,buy"
     raw = tmp_path / "raw.tsv"
     raw.write_text("u0\ti0\tbuy\t1\n")
     out = tmp_path / "out"
@@ -319,8 +328,11 @@ def test_evaluate_rejects_non_finite_scores(dataset_dir, run_dir, tmp_path, caps
      "index_map.txt:3: expected 'u', a raw id and dense index 2, tab-separated"),
     ("index_map.txt", lambda t: t.replace("u\t3\t3\n", "u\t3\n"),
      "index_map.txt:4: expected 'u', a raw id and dense index 3, tab-separated"),
+    ("meta.txt", lambda t: t.replace("behaviors view,cart,buy", "behaviors view, cart,buy"),
+     "meta.txt: behavior label ' cart' " + UNMATCHABLE),
 ], ids=["missing-key", "non-integer-count", "negative-count", "zero-users", "zero-items",
-        "index-past-count", "negative-index", "non-integer-index", "two-field-line"])
+        "index-past-count", "negative-index", "non-integer-index", "two-field-line",
+        "padded-label"])
 def test_evaluate_rejects_bad_dataset_meta(dataset_dir, run_dir, tmp_path, capsys, name, edit,
                                            message):
     data = str(tmp_path / "data")

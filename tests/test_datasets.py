@@ -22,11 +22,11 @@ from critcf.datasets import (
     Interactions,
     SplitDataset,
     build_dataset,
-    detect_separator,
     drop_behavior,
     leave_one_out_split,
     parse_interactions,
     read_dataset_dir,
+    split_behavior_labels,
     write_dataset_dir,
 )
 from critcf.errors import DataError
@@ -59,7 +59,7 @@ def oracle_parse_interactions(path, behavior_labels=DEFAULT_BEHAVIORS, separator
             line = raw.strip(ASCII_BLANKS)
             if not line:
                 continue
-            sep = separator or detect_separator(line)
+            sep = separator or ("\t" if "\t" in line else ",")
             parts = [p.strip(ASCII_BLANKS) for p in line.split(sep)]
             if len(parts) not in (3, 4):
                 raise DataError(
@@ -287,13 +287,6 @@ def write_raw(tmp_path, text, name="raw.tsv"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
-
-
-def test_detect_separator():
-    assert detect_separator("a\tb\tc") == "\t"
-    assert detect_separator("a,b,c") == ","
-    with pytest.raises(DataError):
-        detect_separator("a b c")
 
 
 def test_parse_first_appearance_indexing(tmp_path):
@@ -693,19 +686,59 @@ def test_parse_reads_lone_carriage_returns_as_line_ends(tmp_path, monkeypatch):
         parse_bytes(tmp_path, b"a\tb\tbuy\rc\xff\td\tbuy\n")
 
 
+@st.composite
+def line_ended_logs(draw):
+    r"""(log bytes, block size, longest line with its end): lines end in a mix
+    of \n, \r\n and \r, some are block_chars long and end in \r, and the
+    last may lack an end."""
+    block_chars = draw(st.integers(1, 64))
+    body = st.one_of(st.integers(0, 3), st.integers(0, 80)).map(b"x".__mul__)
+    line = st.one_of(st.tuples(body, st.sampled_from([b"\n", b"\r\n", b"\r"])).map(b"".join),
+                     st.just(b"x" * (block_chars - 1) + b"\r"))
+    lines = draw(st.lists(line, max_size=40)) + [draw(st.sampled_from([b"", b"x", b"\n"]))]
+    return b"".join(lines), block_chars, max(map(len, lines))
+
+
+@settings(max_examples=300, deadline=None)
+@example(log=(b"a\tb\tbuy\r" * 100, 8, 8))
+@example(log=(b"\r\r\n", 1, 2))
+@given(log=line_ended_logs())
+def test_raw_log_blocks_cut_at_line_ends_within_a_line_of_block_chars(log):
+    data, block_chars, longest = log
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(datasets, "BLOCK_CHARS", block_chars)
+        path = os.path.join(tmp, "raw.log")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        blocks = list(datasets._byte_blocks(path, cr=True))
+    assert b"".join(blocks) == data
+    for block, after in zip(blocks, blocks[1:]):
+        assert block.endswith((b"\n", b"\r"))
+        assert not (block.endswith(b"\r") and after.startswith(b"\n"))
+    assert all(len(block) <= longest + block_chars + 1 for block in blocks)
+
+
 @pytest.mark.parametrize("lines,error", [
     (["a\tb\tbuy\tsoon", "a\tb\tbuy", "a\tb"], r":1: bad timestamp 'soon'"),
     (["a\tb", "a\tb\tbuy", "a\tb\tpurchase"], r":1: expected 3 or 4 columns, got 2"),
     (["a\tb\tbuy", "a\tb\tinspect", "a\tb\tbuy\t1\t2"], r":2: unknown behavior 'inspect'"),
     (["a\tb\tbuy", "a\tb\tbuy\t1e3", "a\t\xff\tbuy"], r":2: bad timestamp '1e3'"),
     (["a\tb\tbuy", "a\t\xff\tbuy\t1e3", "a\tb"], r":2: not UTF-8 text \(byte 0xff\)"),
-    (["a\tb\tbuy", "no separator", "a\t\xff\tbuy"],
-     r"cannot detect separator \(no tab or comma\): 'no separator'"),
+    (["a\tb\tbuy", "no separator", "a\t\xff\tbuy"], r":2: expected 3 or 4 columns, got 1$"),
 ])
 def test_parse_names_the_first_bad_line_of_a_block_across_checks(tmp_path, lines, error):
     log = "\n".join(lines).encode("utf-8").replace(b"\xc3\xbf", b"\xff") + b"\n"
     with pytest.raises(DataError, match=error):
         parse_bytes(tmp_path, log)
+
+
+def test_behavior_labels_may_hold_inner_blanks(tmp_path):
+    # a comma-separated log can hold a tab inside its behavior field
+    labels = split_behavior_labels("add to cart,a\tb,buy", "--behaviors", DataError)
+    assert labels == ("add to cart", "a\tb", "buy")
+    interactions, _, _ = parse_bytes(tmp_path, b"u,i, add to cart\nu,i,a\tb \n",
+                                     behavior_labels=labels, separator=",")
+    assert interactions.behavior.tolist() == [0, 1]
 
 
 def test_parse_strips_only_ascii_whitespace(tmp_path):
@@ -916,6 +949,19 @@ def test_read_dataset_dir_rejects_corrupt_files(small_dataset, monkeypatch, bloc
     read_dataset_dir(small_dataset)  # intact before the edit
     _edit_file(os.path.join(small_dataset, name), edit)
     with pytest.raises(DataError, match=message):
+        read_dataset_dir(small_dataset)
+
+
+@pytest.mark.parametrize("block_chars", [1, 8, 1 << 16])
+@pytest.mark.parametrize("edit", [_edit_line(5, "4 1\r"),
+                                  lambda data: data.replace(b"\n5 ", b"\r5 ")],
+                         ids=["cr-lf", "lone-cr"])
+def test_dataset_files_end_lines_at_newlines_only(small_dataset, monkeypatch, block_chars,
+                                                  edit):
+    # a \r ends a raw-log line, but in a dataset file it is a bad byte
+    monkeypatch.setattr(datasets, "BLOCK_CHARS", block_chars)
+    _edit_file(os.path.join(small_dataset, "test.txt"), edit)
+    with pytest.raises(DataError, match=r"test.txt:5: byte 0x0d is not allowed"):
         read_dataset_dir(small_dataset)
 
 
