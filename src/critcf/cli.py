@@ -153,6 +153,10 @@ def cmd_prepare(args):
     labels = split_behavior_labels(args.behaviors, "--behaviors", ConfigError)
     if args.min_target < 0:
         raise ConfigError("--min-target: %d is not >= 0" % args.min_target)
+    tabbed = [label for label in labels if "\t" in label]
+    if tabbed and args.separator != "comma":
+        raise ConfigError("--behaviors: behavior label %r holds a tab, which --separator %s "
+                          "splits log lines on" % (tabbed[0], args.separator))
     # Checked before the log is read, so a bad path does not cost the parse.
     _check_run_dir(args.out_dir)
     separator = {"tab": "\t", "comma": ",", "auto": None}[args.separator]
@@ -195,7 +199,11 @@ def cmd_synth(args):
     )
     cfg.validate()
     _check_run_dir(args.out_dir)
-    dataset, user_ids, item_ids = generate(cfg)
+    try:
+        dataset, user_ids, item_ids = generate(cfg)
+    except MemoryError:
+        raise ConfigError("--users %d, --items %d: the planted arrays do not fit in memory"
+                          % (args.users, args.items)) from None
     split = leave_one_out_split(dataset, on_short="error")
     write_dataset_dir(args.out_dir, split, user_ids, item_ids, labels)
     print("wrote %s: %d users, %d items, %d behaviors, seed %d"

@@ -310,8 +310,7 @@ def positive_pairs(per_user, users):
     return np.repeat(np.arange(len(sets), dtype=np.int64), sizes), items
 
 
-def build_dataset(interactions, num_behaviors, min_target=5,
-                  num_users=None, num_items=None):
+def build_dataset(interactions, num_behaviors, min_target=5):
     """Deduplicate, filter, and densify columnar interactions.
 
     Duplicate (user, item, behavior) records collapse to the first one.
@@ -329,10 +328,8 @@ def build_dataset(interactions, num_behaviors, min_target=5,
         raise DataError(
             "behavior id %d out of range for %d behaviors" % (behavior[bad[0]], num_behaviors)
         )
-    if num_users is None:
-        num_users = int(user.max()) + 1 if user.size else 0
-    if num_items is None:
-        num_items = int(item.max()) + 1 if item.size else 0
+    num_users = int(user.max()) + 1 if user.size else 0
+    num_items = int(item.max()) + 1 if item.size else 0
 
     code = (user * num_items + item) * num_behaviors + behavior
     _, first = np.unique(code, return_index=True)
@@ -403,14 +400,13 @@ def leave_one_out_split(dataset, on_short="error"):
     order = np.concatenate([_EMPTY] + list(dataset.target_order))
     test, validation = order[ends - 1], order[ends - 2]
 
-    target = dataset.num_behaviors - 1
     kept_users = keep.tolist()
-    positives = [[dataset.positives[k][u].copy() for u in kept_users] for k in range(target)]
-    # The held-out items leave the target positives through one mask over
-    # the kept users' rows laid end to end.
-    row, items = positive_pairs(dataset.positives[target], kept_users)
+    pairs = [positive_pairs(per_user, kept_users) for per_user in dataset.positives]
+    # The held-out items leave the target positives through one mask.
+    row, items = pairs[-1]
     trained = (items != test[row]) & (items != validation[row])
-    positives.append(rows_by_user(row[trained], items[trained], len(keep)))
+    pairs[-1] = row[trained], items[trained]
+    positives = [rows_by_user(*pair, len(keep)) for pair in pairs]
     train = BehaviorDataset(len(keep), dataset.num_items, dataset.num_behaviors,
                             positives, None)
     return SplitDataset(train, validation, test, keep, dropped_users=len(short))
@@ -606,27 +602,18 @@ def _check(path, first_line, bad, message, values=None, starts=None):
                                        message if values is None else message % values[i]))
 
 
-def _check_users(path, first_line, users):
-    """Line n of a per-user file holds user n - 1."""
-    wrong = np.flatnonzero(users != np.arange(first_line - 1, first_line - 1 + len(users)))
-    if wrong.size:
-        lineno = first_line + int(wrong[0])
-        raise DataError("%s:%d: expected user %d, got %d"
-                        % (path, lineno, lineno - 1, users[wrong[0]]))
-
-
-def _check_line_count(path, lines, num_users):
-    """A per-user file has one line per user."""
-    if lines != num_users:
-        raise DataError("%s: %d lines for %d users" % (path, lines, num_users))
-
-
-def _read_positives(path, num_users, num_items):
-    """Per-user item arrays from a behavior_<k>.txt file, validated."""
+def _read_rows(path, num_users, num_items):
+    """(lengths, items) of a per-user file, validated: line n holds user n - 1
+    and then lengths[n - 1] strictly increasing items, laid end to end in items."""
     items, lengths = [_EMPTY], [_EMPTY]
     for first_line, values, starts, counts in _int_blocks(path):
         _check(path, first_line, counts == 0, "empty line, expected a user index")
-        _check_users(path, first_line, values[starts])
+        users = values[starts]
+        wrong = np.flatnonzero(users != np.arange(first_line - 1, first_line - 1 + len(users)))
+        if wrong.size:
+            lineno = first_line + int(wrong[0])
+            raise DataError("%s:%d: expected user %d, got %d"
+                            % (path, lineno, lineno - 1, users[wrong[0]]))
         is_item = np.ones(len(values), dtype=bool)
         is_item[starts] = False
         _check(path, first_line, is_item & ((values < 0) | (values >= num_items)),
@@ -637,26 +624,16 @@ def _read_positives(path, num_users, num_items):
         items.append(values[is_item])
         lengths.append(counts - 1)
     lengths = np.concatenate(lengths)
-    _check_line_count(path, len(lengths), num_users)
-    # Line n holds user n - 1, so the rows are cut in file order.
-    items = np.concatenate(items)
-    ends = np.cumsum(lengths).tolist()
-    return [items[start:stop] for start, stop in zip([0] + ends[:-1], ends)]
+    if len(lengths) != num_users:
+        raise DataError("%s: %d lines for %d users" % (path, len(lengths), num_users))
+    return lengths, np.concatenate(items)
 
 
 def _read_heldout(path, num_users, num_items):
     """The held-out item of every user from validation.txt or test.txt, validated."""
-    held = [_EMPTY]
-    for first_line, values, _, lengths in _int_blocks(path):
-        _check(path, first_line, lengths != 2, "expected 'user item', got %d fields", lengths)
-        _check_users(path, first_line, values[0::2])
-        items = values[1::2]
-        _check(path, first_line, (items < 0) | (items >= num_items),
-               "item %%d out of range (%d items)" % num_items, items)
-        held.append(items)
-    held = np.concatenate(held)
-    _check_line_count(path, len(held), num_users)
-    return held
+    lengths, items = _read_rows(path, num_users, num_items)
+    _check(path, 1, lengths != 1, "expected 'user item', got %d fields", lengths + 1)
+    return items
 
 
 def _read_index_map(path, num_users, num_items):
@@ -694,20 +671,28 @@ def _read_index_map(path, num_users, num_items):
 def read_dataset_dir(dataset_dir):
     """Load a serialized split; returns (split, user_ids, item_ids, labels).
 
-    The files are read in the order write_dataset_dir writes them.  A
-    missing, non-integer or zero user or item count in meta.txt, a behavior
-    label count that is not num_behaviors, an empty or repeated label, a
-    malformed line, an item out of range, a line that does not hold the user
-    or dense index of its position, a file with too many or too few lines,
-    positives that are not strictly increasing, a file that does not end in
-    a newline, and a held-out item that is one of its user's target-behavior
-    positives raise DataError naming the file and the key or line.
+    The files are read in the order write_dataset_dir writes them.  A key
+    repeated in meta.txt, a missing, non-integer or zero user or item count,
+    a behavior label count that is not num_behaviors, an empty or repeated
+    label, a malformed line, an item out of range, a line that does not hold
+    the user or dense index of its position, a file with too many or too few
+    lines, positives that are not strictly increasing, a file that does not
+    end in a newline, and a held-out item among its user's target positives
+    raise DataError naming the file and the key or line.  validation.txt and
+    test.txt get every check of behavior_<k>.txt, such as "empty line",
+    before "expected 'user item'" for a line of other than one item.
     """
     meta_path = os.path.join(dataset_dir, "meta.txt")
     if not os.path.exists(meta_path):
         raise DataError("%s: not a dataset directory (missing meta.txt)" % dataset_dir)
-    meta = dict(line.strip().partition(" ")[::2]
-                for _, lines in _text_blocks(meta_path) for line in lines)
+    meta = {}
+    for lines_before, lines in _text_blocks(meta_path):
+        for lineno, line in enumerate(lines, lines_before + 1):
+            key, _, value = line.strip().partition(" ")
+            if key in meta:
+                raise DataError("%s:%d: key %r is already set on an earlier line"
+                                % (meta_path, lineno, key))
+            meta[key] = value
 
     def count(key):
         text = meta.get(key)
@@ -735,22 +720,24 @@ def read_dataset_dir(dataset_dir):
     # that a count larger than the lines listed fails here.
     user_ids, item_ids = _read_index_map(os.path.join(dataset_dir, "index_map.txt"),
                                          num_users, num_items)
-    positives = [
-        _read_positives(os.path.join(dataset_dir, "behavior_%d.txt" % k), num_users, num_items)
-        for k in range(num_behaviors)
-    ]
+    users = np.arange(num_users, dtype=np.int64)
+    columns = []
+    for k in range(num_behaviors):
+        lengths, items = _read_rows(os.path.join(dataset_dir, "behavior_%d.txt" % k),
+                                    num_users, num_items)
+        columns.append((np.repeat(users, lengths), items))
     validation, test = (_read_heldout(os.path.join(dataset_dir, name), num_users, num_items)
                         for name in ("validation.txt", "test.txt"))
     # Ranking leaves a user's target positives out of the candidates, so a
     # held-out item among them could not be ranked.
-    owners, items = positive_pairs(positives[-1], range(num_users))
+    owners, items = columns[-1]
     for name, held in (("validation.txt", validation), ("test.txt", test)):
         clash = np.flatnonzero(items == held[owners])
         if clash.size:
             u = owners[clash[0]]
             raise DataError("%s: the held-out item %d of user %d is one of its target-behavior "
                             "training positives" % (os.path.join(dataset_dir, name), held[u], u))
+    positives = [rows_by_user(*pair, num_users) for pair in columns]
     train = BehaviorDataset(num_users, num_items, num_behaviors, positives, None)
-    split = SplitDataset(train, validation, test, np.arange(num_users, dtype=np.int64),
-                         dropped_users=dropped_users)
+    split = SplitDataset(train, validation, test, users, dropped_users=dropped_users)
     return split, user_ids, item_ids, labels

@@ -63,6 +63,10 @@ class SynthConfig:
                 % (self.densities[-1], expected_target,
                    MIN_SPLIT_POSITIVES / self.num_items, MIN_SPLIT_POSITIVES)
             )
+        # numpy makes no array of 2**63 bytes or more (U x V, U x d, V x d float64s here).
+        if max(self.num_users, self.num_items) * max(self.num_items, self.latent_dim) >= 2 ** 60:
+            raise ConfigError("--users %d, --items %d and --latent-dim %d need arrays larger than "
+                              "numpy can make" % (self.num_users, self.num_items, self.latent_dim))
 
 
 def _floored_mask(adjusted, count, floor):

@@ -201,6 +201,35 @@ def test_synth_flag_errors_exit_1_before_the_output_path_is_checked(tmp_path, ca
     assert err.startswith("config error: ") and "afile" not in err
 
 
+@pytest.mark.parametrize("flags", [["--users", "1000000000000000000"],
+                                   ["--users", "100000000000000000000"],
+                                   ["--items", "10000000000000000"],
+                                   ["--latent-dim", "10000000000000000"]])
+def test_synth_rejects_sizes_numpy_cannot_make(tmp_path, capsys, flags):
+    # numpy refuses these before allocating: "array is too big" or "Maximum
+    # allowed dimension exceeded" once ended synth in a traceback
+    out = tmp_path / "data"
+    sizes = dict({"--users": "200", "--items": "100", "--latent-dim": "8"}, **dict([flags]))
+    assert main(["synth", str(out)] + flags) == 1
+    assert capsys.readouterr().err == (
+        "config error: --users %(--users)s, --items %(--items)s and --latent-dim %(--latent-dim)s "
+        "need arrays larger than numpy can make\n" % sizes)
+    assert not out.exists()
+
+
+def test_synth_reports_arrays_that_do_not_fit_in_memory(tmp_path, capsys, monkeypatch):
+    def no_memory(*args, **kwargs):
+        raise MemoryError
+
+    # stands in for a size that numpy tries and fails to allocate
+    monkeypatch.setattr("critcf.synthetic._floored_mask", no_memory)
+    out = tmp_path / "data"
+    assert main(["synth", str(out), "--users", "30", "--items", "80"]) == 1
+    assert capsys.readouterr().err == (
+        "config error: --users 30, --items 80: the planted arrays do not fit in memory\n")
+    assert not out.exists()
+
+
 def test_synth_argument_validation(tmp_path, capsys):
     assert main(["synth", str(tmp_path / "a"), "--densities", "0.4,0.3",
                  "--behaviors", "view,cart,buy"]) == 1
@@ -689,6 +718,32 @@ def test_prepare_comma_rejects_an_id_holding_a_tab(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "data error: %s:1: id 'u\\t0' holds a tab, which a dataset dir cannot store\n" % raw)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("separator", ["tab", "auto"])
+def test_prepare_rejects_a_tab_in_a_label_when_lines_split_on_tabs(tmp_path, capsys, separator):
+    # such a label once made prepare blame log line 2 with "expected 3 or 4 columns"
+    raw = tmp_path / "raw.tsv"
+    raw.write_text("u0\ti0\tview\t1\nu0\ti1\ta\tb\t2\n")
+    out = tmp_path / "out"
+    assert main(["prepare", str(raw), str(out), "--behaviors", "view,a\tb,buy",
+                 "--separator", separator]) == 1
+    assert capsys.readouterr().err == (
+        "config error: --behaviors: behavior label 'a\\tb' holds a tab, which --separator %s "
+        "splits log lines on\n" % separator)
+    assert not out.exists()
+
+
+def test_prepare_comma_accepts_a_tab_in_a_label(tmp_path, capsys):
+    raw = tmp_path / "raw.csv"
+    raw.write_text("".join("u%d,i%d,buy,%d\nu%d,i0,a\tb,%d\n" % (u, v, 6 * u + v, u, u)
+                           for u in range(6) for v in range(6)))
+    out = str(tmp_path / "out")
+    assert main(["prepare", str(raw), out, "--behaviors", "view,a\tb,buy", "--separator",
+                 "comma"]) == 0
+    split, _, _, labels = read_dataset_dir(out)
+    assert labels == ("view", "a\tb", "buy")
+    assert [sum(map(len, split.train.positives[k])) for k in range(3)] == [0, 6, 24]
 
 
 def _config_file(tmp_path, data):

@@ -341,12 +341,12 @@ def test_build_dataset_threshold_examples():
     # the threshold is inclusive on both sides: 5 users x 5 items of
     # complete buys put every user AND every item exactly at min_target=5
     complete = [it for u in range(5) for it in buys(u, [0, 1, 2, 3, 4])]
-    kept, _, _ = build_dataset(columns(complete), 3, min_target=5, num_items=5)
+    kept, _, _ = build_dataset(columns(complete), 3, min_target=5)
     assert kept.num_users == 5
     assert len(kept.positives[2][0]) == 5
 
     # one user short of the threshold empties out (items lose support too)
-    empty, _, _ = build_dataset(columns(buys(0, [0, 1, 2, 3])), 3, min_target=5, num_items=4)
+    empty, _, _ = build_dataset(columns(buys(0, [0, 1, 2, 3])), 3, min_target=5)
     assert empty.num_users == 0
     assert empty.num_items == 0
 
@@ -354,7 +354,7 @@ def test_build_dataset_threshold_examples():
 def test_build_dataset_dedupes():
     interactions = [it for u in range(3) for it in buys(u, [0, 1, 2])]
     interactions.insert(1, Interaction(0, 0, 2, 99))
-    ds, _, _ = build_dataset(columns(interactions), 3, min_target=3, num_items=3)
+    ds, _, _ = build_dataset(columns(interactions), 3, min_target=3)
     assert ds.num_users == 3
     assert list(ds.positives[2][0]) == [0, 1, 2]
     # the first copy's timestamp wins in the target ordering
@@ -367,8 +367,7 @@ def test_build_dataset_iterative_filter():
     # fall in the second pass
     interactions = [it for u in range(3) for it in buys(u, [0, 1])]
     interactions += buys(3, [0, 2])
-    ds, kept_users, kept_items = build_dataset(columns(interactions), 3, min_target=2,
-                                               num_items=3)
+    ds, kept_users, kept_items = build_dataset(columns(interactions), 3, min_target=2)
     assert list(kept_users) == [0, 1, 2]
     assert list(kept_items) == [0, 1]
     assert all(list(ds.positives[2][u]) == [0, 1] for u in range(3))
@@ -386,14 +385,14 @@ def test_build_dataset_target_order_uses_time_then_input_order():
         Interaction(0, 2, 2, 50),
         Interaction(0, 3, 2, None),
     ]
-    ds, _, _ = build_dataset(columns(interactions), 3, min_target=0, num_items=4)
+    ds, _, _ = build_dataset(columns(interactions), 3, min_target=0)
     # missing timestamp counts as 0; equal stamps keep file order
     assert list(ds.target_order[0]) == [3, 1, 0, 2]
 
 
 def test_leave_one_out_split_basic():
     interactions = buys(0, [5, 3, 8]) + [Interaction(0, 1, 1, 0)]
-    ds, _, _ = build_dataset(columns(interactions), 3, min_target=0, num_items=9)
+    ds, _, _ = build_dataset(columns(interactions), 3, min_target=0)
     split = leave_one_out_split(ds)
     assert split.test[0] == 8
     assert split.validation[0] == 3
@@ -405,18 +404,18 @@ def test_leave_one_out_split_basic():
 
 
 def test_leave_one_out_split_five_items():
-    ds, _, _ = build_dataset(columns(buys(0, [0, 1, 2, 3, 4])), 3, min_target=0, num_items=5)
+    ds, _, _ = build_dataset(columns(buys(0, [0, 1, 2, 3, 4])), 3, min_target=0)
     split = leave_one_out_split(ds)
     assert len(split.train.positives[2][0]) == 3
     assert split.test[0] == 4 and split.validation[0] == 3
 
 
 def test_leave_one_out_split_short_user():
-    ds, _, _ = build_dataset(columns(buys(0, [0, 1])), 3, min_target=0, num_items=2)
+    ds, _, _ = build_dataset(columns(buys(0, [0, 1])), 3, min_target=0)
     with pytest.raises(DataError, match="user 0"):
         leave_one_out_split(ds)
     two_users = buys(0, [0, 1]) + buys(1, [0, 1, 2], t0=10)
-    ds, _, _ = build_dataset(columns(two_users), 3, min_target=0, num_items=3)
+    ds, _, _ = build_dataset(columns(two_users), 3, min_target=0)
     split = leave_one_out_split(ds, on_short="drop")
     assert split.dropped_users == 1
     assert split.train.num_users == 1
@@ -432,7 +431,7 @@ def test_split_disjointness():
         interactions += buys(u, list(items))
         for v in items[:2]:
             interactions.append(Interaction(u, int(v), 0, None))
-    ds, _, _ = build_dataset(columns(interactions), 3, min_target=3, num_items=30)
+    ds, _, _ = build_dataset(columns(interactions), 3, min_target=3)
     split = leave_one_out_split(ds)
     for u in range(split.train.num_users):
         train_pos = set(int(v) for v in split.train.positives[2][u])
@@ -447,15 +446,13 @@ def test_filter_is_idempotent():
     for u in range(10):
         items = rng.permutation(20)[: rng.integers(1, 8)]
         interactions += buys(u, list(items))
-    ds, _, _ = build_dataset(columns(interactions), 3, min_target=3, num_items=20)
+    ds, _, _ = build_dataset(columns(interactions), 3, min_target=3)
     rebuilt = [
         Interaction(u, int(v), 2, t)
         for u in range(ds.num_users)
         for t, v in enumerate(ds.target_order[u])
     ]
-    again, kept_users, kept_items = build_dataset(columns(rebuilt), 3, min_target=3,
-                                                  num_users=ds.num_users,
-                                                  num_items=ds.num_items)
+    again, kept_users, kept_items = build_dataset(columns(rebuilt), 3, min_target=3)
     assert again.num_users == ds.num_users
     assert again.num_items == ds.num_items
     assert list(kept_users) == list(range(ds.num_users))
@@ -484,8 +481,7 @@ def test_dataset_dir_roundtrip(tmp_path):
         interactions += buys(u, [(u + j) % 15 for j in range(4)])
         interactions.append(Interaction(u, (u + 7) % 15, 0, None))
         interactions.append(Interaction(u, (u + 3) % 15, 1, None))
-    ds, kept_users, kept_items = build_dataset(columns(interactions), 3, min_target=2,
-                                               num_items=15)
+    ds, kept_users, kept_items = build_dataset(columns(interactions), 3, min_target=2)
     split = leave_one_out_split(ds)
     user_ids = ["u%d" % kept_users[u] for u in split.source_users]
     item_ids = ["i%d" % v for v in kept_items]
@@ -934,6 +930,14 @@ def _edit_file(path, edit):
     ("validation.txt", _edit_line(1, "0 2"),
      r"validation.txt: the held-out item 2 of user 0 is one of its target-behavior training "
      r"positives$"),
+    ("meta.txt", _edit_line(5, "dropped_users 0\ndropped_users 7"),
+     r"meta.txt:6: key 'dropped_users' is already set on an earlier line$"),
+    ("meta.txt", _edit_line(4, "behaviors a,b,c\nbehaviors view,cart,buy"),
+     r"meta.txt:5: key 'behaviors' is already set on an earlier line$"),
+    ("test.txt", _edit_line(3, ""), r"test.txt:3: empty line, expected a user index$"),
+    ("validation.txt", _edit_line(2, "1 3 2"),
+     r"validation.txt:2: items not strictly increasing at item 2$"),
+    ("test.txt", _edit_line(4, "3"), r"test.txt:4: expected 'user item', got 1 fields$"),
 ], ids=["no-test-line", "no-validation-line", "item-too-large", "item-negative",
         "user-too-large", "heldout-item-too-large", "heldout-user-negative", "repeated-item",
         "falling-items", "empty-line", "three-fields", "bad-integer", "repeated-user",
@@ -941,7 +945,8 @@ def _edit_file(path, edit):
         "no-final-newline", "int64-overflow", "plus-sign", "tab", "carriage-return",
         "non-utf8", "non-ascii", "no-index-line", "repeated-index", "non-utf8-index",
         "no-dropped-users", "label-count", "repeated-label", "empty-label",
-        "heldout-is-positive"])
+        "heldout-is-positive", "repeated-meta-count", "repeated-meta-labels",
+        "empty-heldout-line", "falling-heldout-items", "one-heldout-field"])
 @pytest.mark.parametrize("block_chars", [8, 1 << 16])
 def test_read_dataset_dir_rejects_corrupt_files(small_dataset, monkeypatch, block_chars,
                                                 name, edit, message):
