@@ -63,53 +63,149 @@ class SynthConfig:
                 % (self.densities[-1], expected_target,
                    MIN_SPLIT_POSITIVES / self.num_items, MIN_SPLIT_POSITIVES)
             )
-        # numpy makes no array of 2**63 bytes or more (U x V, U x d, V x d float64s here).
+        # numpy makes no array of 2**63 bytes or more: here the U x d and V x d
+        # float64s, the U x V bool masks and the int64 flat indices into them.
         if max(self.num_users, self.num_items) * max(self.num_items, self.latent_dim) >= 2 ** 60:
             raise ConfigError("--users %d, --items %d and --latent-dim %d need arrays larger than "
                               "numpy can make" % (self.num_users, self.num_items, self.latent_dim))
 
 
-def _floored_mask(adjusted, count, floor):
-    """Top-count mask with a per-user floor, selected in O(U*V) time.
+# Cells per row block of the planted affinity: a few (rows, V) float64 blocks
+# stay in cache, and no U x V float array is ever built.
+BLOCK_CELLS = 1 << 16
 
-    Each user first gets its ``floor`` largest entries: every entry above
-    the row's floor-th largest value t, then the entries equal to t in
-    ascending column order until the row holds ``floor`` cells.  The same
-    rule then runs once over all unmarked cells, with ties taken in
-    ascending flat (row-major) index, until exactly ``count`` cells are set.
-    Selection only compares values, so -0.0 and 0.0 tie.  ``adjusted`` must
-    be finite and ``count`` at most U*V.
+
+def _largest(values, n):
+    """The ``n`` largest of ``values`` (partitioned in place), least first."""
+    kth = values.size - n
+    values.partition(kth)
+    return values[kth:].copy()
+
+
+def _floored_mask(blocks, shape, counts, floor):
+    """Top-count masks with a per-user floor, one per behavior, in O(U*V) time.
+
+    ``blocks`` is re-iterable: each pass over it yields ``(first_row, block)``
+    pairs that cover the ``shape[0]`` rows in order, with ``block[k]`` the
+    values of behavior k on those rows, the same on both passes.  Each user
+    first gets its ``floor`` largest entries: every entry above the row's
+    floor-th largest value t, then the entries equal to t in ascending
+    column order until the row holds ``floor`` cells.  The same rule then
+    runs once over all unmarked cells, with ties taken in ascending flat
+    (row-major) index, until exactly ``counts[k]`` cells are set.  Selection
+    only compares values, so -0.0 and 0.0 tie.  Values must be finite and
+    each count at most U*V.
+
+    The first pass marks the floors and buffers the unmarked values not below
+    tau, the least value kept when the buffer was last cut to the
+    ``remaining`` largest.  After it, tau is exactly the remaining-th largest
+    unmarked value, and the second pass marks the cells above tau and the
+    first ties at tau.
     """
-    num_users, num_items = adjusted.shape
-    mask = np.zeros((num_users, num_items), dtype=bool)
-    if floor >= num_items:
-        mask[:] = True
-    elif floor > 0:
-        kth = num_items - floor
-        t = np.partition(adjusted, kth, axis=1)[:, kth:kth + 1]
-        np.greater(adjusted, t, out=mask)
-        ties = adjusted == t
-        need = floor - np.count_nonzero(mask, axis=1)
-        # rows with more ties at t than free slots keep the leftmost ones
-        crowded = np.flatnonzero(np.count_nonzero(ties, axis=1) > need)
-        ties[crowded] &= np.cumsum(ties[crowded], axis=1) <= need[crowded, None]
-        mask |= ties
-    remaining = count - int(np.count_nonzero(mask))
-    if remaining < 0:
-        raise DataError(
-            "count %d cannot honor a floor of %d items for each of %d users"
-            % (count, floor, num_users)
-        )
-    if remaining > 0:
-        free = ~mask
-        values = adjusted[free]
-        kth = values.size - remaining
-        values.partition(kth)
-        above = free & (adjusted > values[kth])
-        ties = np.flatnonzero(free & (adjusted == values[kth]))
-        mask |= above
-        mask.ravel()[ties[:remaining - np.count_nonzero(above)]] = True
-    return mask
+    num_users, num_items = shape
+    remaining = [count - num_users * min(floor, num_items) for count in counts]
+    for count, left in zip(counts, remaining):
+        if left < 0:
+            raise DataError(
+                "count %d cannot honor a floor of %d items for each of %d users"
+                % (count, floor, num_users)
+            )
+    masks = [np.full(shape, floor >= num_items) for _ in counts]
+    tau = [-np.inf] * len(counts)
+    kept = [[] for _ in counts]
+    sizes = [0] * len(counts)
+    for first, block in blocks:
+        for k, adjusted in enumerate(block):
+            mask = masks[k][first:first + len(adjusted)]
+            if 0 < floor < num_items:
+                kth = num_items - floor
+                t = np.partition(adjusted, kth, axis=1)[:, kth:kth + 1]
+                # every row holds at least floor cells >= t; exactly floor unless ties crowd it
+                np.greater_equal(adjusted, t, out=mask)
+                if np.count_nonzero(mask) > floor * len(mask):
+                    np.greater(adjusted, t, out=mask)
+                    ties = adjusted == t
+                    need = floor - np.count_nonzero(mask, axis=1)
+                    # rows with more ties at t than free slots keep the leftmost ones
+                    crowded = np.flatnonzero(np.count_nonzero(ties, axis=1) > need)
+                    ties[crowded] &= np.cumsum(ties[crowded], axis=1) <= need[crowded, None]
+                    mask |= ties
+            if remaining[k] > 0:
+                values = adjusted[(adjusted >= tau[k]) & ~mask]
+                kept[k].append(values)
+                sizes[k] += values.size
+                if sizes[k] > 2 * remaining[k] + adjusted.size:
+                    kept[k] = [_largest(np.concatenate(kept[k]), remaining[k])]
+                    tau[k], sizes[k] = kept[k][0][0], remaining[k]
+    ties_left = list(remaining)
+    for k, left in enumerate(remaining):
+        if left > 0:
+            top = _largest(np.concatenate(kept[k]), left)
+            tau[k] = top[0]
+            ties_left[k] -= np.count_nonzero(top > tau[k])
+    if any(left > 0 for left in remaining):
+        for first, block in blocks:
+            for k, adjusted in enumerate(block):
+                if remaining[k] > 0:
+                    mask = masks[k][first:first + len(adjusted)]
+                    if ties_left[k]:
+                        ties = np.flatnonzero(adjusted == tau[k])
+                        ties = ties[~mask.ravel()[ties]][:ties_left[k]]
+                        mask.ravel()[ties] = True
+                        ties_left[k] -= ties.size
+                    mask |= adjusted > tau[k]
+    return masks
+
+
+class _PlantedBlocks:
+    """Re-iterable row blocks of each behavior's affinity over its threshold.
+
+    Every pass yields ``(first_row, adjusted)`` for BLOCK_CELLS // V rows at a
+    time (at least one), with ``adjusted[k]`` computed by the same operations,
+    and so to the same bits, on every pass; the next block overwrites it.
+    The first pass checks that every threshold and adjusted value is finite.
+    Once a behavior fails, the pass yields no more blocks, and after its last
+    row it raises the DataError of the lowest failing behavior, as a
+    whole-matrix check in behavior order would.
+    """
+
+    def __init__(self, user_latent, item_latent, user_factor, item_factor, spread):
+        self.user_latent = user_latent
+        self.item_latent = item_latent
+        self.user_factor = np.ascontiguousarray(user_factor.T)
+        self.item_factor = np.ascontiguousarray(item_factor.T)
+        self.spread = spread
+        # The factors are >= 0 and rounding is monotone, so each behavior's
+        # threshold np.outer(user_factor[:, k], item_factor[:, k]) is finite
+        # iff its largest entry is.
+        with np.errstate(over="ignore", invalid="ignore"):
+            top = self.user_factor.max(axis=1) * self.item_factor.max(axis=1)
+        self.bad = ~np.isfinite(top)
+        self.checked = False
+
+    def __iter__(self):
+        num_users, num_items = len(self.user_latent), len(self.item_latent)
+        rows = min(num_users, max(1, BLOCK_CELLS // num_items))
+        buffer = np.empty((len(self.bad), rows, num_items))
+        for first in range(0, num_users, rows):
+            users = slice(first, first + rows)
+            affinity = self.user_latent[users] @ self.item_latent.T
+            adjusted = buffer[:, :len(affinity)]
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                for k, values in enumerate(adjusted):
+                    np.outer(self.user_factor[k, users], self.item_factor[k], out=values)
+                    np.divide(affinity, values, out=values)
+                    if not self.checked:
+                        self.bad[k] |= not np.isfinite(values).all()
+            if not self.bad.any():
+                yield first, adjusted
+        if self.bad.any():
+            raise DataError(
+                "behavior %d: criterion_spread (--spread) %r puts the planted "
+                "thresholds out of float range; use a smaller spread"
+                % (np.argmax(self.bad), self.spread)
+            )
+        self.checked = True
 
 
 def generate(cfg):
@@ -135,23 +231,11 @@ def generate(cfg):
     # The same floor applies to every behavior: densities are non-increasing
     # toward the target, so coarser behaviors always have quota to spare, and
     # a shared floor is what keeps the spread-0 sets nested.
-    affinity = user_latent @ item_latent.T
     total = cfg.num_users * cfg.num_items
-    masks = []
-    for k in range(cfg.num_behaviors):
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            threshold = np.outer(user_factor[:, k], item_factor[:, k])
-            adjusted = affinity / threshold
-        if not (np.isfinite(threshold).all() and np.isfinite(adjusted).all()):
-            raise DataError(
-                "behavior %d: criterion_spread (--spread) %r puts the planted "
-                "thresholds out of float range; use a smaller spread"
-                % (k, cfg.criterion_spread)
-            )
-        del threshold
-        count = max(1, int(round(cfg.densities[k] * total)))
-        masks.append(_floored_mask(adjusted, count, MIN_SPLIT_POSITIVES))
-        del adjusted
+    counts = [max(1, int(round(rho * total))) for rho in cfg.densities]
+    blocks = _PlantedBlocks(user_latent, item_latent, user_factor, item_factor,
+                            cfg.criterion_spread)
+    masks = _floored_mask(blocks, (cfg.num_users, cfg.num_items), counts, MIN_SPLIT_POSITIVES)
 
     target = cfg.num_behaviors - 1
     positives = [rows_by_user(*np.divmod(np.flatnonzero(mask), cfg.num_items), cfg.num_users)

@@ -1,11 +1,13 @@
 import contextlib
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from critcf import synthetic
 from critcf.cli import main
 from critcf.config import dataset_fingerprint
 from critcf.datasets import MIN_SPLIT_POSITIVES, leave_one_out_split
@@ -46,9 +48,17 @@ def outcome(fn, adjusted, count, floor):
         return str(exc)
 
 
-def assert_same_outcome(adjusted, count, floor):
+def floored_mask(adjusted, count, floor, rows=None):
+    """_floored_mask on one behavior's whole array, fed in blocks of ``rows`` rows."""
+    rows = rows or len(adjusted)
+    blocks = [(first, adjusted[None, first:first + rows])
+              for first in range(0, len(adjusted), rows)]
+    return _floored_mask(blocks, adjusted.shape, [count], floor)[0]
+
+
+def assert_same_outcome(adjusted, count, floor, rows=None):
     expected = outcome(stable_sort_floored_mask, adjusted, count, floor)
-    got = outcome(_floored_mask, adjusted, count, floor)
+    got = outcome(lambda *case: floored_mask(*case, rows=rows), adjusted, count, floor)
     if isinstance(expected, str):
         assert got == expected
     else:
@@ -133,7 +143,7 @@ def test_density_range_checked():
 
 def test_floored_mask_shapes_and_ties():
     adjusted = np.zeros((3, 4))  # all tied: the lowest index wins everywhere
-    mask = _floored_mask(adjusted, 8, 2)
+    mask = floored_mask(adjusted, 8, 2)
     assert int(mask.sum()) == 8
     # per-user floor takes the two lowest indices on ties
     assert mask[:, :2].all()
@@ -144,13 +154,13 @@ def test_floored_mask_shapes_and_ties():
 
 def test_floored_mask_count_below_floor_rejected():
     with pytest.raises(DataError, match="cannot honor"):
-        _floored_mask(np.zeros((4, 5)), 7, 2)  # needs 8 just for the floor
+        floored_mask(np.zeros((4, 5)), 7, 2)  # needs 8 just for the floor
 
 
 def test_floored_mask_prefers_large_entries():
     rng = np.random.default_rng(0)
     adjusted = rng.normal(size=(5, 8))
-    mask = _floored_mask(adjusted, 20, 2)
+    mask = floored_mask(adjusted, 20, 2)
     # every user's top-2 entries are in
     top2 = np.argsort(-adjusted, axis=1, kind="stable")[:, :2]
     for u in range(5):
@@ -186,21 +196,22 @@ def selection_inputs(draw):
         adjusted = np.asfortranarray(adjusted)
     floor = draw(st.integers(0, num_items + 1))
     count = draw(st.integers(0, num_users * num_items))
-    return adjusted, count, floor
+    rows = draw(st.integers(1, num_users))
+    return adjusted, count, floor, rows
 
 
 @settings(max_examples=400, deadline=None)
 @given(selection_inputs())
 def test_floored_mask_equals_stable_sort_oracle(case):
-    adjusted, count, floor = case
-    assert_same_outcome(adjusted, count, floor)
+    assert_same_outcome(*case)
 
 
 @pytest.mark.parametrize("kind", SELECTION_KINDS)
 def test_floored_mask_equals_oracle_at_scale(kind):
     adjusted = selection_values(np.random.default_rng(17), kind, (300, 200))
     for count, floor in ((600, 0), (2400, 3), (9000, 7), (60000, 200)):
-        assert_same_outcome(adjusted, count, floor)
+        for rows in (1, 7, 300):
+            assert_same_outcome(adjusted, count, floor, rows)
 
 
 @pytest.mark.filterwarnings("error")
@@ -220,6 +231,31 @@ def test_synth_rejects_non_finite_scores(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("data error: " if overflow else "config error: ") and argv[0] in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("rows", [1, None])
+def test_lowest_non_finite_behavior_is_reported(monkeypatch, rows):
+    # Behavior 2 first goes non-finite in row 6 and behavior 0 only in row 35,
+    # so a pass that stopped at the first bad block would name behavior 2.
+    cfg = small_cfg(criterion_spread=150.0, seed=28)
+    if rows:
+        monkeypatch.setattr(synthetic, "BLOCK_CELLS", rows * cfg.num_items)
+    with pytest.raises(DataError) as exc:
+        generate(cfg)
+    assert str(exc.value) == ("behavior 0: criterion_spread (--spread) 150.0 puts the planted "
+                              "thresholds out of float range; use a smaller spread")
+
+
+def test_generate_holds_no_dense_float_array():
+    # One U x V float64 array alone takes 8 bytes per cell.
+    cfg = SynthConfig(num_users=2048, num_items=4000, densities=(0.014, 0.0037, 0.00175), seed=1)
+    tracemalloc.start()
+    try:
+        generate(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * cfg.num_users * cfg.num_items
 
 
 # dataset_fingerprint of `critcf synth` output dirs as written by the
