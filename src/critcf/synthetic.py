@@ -85,16 +85,16 @@ def _largest(values, n):
 def _floored_mask(blocks, shape, counts, floor):
     """Top-count masks with a per-user floor, one per behavior, in O(U*V) time.
 
-    ``blocks`` is re-iterable: each pass over it yields ``(first_row, block)``
-    pairs that cover the ``shape[0]`` rows in order, with ``block[k]`` the
-    values of behavior k on those rows, the same on both passes.  Each user
-    first gets its ``floor`` largest entries: every entry above the row's
-    floor-th largest value t, then the entries equal to t in ascending
-    column order until the row holds ``floor`` cells.  The same rule then
-    runs once over all unmarked cells, with ties taken in ascending flat
-    (row-major) index, until exactly ``counts[k]`` cells are set.  Selection
-    only compares values, so -0.0 and 0.0 tie.  Values must be finite and
-    each count at most U*V.
+    ``blocks`` is a zero-argument callable; each call starts a pass that
+    yields ``(first_row, block)`` pairs covering the ``shape[0]`` rows in
+    order, with ``block[k]`` the values of behavior k on those rows, the same
+    on every pass.  Each user first gets its ``floor`` largest entries: every
+    entry above the row's floor-th largest value t, then the entries equal to
+    t in ascending column order until the row holds ``floor`` cells.  The
+    same rule then runs once over all unmarked cells, with ties taken in
+    ascending flat (row-major) index, until exactly ``counts[k]`` cells are
+    set.  Selection only compares values, so -0.0 and 0.0 tie.  Values must
+    be finite and each count at most U*V.
 
     The first pass marks the floors and buffers the unmarked values not below
     tau, the least value kept when the buffer was last cut to the
@@ -114,22 +114,19 @@ def _floored_mask(blocks, shape, counts, floor):
     tau = [-np.inf] * len(counts)
     kept = [[] for _ in counts]
     sizes = [0] * len(counts)
-    for first, block in blocks:
+    for first, block in blocks():
         for k, adjusted in enumerate(block):
             mask = masks[k][first:first + len(adjusted)]
             if 0 < floor < num_items:
                 kth = num_items - floor
                 t = np.partition(adjusted, kth, axis=1)[:, kth:kth + 1]
-                # every row holds at least floor cells >= t; exactly floor unless ties crowd it
-                np.greater_equal(adjusted, t, out=mask)
-                if np.count_nonzero(mask) > floor * len(mask):
-                    np.greater(adjusted, t, out=mask)
-                    ties = adjusted == t
-                    need = floor - np.count_nonzero(mask, axis=1)
-                    # rows with more ties at t than free slots keep the leftmost ones
-                    crowded = np.flatnonzero(np.count_nonzero(ties, axis=1) > need)
-                    ties[crowded] &= np.cumsum(ties[crowded], axis=1) <= need[crowded, None]
-                    mask |= ties
+                np.greater(adjusted, t, out=mask)
+                ties = adjusted == t
+                need = floor - np.count_nonzero(mask, axis=1)
+                # rows with more ties at t than free slots keep the leftmost ones
+                crowded = np.flatnonzero(np.count_nonzero(ties, axis=1) > need)
+                ties[crowded] &= np.cumsum(ties[crowded], axis=1) <= need[crowded, None]
+                mask |= ties
             if remaining[k] > 0:
                 values = adjusted[(adjusted >= tau[k]) & ~mask]
                 kept[k].append(values)
@@ -144,7 +141,7 @@ def _floored_mask(blocks, shape, counts, floor):
             tau[k] = top[0]
             ties_left[k] -= np.count_nonzero(top > tau[k])
     if any(left > 0 for left in remaining):
-        for first, block in blocks:
+        for first, block in blocks():
             for k, adjusted in enumerate(block):
                 if remaining[k] > 0:
                     mask = masks[k][first:first + len(adjusted)]
@@ -154,58 +151,50 @@ def _floored_mask(blocks, shape, counts, floor):
                         mask.ravel()[ties] = True
                         ties_left[k] -= ties.size
                     mask |= adjusted > tau[k]
+    # Both counts only hold if the second pass saw the first pass's bits.
+    for k, mask in enumerate(masks):
+        marked = np.count_nonzero(mask)
+        if ties_left[k] or marked != counts[k]:
+            raise RuntimeError("behavior %d: %d cells marked instead of %d; the passes over "
+                               "the values disagree" % (k, marked, counts[k]))
     return masks
 
 
-class _PlantedBlocks:
-    """Re-iterable row blocks of each behavior's affinity over its threshold.
+def _planted_blocks(user_latent, item_latent, user_factor, item_factor, overflow, spread):
+    """One pass over row blocks of each behavior's affinity over its threshold.
 
-    Every pass yields ``(first_row, adjusted)`` for BLOCK_CELLS // V rows at a
-    time (at least one), with ``adjusted[k]`` computed by the same operations,
-    and so to the same bits, on every pass; the next block overwrites it.
-    The first pass checks that every threshold and adjusted value is finite.
-    Once a behavior fails, the pass yields no more blocks, and after its last
-    row it raises the DataError of the lowest failing behavior, as a
-    whole-matrix check in behavior order would.
+    Yields ``(first_row, adjusted)`` for BLOCK_CELLS // V rows at a time (at
+    least one), with ``adjusted[k]`` computed by the same operations, and so
+    to the same bits, on every pass; the next block overwrites it.  Every
+    adjusted value is checked to be finite.  ``overflow[k]`` flags a behavior
+    whose threshold is already known not to be.  Once a behavior fails, no
+    more blocks are yielded, and after the last row the DataError of the
+    lowest failing behavior is raised, as a whole-matrix check in behavior
+    order would.
     """
-
-    def __init__(self, user_latent, item_latent, user_factor, item_factor, spread):
-        self.user_latent = user_latent
-        self.item_latent = item_latent
-        self.user_factor = np.ascontiguousarray(user_factor.T)
-        self.item_factor = np.ascontiguousarray(item_factor.T)
-        self.spread = spread
-        # The factors are >= 0 and rounding is monotone, so each behavior's
-        # threshold np.outer(user_factor[:, k], item_factor[:, k]) is finite
-        # iff its largest entry is.
-        with np.errstate(over="ignore", invalid="ignore"):
-            top = self.user_factor.max(axis=1) * self.item_factor.max(axis=1)
-        self.bad = ~np.isfinite(top)
-        self.checked = False
-
-    def __iter__(self):
-        num_users, num_items = len(self.user_latent), len(self.item_latent)
-        rows = min(num_users, max(1, BLOCK_CELLS // num_items))
-        buffer = np.empty((len(self.bad), rows, num_items))
-        for first in range(0, num_users, rows):
-            users = slice(first, first + rows)
-            affinity = self.user_latent[users] @ self.item_latent.T
-            adjusted = buffer[:, :len(affinity)]
-            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-                for k, values in enumerate(adjusted):
-                    np.outer(self.user_factor[k, users], self.item_factor[k], out=values)
-                    np.divide(affinity, values, out=values)
-                    if not self.checked:
-                        self.bad[k] |= not np.isfinite(values).all()
-            if not self.bad.any():
-                yield first, adjusted
-        if self.bad.any():
-            raise DataError(
-                "behavior %d: criterion_spread (--spread) %r puts the planted "
-                "thresholds out of float range; use a smaller spread"
-                % (np.argmax(self.bad), self.spread)
-            )
-        self.checked = True
+    num_users, num_items = len(user_latent), len(item_latent)
+    rows = min(num_users, max(1, BLOCK_CELLS // num_items))
+    user_factor = np.ascontiguousarray(user_factor.T)
+    item_factor = np.ascontiguousarray(item_factor.T)
+    bad = np.array(overflow)
+    buffer = np.empty((len(bad), rows, num_items))
+    for first in range(0, num_users, rows):
+        users = slice(first, first + rows)
+        affinity = user_latent[users] @ item_latent.T
+        adjusted = buffer[:, :len(affinity)]
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            for k, values in enumerate(adjusted):
+                np.outer(user_factor[k, users], item_factor[k], out=values)
+                np.divide(affinity, values, out=values)
+                bad[k] |= not np.isfinite(values).all()
+        if not bad.any():
+            yield first, adjusted
+    if bad.any():
+        raise DataError(
+            "behavior %d: criterion_spread (--spread) %r puts the planted "
+            "thresholds out of float range; use a smaller spread"
+            % (np.argmax(bad), spread)
+        )
 
 
 def generate(cfg):
@@ -233,9 +222,15 @@ def generate(cfg):
     # a shared floor is what keeps the spread-0 sets nested.
     total = cfg.num_users * cfg.num_items
     counts = [max(1, int(round(rho * total))) for rho in cfg.densities]
-    blocks = _PlantedBlocks(user_latent, item_latent, user_factor, item_factor,
-                            cfg.criterion_spread)
-    masks = _floored_mask(blocks, (cfg.num_users, cfg.num_items), counts, MIN_SPLIT_POSITIVES)
+    # The factors are >= 0 and rounding is monotone, so each behavior's
+    # threshold np.outer(user_factor[:, k], item_factor[:, k]) is finite iff
+    # its largest entry is.
+    with np.errstate(over="ignore", invalid="ignore"):
+        overflow = ~np.isfinite(user_factor.max(axis=0) * item_factor.max(axis=0))
+    masks = _floored_mask(
+        lambda: _planted_blocks(user_latent, item_latent, user_factor, item_factor, overflow,
+                                cfg.criterion_spread),
+        (cfg.num_users, cfg.num_items), counts, MIN_SPLIT_POSITIVES)
 
     target = cfg.num_behaviors - 1
     positives = [rows_by_user(*np.divmod(np.flatnonzero(mask), cfg.num_items), cfg.num_users)

@@ -53,7 +53,7 @@ def floored_mask(adjusted, count, floor, rows=None):
     rows = rows or len(adjusted)
     blocks = [(first, adjusted[None, first:first + rows])
               for first in range(0, len(adjusted), rows)]
-    return _floored_mask(blocks, adjusted.shape, [count], floor)[0]
+    return _floored_mask(lambda: blocks, adjusted.shape, [count], floor)[0]
 
 
 def assert_same_outcome(adjusted, count, floor, rows=None):
@@ -155,6 +155,15 @@ def test_floored_mask_shapes_and_ties():
 def test_floored_mask_count_below_floor_rejected():
     with pytest.raises(DataError, match="cannot honor"):
         floored_mask(np.zeros((4, 5)), 7, 2)  # needs 8 just for the floor
+
+
+@pytest.mark.parametrize("shift", [0.5, -0.5])
+def test_floored_mask_rejects_passes_that_disagree(shift):
+    # floor 1 marks 3, 7 and 11; the top 3 free values are then 10, 9 and 8,
+    # so the second pass must see 2 cells above 8 and one tie at it.
+    passes = iter([np.arange(12.0).reshape(3, 4), np.arange(12.0).reshape(3, 4) + shift])
+    with pytest.raises(RuntimeError, match="behavior 0: . cells marked instead of 6"):
+        _floored_mask(lambda: [(0, next(passes)[None])], (3, 4), [6], 1)
 
 
 def test_floored_mask_prefers_large_entries():
