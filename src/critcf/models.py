@@ -26,6 +26,7 @@ import hashlib
 import math
 import os
 import re
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import scipy.sparse as sp
@@ -39,6 +40,12 @@ MODEL_KINDS = ("mf", "gmf", "lightgcn")
 CHECKPOINT_MAGIC = "critcf-checkpoint"
 CHECKPOINT_VERSION = 2
 _ARRAY_LINE = re.compile(rb"array ([a-z_]+) ([0-9]+) ([0-9]+) ([0-9a-f]{64})\n")
+
+# LightGCN multiplies its adjacency in this many row partitions at once, one
+# per usable CPU up to a cap; the products do not depend on the count.
+PROPAGATION_WORKERS = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                          else os.cpu_count() or 1, 8)
+_POOL = ThreadPoolExecutor(max(PROPAGATION_WORKERS - 1, 1))
 
 
 def project_rows(arr):
@@ -118,6 +125,8 @@ class GmfModel:
             d_user = d_user * mask
         d_user += 0.0  # -0.0 -> +0.0, as scattering into zeros would
         d_item = d_scores.T @ (masked * weight)
+        if "pred_weight" not in self.param_arrays():  # MF's fixed row is not trained
+            return {"user_emb": d_user, "item_emb": d_item}
         d_pred = np.zeros_like(self.pred_weight)
         d_pred[layer] = np.sum(back * masked, axis=0)
         return {"user_emb": d_user, "item_emb": d_item, "pred_weight": d_pred}
@@ -158,13 +167,14 @@ class LightGcnModel(MfModel):
         super().__init__(user_emb, item_emb)
         self.adjacency = adjacency  # (N, N) csr, N = users + items
         self.num_layers = num_layers
+        self.partitions = row_partitions(adjacency, PROPAGATION_WORKERS)
 
     def _propagate(self, base):
         """Layer-averaged propagation of a full (N, dim) stack."""
         acc = base
         total = base.copy()
         for _ in range(self.num_layers):
-            acc = self.adjacency @ acc
+            acc = partitioned_product(self.partitions, acc)
             total += acc
         return total / (self.num_layers + 1)
 
@@ -190,6 +200,28 @@ class LightGcnModel(MfModel):
         # the propagation operator itself.
         d_base = self._propagate(d_final)
         return {"user_emb": d_base[:num_users], "item_emb": d_base[num_users:]}
+
+
+def row_partitions(matrix, count):
+    """count csr views of consecutive row ranges of matrix with about equal
+    nonzeros; they share its data and indices, which the constructor copies."""
+    ptr = matrix.indptr
+    cuts = np.append(np.searchsorted(ptr, np.arange(count) * matrix.nnz / count), len(ptr) - 1)
+    parts = []
+    for start, stop in zip(cuts, cuts[1:]):
+        part = sp.csr_matrix((stop - start, matrix.shape[1]))
+        part.indptr, nonzeros = ptr[start:stop + 1] - ptr[start], slice(ptr[start], ptr[stop])
+        part.data, part.indices = matrix.data[nonzeros], matrix.indices[nonzeros]
+        parts.append(part)
+    return parts
+
+
+def partitioned_product(parts, x):
+    """The stacked products of the row partitions with x, the first on the
+    calling thread and the rest on the pool.  scipy sums each output row
+    over its nonzeros in order, so this is ``matrix @ x`` bit for bit."""
+    futures = [_POOL.submit(part.dot, x) for part in parts[1:]]
+    return np.vstack([parts[0] @ x] + [future.result() for future in futures])
 
 
 def build_adjacency(train):

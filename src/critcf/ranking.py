@@ -20,7 +20,7 @@ from .models import LightGcnModel, MfModel
 DEFAULT_CUTOFFS = (10, 50, 100, 200)
 
 # Users scored per predict_scores call; a batch holds this many rows of scores.
-EVAL_BATCH_USERS = 1024
+EVAL_BATCH_USERS = 512
 
 
 @dataclass
@@ -50,14 +50,16 @@ def predict_scores(model, bounds, user_ids):
     Returns raw_score / max(upper_bound, floor^2) where the upper bound is
     taken at the target behavior.  Without bound factors (regression
     variants) the raw scores are returned unchanged.  A non-finite score
-    raises NumericalError naming the first user that has one.
+    raises NumericalError naming the first user that has one.  The quotient
+    goes into the bound matrix, so evaluate holds two (rows, V) float arrays.
     """
     # layer=-1 picks the last output layer: the only one for the base
     # models, the target behavior's layer for the per-behavior variant.
     scores, _ = model.score_batch(user_ids, layer=-1)
     if bounds is not None:
         denom = bounds.upper_matrix(np.asarray(user_ids), bounds.num_behaviors - 1)
-        scores = scores / np.maximum(denom, POSITIVITY_FLOOR ** 2)
+        np.maximum(denom, POSITIVITY_FLOOR ** 2, out=denom)
+        scores = np.divide(scores, denom, out=denom)
     bad = np.flatnonzero(~np.isfinite(scores).all(axis=1))
     if bad.size:
         raise NumericalError("non-finite prediction score for user %d"
@@ -123,6 +125,7 @@ def evaluate(model, bounds, train, heldout, cutoffs=DEFAULT_CUTOFFS):
             raise DataError("held-out item %d of user %d is a training positive"
                             % (heldout[u], u))
         ranks[batch] = rank_in_candidates(scores, items, rows, cols)
+        del scores  # freed before the next batch is scored
     return _metrics_from_ranks(ranks, cutoffs)
 
 

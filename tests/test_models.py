@@ -4,7 +4,10 @@ import os
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from critcf import models
 from critcf.cli import main
 from critcf.datasets import BehaviorDataset
 from critcf.errors import ConfigError, DataError
@@ -19,7 +22,9 @@ from critcf.models import (
     init_bounds,
     init_model,
     load_checkpoint,
+    partitioned_product,
     project_rows,
+    row_partitions,
     save_checkpoint,
 )
 
@@ -574,3 +579,50 @@ def test_failed_save_keeps_the_earlier_checkpoint(tmp_path):
         save_checkpoint(str(path), MfModel(model.user_emb * 0.5, _Unwritable()), None)
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["checkpoint.txt"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), num_users=st.integers(1, 5), num_items=st.integers(1, 5),
+       count=st.integers(1, 5), dim=st.integers(1, 3))
+def test_partitioned_product_equals_matmul_bitwise(data, num_users, num_items, count, dim):
+    # Random bipartite graphs leave some nodes isolated, each with a
+    # self-loop; up to 10 rows against up to 5 partitions, and the inputs
+    # hold both zeros.
+    pos = data.draw(st.lists(st.lists(st.lists(st.integers(0, num_items - 1), max_size=3),
+                                      min_size=num_users, max_size=num_users),
+                             min_size=1, max_size=2))
+    adjacency = build_adjacency(make_train(num_users, num_items,
+                                           [[set(items) for items in k] for k in pos]))
+    n = num_users + num_items
+    values = st.sampled_from((0.0, -0.0, 1.0, -1.0, 0.1, -0.3, 1e-300, 7.5))
+    x = np.array(data.draw(st.lists(values, min_size=n * dim, max_size=n * dim))).reshape(n, dim)
+    parts = row_partitions(adjacency, count)
+    assert len(parts) == count
+    assert sum(part.shape[0] for part in parts) == n
+    for part in parts:
+        assert part.nnz == 0 or np.shares_memory(part.data, adjacency.data)
+    assert partitioned_product(parts, x).tobytes() == (adjacency @ x).tobytes()
+
+
+def test_lightgcn_run_files_do_not_depend_on_worker_count(tmp_path, monkeypatch):
+    data = str(tmp_path / "data")
+    assert main(["synth", data, "--users", "30", "--items", "20", "--densities",
+                 "0.4,0.3,0.25", "--latent-dim", "3", "--seed", "4"]) == 0
+    counts = []
+
+    def counting(parts, x):
+        counts.append(len(parts))
+        return partitioned_product(parts, x)
+
+    monkeypatch.setattr(models, "partitioned_product", counting)
+    files = []
+    for workers in (1, 3):
+        monkeypatch.setattr(models, "PROPAGATION_WORKERS", workers)
+        counts.clear()
+        run = tmp_path / ("run%d" % workers)
+        assert main(["train", data, str(run), "--override", "model=lightgcn", "--override",
+                     "epochs=3", "--override", "d=4", "--override", "batch=8",
+                     "--override", "eval_cutoff=5"]) == 0
+        assert set(counts) == {workers}
+        files.append([(run / name).read_bytes() for name in ("checkpoint.txt", "history.txt")])
+    assert files[0] == files[1]

@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -336,3 +337,75 @@ def test_non_finite_scores_are_rejected_before_ranking():
             evaluate(TableModel(table), b, train, np.array([1, 2, 1]), cutoffs=(1,))
         with pytest.raises(NumericalError, match="for user 2$"):
             predict_scores(TableModel(table), b, [0, 2])
+
+
+def test_evaluate_peak_memory_is_under_three_batch_arrays():
+    # evaluate holds the scores and the bound matrix that the quotient is
+    # written into, plus bool masks; the old out-of-place division held
+    # four score-sized float arrays per batch.  The users fill more than one
+    # batch at any batch size up to 1024.
+    num_users, num_items = 1100, 1000
+    rng = np.random.default_rng(3)
+    model = MfModel(project_rows(rng.uniform(-0.3, 0.3, (num_users, 8))),
+                    project_rows(rng.uniform(-0.3, 0.3, (num_items, 8))))
+    bounds = BoundParams(rng.uniform(0.5, 2.0, (num_users, 2)),
+                         rng.uniform(0.5, 2.0, (num_items, 2)), 0.5)
+    users = np.arange(num_users)
+    pos = [[u % num_items, (u + 7) % num_items] for u in users]
+    train = BehaviorDataset(num_users, num_items, 2,
+                            [[np.array(sorted(p)) for p in pos]] * 2)
+    heldout = (users + 3) % num_items
+    tracemalloc.start()
+    try:
+        evaluate(model, bounds, train, heldout)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * ranking.EVAL_BATCH_USERS * num_items * 8
+
+
+def old_predict_scores(model, bounds, user_ids):
+    """Reference: the out-of-place division predict_scores replaced."""
+    scores, _ = model.score_batch(user_ids, layer=-1)
+    denom = bounds.upper_matrix(np.asarray(user_ids), bounds.num_behaviors - 1)
+    return scores / np.maximum(denom, ranking.POSITIVITY_FLOOR ** 2)
+
+
+class SharedScores(TableModel):
+    """Returns its own table, not a copy, so that writes to it would show."""
+
+    def score_batch(self, user_ids, mask=None, layer=0):
+        return self.table, user_ids
+
+
+BOUND_VALUES = (0.0, 1e-9, 1e-4, 0.5, 1.0, 3.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), num_users=st.integers(1, 4), num_items=st.integers(1, 5))
+def test_predict_scores_equals_out_of_place_division_bitwise(data, num_users, num_items):
+    # Bound factors go down to 0, so products fall below the floor^2 clamp;
+    # scores hold both zeros.
+    table = np.array(data.draw(st.lists(st.lists(st.sampled_from(SCORE_VALUES + (0.3, -1e-7)),
+                                                 min_size=num_items, max_size=num_items),
+                                        min_size=num_users, max_size=num_users)))
+    user_bound, item_bound = (np.array(data.draw(st.lists(st.sampled_from(BOUND_VALUES),
+                                                          min_size=2 * n, max_size=2 * n)))
+                              .reshape(n, 2) for n in (num_users, num_items))
+    bounds = BoundParams(user_bound, item_bound, 0.5)
+    model = SharedScores(table)
+    before = table.tobytes()
+    users = np.arange(num_users)
+    got = predict_scores(model, bounds, users)
+    assert table.tobytes() == before
+    assert got.tobytes() == old_predict_scores(TableModel(table), bounds, users).tobytes()
+
+
+def test_predict_scores_keeps_score_array_and_names_first_bad_user():
+    table = np.array([[0.5, 1.0], [2.0, np.inf], [np.nan, 0.0]])
+    bounds = BoundParams(np.full((3, 1), 0.5), np.full((2, 1), 2.0), 0.5)
+    model = SharedScores(table)
+    before = table.tobytes()
+    with pytest.raises(NumericalError, match="for user 1$"):
+        predict_scores(model, bounds, [0, 1, 2])
+    assert table.tobytes() == before
