@@ -9,10 +9,10 @@ the complement identity
 which keeps the per-batch cost at O(B * |V|) regardless of how many
 unobserved entries there are.
 
-One kernel, working in two reusable (B, V) buffers, serves every variant:
-the hinge penalties give the criterion loss, the two-sided RESIDUAL_SQUARE
-variant H's regression onto the bounds, and RESIDUAL_SQUARE with unit
-bounds and bound_ratio 0 variant O's 1/0 regression.
+One kernel, run on two reusable row blocks of about BLOCK_CELLS cells,
+serves every variant: the hinge penalties give the criterion loss, the
+two-sided RESIDUAL_SQUARE variant H's regression onto the bounds, and
+RESIDUAL_SQUARE with unit bounds and bound_ratio 0 variant O's 1/0 regression.
 
 All losses return analytic gradients alongside the value.  Gradient
 conventions: the hinge subgradient at an exactly-zero margin is 0, so an
@@ -25,6 +25,7 @@ import numpy as np
 
 from .datasets import positive_pairs
 from .errors import ConfigError
+from .synthetic import BLOCK_CELLS
 
 # Overflow guard for the exponential penalty; exp(700) is near the float64
 # ceiling.
@@ -173,11 +174,11 @@ class LossConfig:
 def _criterion_kernel(scores, rows, cols, upper_pos, work, neg_weight, penalty):
     """One behavior's loss and score gradient for a batch, in place.
 
-    work holds two (B, V) arrays: the lower bound in work[0] on entry and
-    d_scores on return; work[1] is scratch.  upper_pos holds the upper
-    bounds at the observed entries (rows, cols).  Returns (loss, pos_grad),
-    pos_grad the (nnz,) gradient w.r.t. those upper bounds.  A two-sided
-    penalty sums, then weights by its scalar neg_weight.
+    work holds two arrays shaped like scores (a row block, say): the lower
+    bound in work[0] on entry and d_scores on return; work[1] is scratch.
+    upper_pos holds the upper bounds at the observed entries (rows, cols).
+    Returns (loss, pos_grad), pos_grad the (nnz,) gradient w.r.t. those
+    upper bounds.  A two-sided penalty sums, then weights by scalar neg_weight.
     """
     margin, val = work
     w = np.asarray(neg_weight, dtype=float)
@@ -257,12 +258,15 @@ def criterion_total_loss(scores, user_ids, positives, bounds, cfg):
     cfg.validate(num_behaviors)
     scores = np.asarray(scores, dtype=float)
     B, V = scores.shape
-    ratio = bounds.bound_ratio
+    ratio, w = bounds.bound_ratio, np.asarray(cfg.neg_weight, dtype=float)
     loss = 0.0
     d_scores = np.zeros((B, V))
     d_user = np.zeros((B, num_behaviors))
     d_item = np.zeros((V, num_behaviors))
-    work = (np.empty((B, V)), np.empty((B, V)))
+    # The element-wise work runs in row blocks of about BLOCK_CELLS cells.
+    # d_eff stays whole, so its two GEMVs see the bits of one unblocked pass.
+    n = max(1, BLOCK_CELLS // max(V, 1))
+    blocks, d_eff = np.empty((2, min(B, n), V)), np.empty((B, V))
     for k in range(num_behaviors):
         lam = cfg.behavior_weights[k]
         if lam == 0.0:
@@ -270,17 +274,23 @@ def criterion_total_loss(scores, user_ids, positives, bounds, cfg):
         rows, cols = positive_pairs(positives[k], user_ids)
         ub = bounds.user_bound[user_ids, k]
         ib = bounds.item_bound[:, k]
-        upper = np.multiply.outer(ub, ib, out=work[0])
-        upper_pos = upper[rows, cols]
-        upper *= ratio
-        lk, pos_grad = _criterion_kernel(scores, rows, cols, upper_pos, work,
-                                         cfg.neg_weight, cfg.penalty)
+        lk = 0.0
+        for r in range(0, B, n):
+            blk, (a, b) = slice(r, r + n), np.searchsorted(rows, (r, r + n))
+            br, bc = rows[a:b] - r, cols[a:b]
+            work = blocks[:, :min(n, B - r)]
+            upper = np.multiply.outer(ub[blk], ib, out=work[0])
+            upper_pos = upper[br, bc]
+            upper *= ratio
+            lb, pos_grad = _criterion_kernel(scores[blk], br, bc, upper_pos, work,
+                                             w[blk] if w.ndim else w, cfg.penalty)
+            lk += lb
+            d_scores[blk] += np.multiply(work[0], lam, out=work[1])
+            # d(loss)/d(upper): -ratio * d_scores off the observed entries (the
+            # lower bound's share), the margin gradient on them.
+            np.multiply(work[0], -ratio, out=d_eff[blk])
+            d_eff[blk][br, bc] = pos_grad
         loss += lam * lk
-        d_scores += np.multiply(work[0], lam, out=work[1])
-        # d(loss)/d(upper): -ratio * d_scores off the observed entries (the
-        # lower bound's share), the margin gradient on them.
-        d_eff = np.multiply(work[0], -ratio, out=work[1])
-        d_eff[rows, cols] = pos_grad
         d_user[:, k] = lam * (d_eff @ ib)
         d_item[:, k] = lam * (d_eff.T @ ub)
     return loss, d_scores, d_user, d_item

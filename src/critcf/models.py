@@ -103,6 +103,7 @@ class GmfModel:
         }
 
     def embedding_param_names(self):
+        """Names of the unit-ball rows, read by test_acceptance.py criterion 08."""
         return ("user_emb", "item_emb")
 
     def score_batch(self, user_ids, mask=None, layer=0):

@@ -70,8 +70,8 @@ class SynthConfig:
                               "numpy can make" % (self.num_users, self.num_items, self.latent_dim))
 
 
-# Cells per row block of the planted affinity: a few (rows, V) float64 blocks
-# stay in cache, and no U x V float array is ever built.
+# Cells per row block of the planted affinity (no U x V float array is ever
+# built) and of the criterion loss: a few (rows, V) float64 blocks stay in cache.
 BLOCK_CELLS = 1 << 16
 
 

@@ -6,6 +6,7 @@ hinge, bounded-regression (variant H) and regression (variant O) losses as
 three separate functions.  The kernel must reproduce them bit for bit.
 """
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from critcf import losses
 from critcf.datasets import positive_pairs
 from critcf.errors import ConfigError
 from critcf.losses import (
@@ -672,3 +674,97 @@ def test_positive_index_equals_oracle(pos_lists):
                          oracle_positive_index(pos_lists)):
         assert got.dtype == want.dtype == np.int64
         assert np.array_equal(got, want)
+
+
+def _loss_scale(scores, user_ids, positives, bounds, cfg):
+    """The summed magnitude of every penalty term the loss adds or cancels.
+
+    The complement identity subtracts the observed entries' negative terms
+    from a sum over all items, so two summation orders of a loss may differ
+    by rounding on this mass, not on the loss, which may be far smaller.
+    """
+    w = np.asarray(cfg.neg_weight, dtype=float)
+    w_col = w[:, None] if w.ndim else w
+    clamp = np.abs if cfg.penalty is RESIDUAL_SQUARE else (lambda x: np.maximum(x, 0.0))
+    scale = 0.0
+    for k, lam in enumerate(cfg.behavior_weights):
+        upper = np.outer(bounds.user_bound[user_ids, k], bounds.item_bound[:, k])
+        lower = bounds.bound_ratio * upper
+        scale += lam * float(np.sum(cfg.penalty.value(clamp(upper - scores)))
+                             + np.sum(w_col * cfg.penalty.value(clamp(scores - lower))))
+    return scale
+
+
+def assert_blocked_same(got, want, scale):
+    assert type(got[0]) is float
+    assert got[0] == pytest.approx(want[0], rel=1e-12, abs=1e-12 * scale)
+    for a, b in zip(got[1:], want[1:]):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@example(inst=_corner_instance(), variant="full", name="expm1", per_user=True, cells=1)
+@given(inst=loss_instances(), variant=st.sampled_from(["full", "U", "I", "H"]),
+       name=st.sampled_from(sorted(PENALTIES)), per_user=st.booleans(),
+       cells=st.integers(1, 36))
+def test_blocked_loss_equals_oracles(inst, variant, name, per_user, cells):
+    """Row blocks of 1..3 rows at V <= 12: several blocks, the last one ragged."""
+    scores, user_ids, positives, bounds, lambdas, w, w_user = inst
+    cells = min(cells, 3 * scores.shape[1])
+    if variant == "U":
+        bounds.user_bound[...] = 1.0
+    elif variant == "I":
+        bounds.item_bound[...] = 1.0
+    if variant == "H":
+        cfg = LossConfig(w, lambdas, RESIDUAL_SQUARE)
+        want = oracle_bounded_regression_total_loss(scores, user_ids, positives, bounds,
+                                                    replace(cfg, penalty=SQUARE))
+    else:
+        cfg = LossConfig(w_user if per_user else w, lambdas, PENALTIES[name])
+        want = oracle_criterion_total_loss(scores, user_ids, positives, bounds, cfg)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(losses, "BLOCK_CELLS", cells)
+        got = criterion_total_loss(scores, user_ids, positives, bounds, cfg)
+    assert_blocked_same(got, want, _loss_scale(scores, user_ids, positives, bounds, cfg))
+
+
+def _wide_batch(B, V, densities, seed):
+    rng = np.random.default_rng(seed)
+    U = B + 40
+    user_ids = rng.permutation(U)[:B]
+    positives = [[np.flatnonzero(rng.random(V) < p) for _ in range(U)] for p in densities]
+    bounds = BoundParams(rng.uniform(0.05, 1.0, (U, len(densities))),
+                         rng.uniform(0.05, 1.0, (V, len(densities))), 0.3)
+    return rng.normal(0.0, 0.5, (B, V)), user_ids, positives, bounds
+
+
+@pytest.mark.parametrize("variant", ["full", "H"])
+def test_blocked_loss_ragged_wide_batch(variant):
+    """437 x 1500 at the default block: 43-row blocks, the last one 7 rows.
+    A per-block GEMV for d_user gives other bits at these shapes."""
+    scores, user_ids, positives, bounds = _wide_batch(437, 1500, (0.02, 0.01, 0.005), 3)
+    assert losses.BLOCK_CELLS // 1500 == 43 and 437 % 43 != 0
+    cfg = LossConfig(0.1, (0.5, 0.3, 0.2), SQUARE)
+    if variant == "H":
+        cfg = replace(cfg, penalty=RESIDUAL_SQUARE)
+        want = oracle_bounded_regression_total_loss(scores, user_ids, positives, bounds,
+                                                    replace(cfg, penalty=SQUARE))
+    else:
+        want = oracle_criterion_total_loss(scores, user_ids, positives, bounds, cfg)
+    got = criterion_total_loss(scores, user_ids, positives, bounds, cfg)
+    assert_blocked_same(got, want, _loss_scale(scores, user_ids, positives, bounds, cfg))
+
+
+def test_blocked_loss_memory_peak():
+    """One 512 x 4000 three-behavior call holds d_scores, d_eff and two
+    BLOCK_CELLS work blocks: under 2.25 (B, V) float64 arrays."""
+    B, V = 512, 4000
+    inputs = _wide_batch(B, V, (0.014, 0.0037, 0.00175), 5)
+    cfg = LossConfig(0.1, (0.5, 0.3, 0.2), SQUARE)
+    tracemalloc.start()
+    try:
+        criterion_total_loss(*inputs, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.25 * B * V * 8, peak / 2.0 ** 20

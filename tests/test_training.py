@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from critcf import training
+from critcf import losses, training
 from critcf.cli import main
 from critcf.datasets import BehaviorDataset, leave_one_out_split
 from critcf.errors import ConfigError, NumericalError
@@ -357,3 +357,27 @@ def test_sparse_step_equals_dense_oracle(sparse_step_dataset, tmp_path, monkeypa
         with open(os.path.join(sparse, name), "rb") as a, \
                 open(os.path.join(dense, name), "rb") as b:
             assert a.read() == b.read(), name
+
+
+@pytest.mark.parametrize("model,variant", [
+    (model, variant) for model in ("mf", "gmf", "lightgcn")
+    for variant in ("full", "H", "U", "I")] + [("gmf", "O")])
+def test_run_files_do_not_depend_on_loss_block(sparse_step_dataset, tmp_path, monkeypatch,
+                                               model, variant):
+    # 64 cells are 2-row blocks at the 23 items, ragged in every 5-user last batch
+    argv = ["--override", "model=%s" % model, "--override", "variant=%s" % variant,
+            "--override", "epochs=3", "--override", "batch=8", "--override", "d=4",
+            "--override", "dropout=0.3", "--override", "eval_cutoff=5"]
+    runs = []
+    for cells in (losses.BLOCK_CELLS, 64):
+        monkeypatch.setattr(losses, "BLOCK_CELLS", cells)
+        run = tmp_path / str(cells)
+        assert main(["train", sparse_step_dataset, str(run)] + argv) == 0
+        runs.append(run)
+    assert (runs[0] / "checkpoint.txt").read_bytes() == (runs[1] / "checkpoint.txt").read_bytes()
+    default, tiny = ([line.split() for line in (run / "history.txt").read_text().splitlines()]
+                     for run in runs)
+    assert len(default) == len(tiny) == 3
+    for a, b in zip(default, tiny):
+        assert a[:1] + a[2:] == b[:1] + b[2:]
+        assert float(b[1]) == pytest.approx(float(a[1]), rel=1e-12)
