@@ -332,8 +332,9 @@ def build_dataset(interactions, num_behaviors, min_target=5):
     num_items = int(item.max()) + 1 if item.size else 0
 
     code = (user * num_items + item) * num_behaviors + behavior
-    _, first = np.unique(code, return_index=True)
-    first.sort()
+    order = np.argsort(code)  # unstable; each run of equal codes keeps its least index
+    code = np.append(-1, code[order])  # ids are non-negative, so -1 is below every code
+    first = np.sort(np.minimum.reduceat(order, np.flatnonzero(code[1:] != code[:-1])))
     user, item, behavior, timestamp = user[first], item[first], behavior[first], timestamp[first]
 
     target = num_behaviors - 1

@@ -32,8 +32,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .atomic import atomic_write
-from .datasets import positive_pairs
 from .errors import ConfigError, DataError, NumericalError
+from .synthetic import BLOCK_CELLS
 
 MODEL_KINDS = ("mf", "gmf", "lightgcn")
 
@@ -230,27 +230,56 @@ def build_adjacency(train):
 
     Edges are the union of every behavior's observed pairs, and each node
     without one gets a unit self-loop.  Returns the (N, N) csr matrix with
-    entries 1/sqrt(deg_u * deg_v), N = num_users + num_items.
+    entries 1/sqrt(deg_u * deg_v), N = num_users + num_items, each row's
+    columns ascending: the bytes of the COO edge list's tocsr().
     """
-    num_users = train.num_users
-    n = num_users + train.num_items
-    # Each edge (u, U + v) is encoded as u * N + U + v, so sorting the codes
-    # orders the edges row-major and repeated edges become neighbours.
-    codes = [np.empty(0, dtype=np.int64)]
-    for per_user in train.positives:
-        users, items = positive_pairs(per_user, range(num_users))
-        codes.append(users * n + num_users + items)
-    codes = np.sort(np.concatenate(codes))
-    first = np.ones(len(codes), dtype=bool)
-    np.not_equal(codes[1:], codes[:-1], out=first[1:])
-    users, items = np.divmod(codes[first], n)
-    degrees = np.bincount(np.concatenate([users, items]), minlength=n)
+    pairs = sum(len(items) for per_user in train.positives for items in per_user)
+    try:
+        return _csr_adjacency(train.num_users, train.num_items, train.positives, pairs)
+    except MemoryError:
+        raise ConfigError("the lightgcn graph of %d nodes and up to %d edges does not fit in "
+                          "memory" % (train.num_users + train.num_items, pairs)) from None
+
+
+def _csr_adjacency(num_users, num_items, positives, pairs):
+    """build_adjacency's matrix, written in place in under twice its bytes."""
+    n = num_users + num_items
+    # Sorted user-major edge codes u * V + v order the user rows; below them
+    # all, codes[0] = -1, so an edge's first copy differs from its left one.
+    codes, start = np.full(pairs + 1, -1, dtype=np.int64), 1
+    for per_user in positives:
+        sizes = np.fromiter(map(len, per_user), dtype=np.int64, count=num_users)
+        stop = start + int(sizes.sum())
+        np.concatenate([codes[:0]] + list(per_user), out=codes[start:stop], casting="unsafe")
+        codes[start:stop] += np.repeat(np.arange(num_users, dtype=np.int64) * num_items, sizes)
+        start = stop
+    codes.sort()
+    codes = codes[1:][codes[1:] != codes[:-1]]
+    # The item rows order the same edges by item-major codes v * U + u.
+    by_item = np.sort(codes % num_items * num_users + codes // num_items)
+    degrees = np.append(np.diff(np.searchsorted(codes, np.arange(num_users + 1) * num_items)),
+                        np.diff(np.searchsorted(by_item, np.arange(num_items + 1) * num_users)))
     loops = np.flatnonzero(degrees == 0)
-    rows = np.concatenate([users, items, loops])
-    cols = np.concatenate([items, users, loops])
-    inv_sqrt = 1.0 / np.sqrt(np.maximum(degrees, 1))  # a self-loop is degree 1
-    data = inv_sqrt[rows] * inv_sqrt[cols]
-    return sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
+    degrees[loops] = 1  # a self-loop is each one's only entry
+    # int32 columns, as scipy's; csr_matrix narrows indptr to int32 as it does.
+    cols = np.empty(2 * len(codes), dtype=np.int32)
+    cols[:len(codes)] = np.remainder(codes, num_items, out=codes)
+    cols[:len(codes)] += num_users
+    cols[len(codes):] = np.remainder(by_item, num_users, out=by_item)
+    del codes, by_item
+    indptr = np.append(0, np.cumsum(degrees))
+    indices = np.full(indptr[-1], -1, dtype=np.int32)
+    indices[indptr[loops]] = loops
+    np.place(indices, indices < 0, cols)
+    del cols
+    inv_sqrt = 1.0 / np.sqrt(degrees)
+    data = np.empty(len(indices))
+    # In row blocks of about BLOCK_CELLS entries; a row's entries share its factor.
+    cuts = np.unique(np.append(np.searchsorted(indptr, np.arange(0, len(data), BLOCK_CELLS)), n))
+    for top, end in zip(cuts.tolist(), cuts[1:].tolist()):
+        rows = slice(indptr[top], indptr[end])
+        data[rows] = np.repeat(inv_sqrt[top:end], degrees[top:end]) * inv_sqrt[indices[rows]]
+    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
 def init_model(kind, num_users, num_items, dim, rng, num_layers=3,

@@ -230,6 +230,39 @@ def test_synth_reports_arrays_that_do_not_fit_in_memory(tmp_path, capsys, monkey
     assert not out.exists()
 
 
+def _no_memory(*args, **kwargs):
+    raise MemoryError
+
+
+def _graph_message(dataset_dir):
+    train = read_dataset_dir(dataset_dir)[0].train
+    pairs = sum(len(items) for per_user in train.positives for items in per_user)
+    return ("config error: the lightgcn graph of %d nodes and up to %d edges does not fit in "
+            "memory\n" % (train.num_users + train.num_items, pairs))
+
+
+def test_train_reports_a_graph_that_does_not_fit_in_memory(dataset_dir, tmp_path, capsys,
+                                                           monkeypatch):
+    # stands in for a graph that numpy tries and fails to allocate; it once
+    # read as "the ... embeddings do not fit in memory"
+    monkeypatch.setattr("critcf.models._csr_adjacency", _no_memory)
+    out = tmp_path / "run"
+    assert main(["train", dataset_dir, str(out), "--override", "model=lightgcn"] + FAST) == 1
+    assert capsys.readouterr().err == _graph_message(dataset_dir)
+    assert not (out / "checkpoint.txt").exists()
+
+
+def test_evaluate_reports_a_graph_that_does_not_fit_in_memory(dataset_dir, tmp_path, capsys,
+                                                              monkeypatch):
+    # load_checkpoint rebuilds the graph; this once ended in a traceback
+    out = str(tmp_path / "run")
+    assert main(["train", dataset_dir, out, "--override", "model=lightgcn"] + FAST) == 0
+    capsys.readouterr()
+    monkeypatch.setattr("critcf.models._csr_adjacency", _no_memory)
+    assert main(["evaluate", out + "/checkpoint.txt", dataset_dir]) == 1
+    assert capsys.readouterr() == ("", _graph_message(dataset_dir))
+
+
 def test_synth_argument_validation(tmp_path, capsys):
     assert main(["synth", str(tmp_path / "a"), "--densities", "0.4,0.3",
                  "--behaviors", "view,cart,buy"]) == 1
@@ -851,6 +884,8 @@ def config_files(draw):
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @example(config=(b"model=gmf\nlr=1e300\nepochs=2\nd=4\n", ["model", "lr", "epochs", "d"]))
+@example(config=(b"lr=1e300\ncode_version=9.9\nmodel=mf\nd=1\nepochs=1",
+                 ["lr", "code_version", "model", "d", "epochs"]))
 @example(config=(b"epochs=1\nd=4\ndataset_hash=0123abcd\n", ["epochs", "d", "dataset_hash"]))
 @example(config=(b"epochs=1\nd=4\nseed=%d\nbatch=%d\neval_cutoff=%d\n" % ((10 ** 30,) * 3),
                  ["epochs", "d", "seed", "batch", "eval_cutoff"]))
@@ -867,6 +902,10 @@ def test_train_on_a_random_config_file_exits_cleanly(dataset_dir, tmp_path, caps
     err = capsys.readouterr().err
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err
+    # A foreign code_version only warns, before the run goes on (README).
+    warning = "warning: %s: code_version: " % cfg
+    if "code_version" in keys and err.startswith(warning):
+        err = err.partition("\n")[2]
     if code in (1, 2):
         assert err.startswith(("config error: ", "data error: "))
         assert cfg in err or any(re.search(r"(?<!\w)%s(?!\w)" % re.escape(key), err)
