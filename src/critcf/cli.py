@@ -92,6 +92,8 @@ def _load_config(args, num_behaviors):
 
 def _check_run_dir(out_dir):
     """Fail unless out_dir can be made into or written as a directory; creates nothing."""
+    if not out_dir:
+        raise DataError("out_dir: the output path is empty")
     if os.path.exists(out_dir) and not os.path.isdir(out_dir):
         raise DataError("%s: exists and is not a directory" % out_dir)
     ancestor = os.path.abspath(out_dir)
@@ -298,13 +300,16 @@ def cmd_dump_bounds(args):
     if bounds is None:
         raise DataError("%s holds no bound factors" % args.checkpoint)
     num_users, num_items = bounds.user_bound.shape[0], bounds.item_bound.shape[0]
-    print("user item behavior upper lower")
+    # Every index is checked first, so a failing call prints nothing.
     for u in users:
         if not 0 <= u < num_users:
             raise DataError("user %d out of range (%d users)" % (u, num_users))
+    for v in items:
+        if not 0 <= v < num_items:
+            raise DataError("item %d out of range (%d items)" % (v, num_items))
+    print("user item behavior upper lower")
+    for u in users:
         for v in items:
-            if not 0 <= v < num_items:
-                raise DataError("item %d out of range (%d items)" % (v, num_items))
             for k in range(bounds.num_behaviors):
                 upper, lower = bounds.bounds(u, v, k)
                 print("%d %d %d %.10g %.10g" % (u, v, k, upper, lower))

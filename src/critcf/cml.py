@@ -99,15 +99,16 @@ def verify_upper_bound(scores, pos_lists, upper, lower, penalty):
     return BoundCheck(lhs, rhs, constant, holds)
 
 
-def random_instance(rng, max_users=10, max_items=8, bound_ratio=0.5):
-    """A small random instance: scores, positives, and rank-1 bound tables."""
-    num_users = int(rng.integers(1, max_users + 1))
-    num_items = int(rng.integers(2, max_items + 1))
+def random_instance(rng):
+    """A small random instance (1-10 users, 2-8 items): scores, positives, and
+    rank-1 upper bound tables with the lower bounds at half of them."""
+    num_users = int(rng.integers(1, 11))
+    num_items = int(rng.integers(2, 9))
     scores = rng.uniform(0.0, 1.5, size=(num_users, num_items))
     user_factor = rng.uniform(0.2, 2.0, size=num_users)
     item_factor = rng.uniform(0.2, 2.0, size=num_items)
     upper = np.outer(user_factor, item_factor)
-    lower = bound_ratio * upper
+    lower = 0.5 * upper
     pos_lists = []
     for _ in range(num_users):
         count = int(rng.integers(0, num_items + 1))

@@ -33,6 +33,7 @@ import scipy.sparse as sp
 
 from .atomic import atomic_write
 from .errors import ConfigError, DataError, NumericalError
+from .losses import BoundParams
 from .synthetic import BLOCK_CELLS
 
 MODEL_KINDS = ("mf", "gmf", "lightgcn")
@@ -313,8 +314,6 @@ def init_model(kind, num_users, num_items, dim, rng, num_layers=3,
 
 def init_bounds(num_users, num_items, num_behaviors, bound_ratio, rng):
     """Bound factors near 1, recovering the plain 1/0 criterion at start."""
-    from .losses import BoundParams
-
     user_bound = 1.0 + rng.uniform(-0.01, 0.01, size=(num_users, num_behaviors))
     item_bound = 1.0 + rng.uniform(-0.01, 0.01, size=(num_items, num_behaviors))
     return BoundParams(user_bound, item_bound, bound_ratio)
@@ -416,8 +415,6 @@ def _read_checkpoint(path):
     or array, or the byte offset of a malformed array line.  The arrays are
     native, C-contiguous and writable.
     """
-    from .losses import BoundParams
-
     header, meta, arrays = {}, {}, {}
     truncated = DataError("%s: truncated checkpoint (missing end marker)" % path)
     with open(path, "rb") as fh:

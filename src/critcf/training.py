@@ -158,45 +158,33 @@ def batch_gradients(model, bounds, user_ids, positives, loss_cfg, variant="full"
     dense.  Scores are validated to be finite before the loss is taken.
     """
     user_ids = np.asarray(user_ids, dtype=np.int64)
-    num_behaviors = len(positives)
     if variant in ("H", "O"):
         loss_cfg = replace(loss_cfg, penalty=RESIDUAL_SQUARE)
-
+    heads = [(0, positives, bounds, loss_cfg, 1.0)]  # (layer, positives, bounds, cfg, weight)
     if variant == "O":
         # Regression toward 1/0 is variant H with unit bounds and ratio 0,
         # one behavior per output layer; the bound gradients are dropped.
-        layer_cfg = replace(loss_cfg, behavior_weights=(1.0,))
-        total = 0.0
-        grads = None
-        for k in range(num_behaviors):
-            lam = loss_cfg.behavior_weights[k]
-            scores, cache = model.score_batch(user_ids, mask=mask, layer=k)
-            if not np.all(np.isfinite(scores)):
-                raise NumericalError("non-finite scores in batch")
-            unit = BoundParams(np.ones((len(positives[k]), 1)),
-                               np.ones((scores.shape[1], 1)), 0.0)
-            lk, d_scores, _, _ = criterion_total_loss(scores, user_ids, [positives[k]],
-                                                      unit, layer_cfg)
-            gk = model.backward(cache, lam * d_scores)
-            total += lam * lk
-            if grads is None:
-                grads = gk
-            else:
-                for name in grads:
-                    grads[name] += gk[name]
-        return total, grads
-
-    scores, cache = model.score_batch(user_ids, mask=mask)
-    if not np.all(np.isfinite(scores)):
-        raise NumericalError("non-finite scores in batch")
-    loss, d_scores, d_user, d_item = criterion_total_loss(
-        scores, user_ids, positives, bounds, loss_cfg
-    )
-    grads = model.backward(cache, d_scores)
-    d_user += 0.0  # -0.0 -> +0.0, as scattering into zeros would
-    grads["user_bound"] = d_user
-    grads["item_bound"] = d_item
-    return loss, grads
+        unit = BoundParams(np.ones((len(positives[0]), 1)), np.ones((len(model.item_emb), 1)), 0.0)
+        heads = [(k, [positives[k]], unit, replace(loss_cfg, behavior_weights=(1.0,)), lam)
+                 for k, lam in enumerate(loss_cfg.behavior_weights)]
+    total, grads = 0.0, {}
+    for layer, *loss_args, weight in heads:
+        scores, cache = model.score_batch(user_ids, mask=mask, layer=layer)
+        if not np.all(np.isfinite(scores)):
+            raise NumericalError("non-finite scores in batch")
+        loss, d_scores, d_user, d_item = criterion_total_loss(scores, user_ids, *loss_args)
+        if weight != 1.0:
+            d_scores *= weight
+        total += weight * loss
+        head_grads = model.backward(cache, d_scores)
+        for name in grads:  # float addition commutes, so this sums the heads in order
+            head_grads[name] += grads[name]
+        grads = head_grads
+    if variant != "O":
+        d_user += 0.0  # -0.0 -> +0.0, as scattering into zeros would
+        grads["user_bound"] = d_user
+        grads["item_bound"] = d_item
+    return total, grads
 
 
 def batch_loss(model, bounds, user_ids, positives, loss_cfg, variant="full", mask=None):

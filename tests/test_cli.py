@@ -337,8 +337,13 @@ def test_dump_bounds_fresh_init(dataset_dir, tmp_path, capsys):
 
 
 def test_dump_bounds_errors(dataset_dir, run_dir, tmp_path, capsys):
-    assert main(["dump-bounds", run_dir + "/checkpoint.txt",
-                 "--users", "99", "--items", "0"]) == 2
+    capsys.readouterr()
+    # every index is checked before the header, so a failing call prints nothing
+    for users, items, message in (("99", "0", "user 99 out of range (24 users)"),
+                                  ("0", "0,99", "item 99 out of range (18 items)")):
+        assert main(["dump-bounds", run_dir + "/checkpoint.txt",
+                     "--users", users, "--items", items]) == 2
+        assert capsys.readouterr() == ("", "data error: %s\n" % message)
     ablate_out = str(tmp_path / "o")
     assert main(["ablate", dataset_dir, ablate_out, "--variant", "O",
                  "--cutoffs", "5"] + FAST) == 0
@@ -531,6 +536,22 @@ def test_unusable_run_dir_fails_before_training(dataset_dir, tmp_path, capsys, m
     assert blocker.read_text() == "not a run dir\n"
 
 
+@pytest.mark.parametrize("argv", [["prepare", "{raw}", ""], ["synth", ""], ["train", "{data}", ""],
+                                  ["ablate", "{data}", "", "--variant", "H"]])
+def test_empty_output_path_fails_before_any_work(dataset_dir, tmp_path, capsys, monkeypatch,
+                                                 argv):
+    # os.path.abspath("") is the working directory, which would pass the checks
+    def unreachable(*args, **kwargs):
+        raise AssertionError("work started although the output path is empty")
+
+    for name in ("train", "generate", "parse_interactions"):
+        monkeypatch.setattr("critcf.cli." + name, unreachable)
+    raw = tmp_path / "raw.tsv"
+    raw.write_text("u0\ti0\tbuy\t1\n")
+    assert main([a.format(raw=raw, data=dataset_dir) for a in argv]) == 2
+    assert capsys.readouterr() == ("", "data error: out_dir: the output path is empty\n")
+
+
 @pytest.mark.parametrize("argv", [["prepare", "{missing}"], ["synth"]])
 def test_unusable_dataset_dir_fails_before_reading_or_generating(tmp_path, capsys, argv):
     blocker = tmp_path / "afile"
@@ -580,6 +601,29 @@ def test_ablate_requires_droppable_label(tmp_path, capsys):
     assert main(["ablate", data, str(tmp_path / "out"), "--variant", "C",
                  "--override", "lambdas=0.5,0.5"] + FAST) == 1
     capsys.readouterr()
+
+
+def test_ablate_cannot_drop_the_target_behavior(tmp_path, capsys):
+    data = str(tmp_path / "cart-last")
+    assert main(["synth", data, "--users", "20", "--items", "15",
+                 "--densities", "0.4,0.3", "--behaviors", "view,cart",
+                 "--latent-dim", "3"]) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main(["ablate", data, str(out), "--variant", "C",
+                 "--override", "lambdas=0.5,0.5"] + FAST) == 1
+    assert capsys.readouterr() == ("", "config error: cannot drop the target behavior\n")
+    assert not out.exists()
+
+
+def test_ablate_rejects_weights_that_vanish_with_the_dropped_behavior(dataset_dir, tmp_path,
+                                                                      capsys):
+    out = tmp_path / "v"
+    assert main(["ablate", dataset_dir, str(out), "--variant", "V",
+                 "--override", "lambdas=1,0,0"] + FAST) == 1
+    assert capsys.readouterr() == (
+        "", "config error: behavior weights left after dropping sum to 0\n")
+    assert not out.exists()
 
 
 def test_ablate_o_matches_direct_training(dataset_dir, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,8 +8,14 @@ from critcf import losses, training
 from critcf.cli import main
 from critcf.datasets import BehaviorDataset, leave_one_out_split
 from critcf.errors import ConfigError, NumericalError
-from critcf.losses import BoundParams, POSITIVITY_FLOOR, get_penalty
-from critcf.models import MfModel, project_rows
+from critcf.losses import (
+    RESIDUAL_SQUARE,
+    BoundParams,
+    POSITIVITY_FLOOR,
+    criterion_total_loss,
+    get_penalty,
+)
+from critcf.models import MfModel, init_bounds, init_model, project_rows
 from critcf.synthetic import SynthConfig, generate
 from critcf.training import (
     ADAGRAD_EPS,
@@ -52,6 +59,61 @@ def oracle_dense_gradients(params, grads, user_ids, row_blocks):
             dense[name] = np.zeros_like(params[name])
             np.add.at(dense[name], user_ids, grads[name])
     return dense
+
+
+# The two-body batch step that one loop over output heads replaced: variant O
+# ran its own per-behavior loop beside the main path's single pass.
+
+def oracle_batch_gradients(model, bounds, user_ids, positives, loss_cfg, variant="full",
+                           mask=None):
+    """Loss and joint gradients for one batch of users.
+
+    Returns (loss, grads) where grads maps every model parameter name and,
+    given bounds, ``user_bound`` and ``item_bound`` to its gradient.  The
+    ``user_bound`` gradient and those of ``model.row_block_params`` are
+    (B, ...) row blocks, row i belonging to ``user_ids[i]``; the others are
+    dense.  Scores are validated to be finite before the loss is taken.
+    """
+    user_ids = np.asarray(user_ids, dtype=np.int64)
+    num_behaviors = len(positives)
+    if variant in ("H", "O"):
+        loss_cfg = replace(loss_cfg, penalty=RESIDUAL_SQUARE)
+
+    if variant == "O":
+        # Regression toward 1/0 is variant H with unit bounds and ratio 0,
+        # one behavior per output layer; the bound gradients are dropped.
+        layer_cfg = replace(loss_cfg, behavior_weights=(1.0,))
+        total = 0.0
+        grads = None
+        for k in range(num_behaviors):
+            lam = loss_cfg.behavior_weights[k]
+            scores, cache = model.score_batch(user_ids, mask=mask, layer=k)
+            if not np.all(np.isfinite(scores)):
+                raise NumericalError("non-finite scores in batch")
+            unit = BoundParams(np.ones((len(positives[k]), 1)),
+                               np.ones((scores.shape[1], 1)), 0.0)
+            lk, d_scores, _, _ = criterion_total_loss(scores, user_ids, [positives[k]],
+                                                      unit, layer_cfg)
+            gk = model.backward(cache, lam * d_scores)
+            total += lam * lk
+            if grads is None:
+                grads = gk
+            else:
+                for name in grads:
+                    grads[name] += gk[name]
+        return total, grads
+
+    scores, cache = model.score_batch(user_ids, mask=mask)
+    if not np.all(np.isfinite(scores)):
+        raise NumericalError("non-finite scores in batch")
+    loss, d_scores, d_user, d_item = criterion_total_loss(
+        scores, user_ids, positives, bounds, loss_cfg
+    )
+    grads = model.backward(cache, d_scores)
+    d_user += 0.0  # -0.0 -> +0.0, as scattering into zeros would
+    grads["user_bound"] = d_user
+    grads["item_bound"] = d_item
+    return loss, grads
 
 
 def oracle_train_epoch(train, model, bounds, params, acc, cfg, rng, step_callback=None,
@@ -301,6 +363,50 @@ def test_batch_gradients_match_loss_fd_through_variants():
             arr[idx] = keep
             fd = (up - down) / (2 * step)
             assert grads[name][idx] == pytest.approx(fd, rel=1e-4, abs=1e-8)
+
+
+@pytest.mark.parametrize("behaviors,lambdas", [(1, (1.0,)), (2, (0.0, 1.0)),
+                                               (3, (0.25, 0.0, 0.75))])
+@pytest.mark.parametrize("dropout", [0.0, 0.3])
+@pytest.mark.parametrize("kind,variant", [
+    (kind, variant) for kind in ("mf", "gmf", "lightgcn")
+    for variant in ("full", "H", "U", "I")] + [("gmf", "O")])
+def test_batch_gradients_equal_two_body_oracle(kind, variant, dropout, behaviors, lambdas):
+    ds, _, _ = generate(SynthConfig(num_users=20, num_items=15, latent_dim=3,
+                                    num_behaviors=behaviors,
+                                    densities=(0.4, 0.3, 0.25)[-behaviors:], seed=2))
+    rng = np.random.default_rng(behaviors)
+    model = init_model(kind, ds.num_users, ds.num_items, 4, rng, num_layers=2,
+                       behavior_layers=behaviors if variant == "O" else 0, train=ds)
+    bounds = None if variant == "O" else BoundParams(
+        rng.uniform(0.5, 1.5, (ds.num_users, behaviors)),
+        rng.uniform(0.5, 1.5, (ds.num_items, behaviors)), 0.5)
+    users = rng.permutation(ds.num_users)[:13]
+    mask = (rng.random((len(users), 4)) >= dropout) / (1.0 - dropout) if dropout else None
+    loss_cfg = toy_config(behavior_weights=lambdas).loss_config()
+    loss, grads = batch_gradients(model, bounds, users, ds.positives, loss_cfg, variant, mask)
+    want_loss, want = oracle_batch_gradients(model, bounds, users, ds.positives, loss_cfg,
+                                             variant, mask)
+    assert loss == want_loss
+    assert list(grads) == list(want)
+    for name, grad in want.items():
+        assert grads[name].shape == grad.shape and grads[name].tobytes() == grad.tobytes(), name
+
+
+@pytest.mark.parametrize("kind,variant,name", [("mf", "full", "user_emb"),
+                                                ("gmf", "O", "pred_weight")])
+def test_batch_gradients_reject_non_finite_scores(kind, variant, name):
+    # O's nan sits in the last output layer, so only its last head sees it
+    train_ds = toy_split().train
+    rng = np.random.default_rng(0)
+    model = init_model(kind, train_ds.num_users, train_ds.num_items, 4, rng,
+                       behavior_layers=train_ds.num_behaviors if variant == "O" else 0)
+    bounds = None if variant == "O" else init_bounds(
+        train_ds.num_users, train_ds.num_items, train_ds.num_behaviors, 0.5, rng)
+    model.param_arrays()[name][-1, 0] = np.nan
+    with pytest.raises(NumericalError, match="^non-finite scores in batch$"):
+        batch_gradients(model, bounds, np.arange(train_ds.num_users), train_ds.positives,
+                        toy_config(variant=variant).loss_config(), variant)
 
 
 def test_validate_rejects_bad_configs():
