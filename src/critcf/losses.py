@@ -1,18 +1,17 @@
 """Margin penalties, learnable selection bounds, and the criterion loss.
 
-Every loss here is evaluated over whole batches of users against the full
-item axis (no negative sampling).  Negative-item sums are computed through
-the complement identity
+Every loss here is evaluated over a batch of users, or one row block of
+it, against the full item axis (no negative sampling).  The unobserved
+entries' terms are summed over a dense array of every item's term in which
+the observed entries are set to 0, so every summed term is non-negative and
+the cost stays O(B * |V|) regardless of how many unobserved entries there
+are.
 
-    sum over unobserved items = sum over all items - sum over observed items
-
-which keeps the per-batch cost at O(B * |V|) regardless of how many
-unobserved entries there are.
-
-One kernel, run on two reusable row blocks of about BLOCK_CELLS cells,
-serves every variant: the hinge penalties give the criterion loss, the
-two-sided RESIDUAL_SQUARE variant H's regression onto the bounds, and
-RESIDUAL_SQUARE with unit bounds and bound_ratio 0 variant O's 1/0 regression.
+One kernel, run in two work arrays shaped like the scores, serves every
+variant: the hinge penalties give the criterion loss, the two-sided
+RESIDUAL_SQUARE variant H's regression onto the bounds, and
+RESIDUAL_SQUARE with unit bounds and bound_ratio 0 variant O's 1/0
+regression.
 
 All losses return analytic gradients alongside the value.  Gradient
 conventions: the hinge subgradient at an exactly-zero margin is 0, so an
@@ -25,7 +24,6 @@ import numpy as np
 
 from .datasets import positive_pairs
 from .errors import ConfigError
-from .synthetic import BLOCK_CELLS
 
 # Overflow guard for the exponential penalty; exp(700) is near the float64
 # ceiling.
@@ -191,11 +189,12 @@ def _criterion_kernel(scores, rows, cols, upper_pos, work, neg_weight, penalty):
     pos_val = penalty.value(pos_margin)
     pos_grad = penalty.grad(pos_margin)
     penalty.value(margin, out=val)
+    val[rows, cols] = 0.0  # the observed entries' terms are pos_val's
     if penalty.hinge:
         val *= w_col
-        loss = np.sum(pos_val) + np.sum(val) - np.sum(val[rows, cols])
+        loss = np.sum(pos_val) + np.sum(val)
     else:
-        loss = np.sum(pos_val) + w * (np.sum(val) - np.sum(val[rows, cols]))
+        loss = np.sum(pos_val) + w * np.sum(val)
     active = margin > 0.0 if penalty.grad_at_zero else None
     penalty.grad(margin, out=margin)
     if active is not None:
@@ -241,7 +240,9 @@ def criterion_total_loss(scores, user_ids, positives, bounds, cfg):
 
     The upper bound of (u, v, k) is user_bound[u, k] * item_bound[v, k] and
     the lower bound that times bound_ratio.  With cfg.penalty set to
-    RESIDUAL_SQUARE this is variant H's bounded regression.
+    RESIDUAL_SQUARE this is variant H's bounded regression.  Each output row
+    depends on its score row alone, so the trainer calls this once per row
+    block of a batch and sums the losses and the d_item_bound blocks.
 
     Args:
         scores: (B, V) shared score matrix.
@@ -258,15 +259,12 @@ def criterion_total_loss(scores, user_ids, positives, bounds, cfg):
     cfg.validate(num_behaviors)
     scores = np.asarray(scores, dtype=float)
     B, V = scores.shape
-    ratio, w = bounds.bound_ratio, np.asarray(cfg.neg_weight, dtype=float)
+    ratio = bounds.bound_ratio
     loss = 0.0
     d_scores = np.zeros((B, V))
     d_user = np.zeros((B, num_behaviors))
     d_item = np.zeros((V, num_behaviors))
-    # The element-wise work runs in row blocks of about BLOCK_CELLS cells.
-    # d_eff stays whole, so its two GEMVs see the bits of one unblocked pass.
-    n = max(1, BLOCK_CELLS // max(V, 1))
-    blocks, d_eff = np.empty((2, min(B, n), V)), np.empty((B, V))
+    work = np.empty((2, B, V))
     for k in range(num_behaviors):
         lam = cfg.behavior_weights[k]
         if lam == 0.0:
@@ -274,23 +272,17 @@ def criterion_total_loss(scores, user_ids, positives, bounds, cfg):
         rows, cols = positive_pairs(positives[k], user_ids)
         ub = bounds.user_bound[user_ids, k]
         ib = bounds.item_bound[:, k]
-        lk = 0.0
-        for r in range(0, B, n):
-            blk, (a, b) = slice(r, r + n), np.searchsorted(rows, (r, r + n))
-            br, bc = rows[a:b] - r, cols[a:b]
-            work = blocks[:, :min(n, B - r)]
-            upper = np.multiply.outer(ub[blk], ib, out=work[0])
-            upper_pos = upper[br, bc]
-            upper *= ratio
-            lb, pos_grad = _criterion_kernel(scores[blk], br, bc, upper_pos, work,
-                                             w[blk] if w.ndim else w, cfg.penalty)
-            lk += lb
-            d_scores[blk] += np.multiply(work[0], lam, out=work[1])
-            # d(loss)/d(upper): -ratio * d_scores off the observed entries (the
-            # lower bound's share), the margin gradient on them.
-            np.multiply(work[0], -ratio, out=d_eff[blk])
-            d_eff[blk][br, bc] = pos_grad
+        upper = np.multiply.outer(ub, ib, out=work[0])
+        upper_pos = upper[rows, cols]
+        upper *= ratio
+        lk, pos_grad = _criterion_kernel(scores, rows, cols, upper_pos, work, cfg.neg_weight,
+                                         cfg.penalty)
         loss += lam * lk
+        d_scores += np.multiply(work[0], lam, out=work[1])
+        # d(loss)/d(upper): -ratio * d_scores off the observed entries (the
+        # lower bound's share), the margin gradient on them.
+        d_eff = np.multiply(work[0], -ratio, out=work[1])
+        d_eff[rows, cols] = pos_grad
         d_user[:, k] = lam * (d_eff @ ib)
         d_item[:, k] = lam * (d_eff.T @ ub)
     return loss, d_scores, d_user, d_item

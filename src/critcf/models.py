@@ -11,7 +11,10 @@ parameter gets a dense gradient shaped like the parameter.
 There is one factorization head, GmfModel.  MfModel is GmfModel with its one
 output row fixed at all ones, bitwise the plain dot product because
 multiplying by 1.0 is exact; LightGcnModel is MfModel over propagated
-embeddings.
+embeddings.  Training and evaluation score through ``head()``, that head
+over tables computed once per batch (the model itself, or an MfModel over
+LightGCN's propagated tables), one row block at a time, and
+``head_gradients`` turns the head's gradients into the model's.
 
 Embedding rows live inside the unit Euclidean ball; the trainer re-projects
 after every optimizer step and ``project_rows`` implements that projection.
@@ -107,6 +110,15 @@ class GmfModel:
         """Names of the unit-ball rows, read by test_acceptance.py criterion 08."""
         return ("user_emb", "item_emb")
 
+    def head(self):
+        """The factorization head that scores and differentiates this model's
+        batches, one row block at a time: the model itself."""
+        return self
+
+    def head_gradients(self, user_ids, grads):
+        """This model's gradients from its head's: the head is the model."""
+        return grads
+
     def score_batch(self, user_ids, mask=None, layer=0):
         user_ids = np.asarray(user_ids, dtype=np.int64)
         users = self.user_emb[user_ids]
@@ -185,6 +197,22 @@ class LightGcnModel(MfModel):
         stack = np.vstack([self.user_emb, self.item_emb])
         final = self._propagate(stack)
         return final[:num_users], final[num_users:]
+
+    def head(self):
+        """An MfModel over the propagated tables, propagated once: its dot
+        products are bitwise this model's scores."""
+        return MfModel(*self.propagated_embeddings())
+
+    def head_gradients(self, user_ids, grads):
+        """The base-embedding gradients from the head's: its user row block,
+        each user at most once in user_ids, and its item gradient go into one
+        (N, dim) gradient of the propagated tables, propagated once."""
+        num_users = self.user_emb.shape[0]
+        d_final = np.zeros((num_users + self.item_emb.shape[0], self.dim))
+        d_final[user_ids] = grads["user_emb"]
+        d_final[num_users:] = grads["item_emb"]
+        d_base = self._propagate(d_final)
+        return dict(grads, user_emb=d_base[:num_users], item_emb=d_base[num_users:])
 
     def score_batch(self, user_ids, mask=None, layer=0):
         user_ids = np.asarray(user_ids, dtype=np.int64)

@@ -15,12 +15,9 @@ import numpy as np
 from .datasets import positive_pairs
 from .errors import DataError, NumericalError
 from .losses import POSITIVITY_FLOOR
-from .models import LightGcnModel, MfModel
+from .synthetic import block_rows
 
 DEFAULT_CUTOFFS = (10, 50, 100, 200)
-
-# Users scored per predict_scores call; a batch holds this many rows of scores.
-EVAL_BATCH_USERS = 512
 
 
 @dataclass
@@ -103,20 +100,21 @@ def evaluate(model, bounds, train, heldout, cutoffs=DEFAULT_CUTOFFS):
 
     heldout maps user index -> held-out item.  Candidates are all items
     minus the user's target-behavior training positives; the held-out item
-    itself must not be among them.
+    itself must not be among them.  Users are scored and ranked in the row
+    blocks of training, block_rows(V) users each, so a block's two (rows, V)
+    float arrays are all the scores that exist at once.
     """
     num_users = train.num_users
     target = train.num_behaviors - 1
     heldout = np.asarray(heldout, dtype=np.int64)
-    if isinstance(model, LightGcnModel):
-        # The parameters do not change during evaluation, so propagate once:
-        # scoring the propagated embeddings by dot product is bitwise the
-        # lightgcn score.
-        model = MfModel(*model.propagated_embeddings())
+    # A model scores through the head it trains with (LightGCN's propagates
+    # once); an object with only score_batch is its own head.
+    head = model.head() if hasattr(model, "head") else model
+    size = block_rows(train.num_items)
     ranks = np.empty(num_users, dtype=np.int64)
-    for start in range(0, num_users, EVAL_BATCH_USERS):
-        batch = np.arange(start, min(start + EVAL_BATCH_USERS, num_users))
-        scores = predict_scores(model, bounds, batch)
+    for start in range(0, num_users, size):
+        batch = np.arange(start, min(start + size, num_users))
+        scores = predict_scores(head, bounds, batch)
         items = heldout[batch]
         rows, cols = positive_pairs(train.positives[target], batch)
         clash = np.flatnonzero(cols == items[rows])

@@ -71,8 +71,14 @@ class SynthConfig:
 
 
 # Cells per row block of the planted affinity (no U x V float array is ever
-# built) and of the criterion loss: a few (rows, V) float64 blocks stay in cache.
+# built) and of a training or evaluation step: a few (rows, V) float64 blocks
+# stay in cache.
 BLOCK_CELLS = 1 << 16
+
+
+def block_rows(num_items):
+    """Rows of a row block of about BLOCK_CELLS cells over num_items columns."""
+    return max(1, BLOCK_CELLS // max(num_items, 1))
 
 
 def _largest(values, n):
@@ -163,9 +169,9 @@ def _floored_mask(blocks, shape, counts, floor):
 def _planted_blocks(user_latent, item_latent, user_factor, item_factor, overflow, spread):
     """One pass over row blocks of each behavior's affinity over its threshold.
 
-    Yields ``(first_row, adjusted)`` for BLOCK_CELLS // V rows at a time (at
-    least one), with ``adjusted[k]`` computed by the same operations, and so
-    to the same bits, on every pass; the next block overwrites it.  Every
+    Yields ``(first_row, adjusted)`` for block_rows(V) rows at a time, with
+    ``adjusted[k]`` computed by the same operations, and so to the same
+    bits, on every pass; the next block overwrites it.  Every
     adjusted value is checked to be finite.  ``overflow[k]`` flags a behavior
     whose threshold is already known not to be.  Once a behavior fails, no
     more blocks are yielded, and after the last row the DataError of the
@@ -173,7 +179,7 @@ def _planted_blocks(user_latent, item_latent, user_factor, item_factor, overflow
     order would.
     """
     num_users, num_items = len(user_latent), len(item_latent)
-    rows = min(num_users, max(1, BLOCK_CELLS // num_items))
+    rows = min(num_users, block_rows(num_items))
     user_factor = np.ascontiguousarray(user_factor.T)
     item_factor = np.ascontiguousarray(item_factor.T)
     bad = np.array(overflow)

@@ -1,11 +1,13 @@
 """Mini-batch Adagrad training of the scorer and bound factors together.
 
-Each batch performs one joint update: the shared score matrix is computed
-once, the combined multi-behavior loss differentiates into the scores and
-the bound factors, the scorer backpropagates the score gradient into its
-own parameters, and a single Adagrad step moves everything.  After every
-step embedding rows are projected back into the unit ball and bound factors
-are clamped to the positivity floor.
+Each batch performs one joint update.  The model's head scores one row
+block of the batch's users at a time, about BLOCK_CELLS scores; the combined
+multi-behavior loss differentiates them into the scores and the bound
+factors, and the head backpropagates the score gradient, before the next
+block is scored.  The user-side gradients fill the batch's rows and the
+item-side ones are summed over the blocks; then a single Adagrad step moves
+everything.  After every step embedding rows are projected back into the
+unit ball and bound factors are clamped to the positivity floor.
 
 Variants share this loop:
     full  criterion loss, both bound factor matrices learned
@@ -32,6 +34,7 @@ from .losses import (
 )
 from .models import MODEL_KINDS, init_bounds, init_model, project_rows
 from .ranking import evaluate
+from .synthetic import block_rows
 
 ADAGRAD_EPS = 1e-8
 
@@ -155,7 +158,13 @@ def batch_gradients(model, bounds, user_ids, positives, loss_cfg, variant="full"
     given bounds, ``user_bound`` and ``item_bound`` to its gradient.  The
     ``user_bound`` gradient and those of ``model.row_block_params`` are
     (B, ...) row blocks, row i belonging to ``user_ids[i]``; the others are
-    dense.  Scores are validated to be finite before the loss is taken.
+    dense.  user_ids hold each user at most once.
+
+    The model's head scores, the loss differentiates and the head
+    backpropagates one row block of block_rows(V) users at a time, so no
+    (B, V) array exists; each block's scores are validated to be finite
+    before its loss is taken.  The item-side gradients are summed over the
+    blocks in order.
     """
     user_ids = np.asarray(user_ids, dtype=np.int64)
     if variant in ("H", "O"):
@@ -167,24 +176,32 @@ def batch_gradients(model, bounds, user_ids, positives, loss_cfg, variant="full"
         unit = BoundParams(np.ones((len(positives[0]), 1)), np.ones((len(model.item_emb), 1)), 0.0)
         heads = [(k, [positives[k]], unit, replace(loss_cfg, behavior_weights=(1.0,)), lam)
                  for k, lam in enumerate(loss_cfg.behavior_weights)]
-    total, grads = 0.0, {}
-    for layer, *loss_args, weight in heads:
-        scores, cache = model.score_batch(user_ids, mask=mask, layer=layer)
-        if not np.all(np.isfinite(scores)):
-            raise NumericalError("non-finite scores in batch")
-        loss, d_scores, d_user, d_item = criterion_total_loss(scores, user_ids, *loss_args)
-        if weight != 1.0:
-            d_scores *= weight
-        total += weight * loss
-        head_grads = model.backward(cache, d_scores)
-        for name in grads:  # float addition commutes, so this sums the heads in order
-            head_grads[name] += grads[name]
-        grads = head_grads
+    head = model.head()
+    if model.kind == "lightgcn":
+        mask = None  # LightGCN takes no dropout mask; its MF head would apply one
+    arrays = dict(head.param_arrays())
     if variant != "O":
-        d_user += 0.0  # -0.0 -> +0.0, as scattering into zeros would
-        grads["user_bound"] = d_user
-        grads["item_bound"] = d_item
-    return total, grads
+        arrays.update(user_bound=bounds.user_bound, item_bound=bounds.item_bound)
+    row_blocks = head.row_block_params + ("user_bound",)
+    grads = {name: np.zeros((len(user_ids),) + arr.shape[1:] if name in row_blocks else arr.shape)
+             for name, arr in arrays.items()}
+    total, rows = 0.0, block_rows(len(head.item_emb))
+    for start in range(0, len(user_ids), rows):
+        blk = slice(start, start + rows)
+        ids, block_mask = user_ids[blk], None if mask is None else mask[blk]
+        for layer, *loss_args, weight in heads:
+            scores, cache = head.score_batch(ids, mask=block_mask, layer=layer)
+            if not np.all(np.isfinite(scores)):
+                raise NumericalError("non-finite scores in batch")
+            loss, d_scores, d_user, d_item = criterion_total_loss(scores, ids, *loss_args)
+            if weight != 1.0:
+                d_scores *= weight
+            total += weight * loss
+            block = head.backward(cache, d_scores)
+            block.update(user_bound=d_user, item_bound=d_item)
+            for name, grad in grads.items():
+                grad[blk if name in row_blocks else slice(None)] += block[name]
+    return total, model.head_gradients(user_ids, grads)
 
 
 def batch_loss(model, bounds, user_ids, positives, loss_cfg, variant="full", mask=None):

@@ -3,9 +3,13 @@
 The oracle_* functions are the loss implementations that preceded the fused
 kernel in critcf.losses, kept verbatim: one (B, V) temporary per step, the
 hinge, bounded-regression (variant H) and regression (variant O) losses as
-three separate functions.  The kernel must reproduce them bit for bit.
+three separate functions.  The kernel must reproduce their gradients bit
+for bit.  Their losses subtract the observed entries' negative-side terms
+from a sum over every item, which can cancel every digit, so the kernel's
+loss is held to exact_loss instead.
 """
 
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -14,7 +18,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from critcf import losses
 from critcf.datasets import positive_pairs
 from critcf.errors import ConfigError
 from critcf.losses import (
@@ -27,6 +30,7 @@ from critcf.losses import (
     get_penalty,
     hinge_criterion_loss,
 )
+from critcf.synthetic import block_rows
 
 SQUARE = PENALTIES["square"]
 LINEAR = PENALTIES["linear"]
@@ -594,8 +598,30 @@ def loss_instances(draw):
             _array(draw, NEG_WEIGHTS, (B,)))
 
 
-def assert_same(got, want):
-    assert type(got[0]) is float and got[0] == want[0]
+def exact_loss(scores, user_ids, positives, bounds, cfg):
+    """The loss as one math.fsum of its weighted per-entry terms.
+
+    Every term is >= 0, so a float sum of them in any order lies within a
+    few ulps of this one; the oracles' complement identity subtracts the
+    observed entries' negative terms instead and can cancel every digit.
+    """
+    w = np.asarray(cfg.neg_weight, dtype=float)
+    w_col = w[:, None] if w.ndim else w
+    clamp = (lambda x: np.maximum(x, 0.0)) if cfg.penalty.hinge else (lambda x: x)
+    terms = []
+    for k, lam in enumerate(cfg.behavior_weights):
+        upper = np.outer(bounds.user_bound[user_ids, k], bounds.item_bound[:, k])
+        observed = np.zeros(scores.shape, dtype=bool)
+        observed[positive_pairs(positives[k], user_ids)] = True
+        pos = cfg.penalty.value(clamp(upper - scores))
+        neg = w_col * cfg.penalty.value(clamp(scores - bounds.bound_ratio * upper))
+        terms.append((lam * np.where(observed, pos, neg)).ravel())
+    return math.fsum(np.concatenate(terms))
+
+
+def assert_same(got, want, exact):
+    """The loss within 1e-12 of the exact sum, every gradient equal to the oracle's."""
+    assert type(got[0]) is float and got[0] == pytest.approx(exact, rel=1e-12, abs=0.0)
     for a, b in zip(got[1:], want[1:]):
         assert a.shape == b.shape and np.array_equal(a, b)
 
@@ -608,7 +634,19 @@ def _corner_instance():
     return scores, np.array([0, 1]), positives, bounds, (1.0,), 0.1, np.array([0.0, 2.0])
 
 
+def _cancelling_instance():
+    # 10 x 1: user 7 observes the item at a score of 800, so its negative-side
+    # expm1 term (about 1e303) is no term of the loss; user 2's 0.1 * expm1(1)
+    # is.  The oracles' complement identity reads 0.0 here.
+    scores = np.zeros((10, 1))
+    scores[2, 0], scores[7, 0] = 1.0, 800.0
+    positives = [[np.array([0]) if u == 7 else np.array([], dtype=np.int64) for u in range(10)]]
+    bounds = BoundParams(np.ones((10, 1)), np.ones((1, 1)), 0.0)
+    return scores, np.arange(10), positives, bounds, (1.0,), 0.1, np.full(10, 0.1)
+
+
 @settings(max_examples=200, deadline=None)
+@example(inst=_cancelling_instance(), variant="full", name="expm1", per_user=False)
 @example(inst=_corner_instance(), variant="full", name="expm1", per_user=False)
 @example(inst=_corner_instance(), variant="full", name="linear", per_user=True)
 @example(inst=_corner_instance(), variant="H", name="square", per_user=False)
@@ -622,28 +660,38 @@ def test_kernel_equals_oracles(inst, variant, name, per_user):
     elif variant == "I":
         bounds.item_bound[...] = 1.0
     if variant == "O":
+        B, V = scores.shape
+        unit = BoundParams(np.ones((B, 1)), np.ones((V, 1)), 0.0)
         for per_user_pos in positives:
             pos_lists = [per_user_pos[u] for u in user_ids]
             assert_same(regression(scores, pos_lists, w),
-                        oracle_regression_loss(scores, pos_lists, w))
+                        oracle_regression_loss(scores, pos_lists, w),
+                        exact_loss(scores, np.arange(B), [pos_lists], unit,
+                                   LossConfig(w, (1.0,), RESIDUAL_SQUARE)))
         return
     if variant == "H":
         cfg = LossConfig(w, lambdas, RESIDUAL_SQUARE)
         assert_same(criterion_total_loss(scores, user_ids, positives, bounds, cfg),
                     oracle_bounded_regression_total_loss(scores, user_ids, positives, bounds,
-                                                         replace(cfg, penalty=SQUARE)))
+                                                         replace(cfg, penalty=SQUARE)),
+                    exact_loss(scores, user_ids, positives, bounds, cfg))
         return
     penalty = PENALTIES[name]
     w = w_user if per_user else w
     cfg = LossConfig(w, lambdas, penalty)
     assert_same(criterion_total_loss(scores, user_ids, positives, bounds, cfg),
-                oracle_criterion_total_loss(scores, user_ids, positives, bounds, cfg))
+                oracle_criterion_total_loss(scores, user_ids, positives, bounds, cfg),
+                exact_loss(scores, user_ids, positives, bounds, cfg))
     for k in range(len(positives)):
         pos_lists = [positives[k][u] for u in user_ids]
         upper = np.outer(bounds.user_bound[user_ids, k], bounds.item_bound[:, k])
         lower = bounds.bound_ratio * upper
+        single = BoundParams(bounds.user_bound[:, k:k + 1], bounds.item_bound[:, k:k + 1],
+                             bounds.bound_ratio)
         assert_same(hinge_criterion_loss(scores, pos_lists, upper, lower, w, penalty),
-                    oracle_hinge_criterion_loss(scores, pos_lists, upper, lower, w, penalty))
+                    oracle_hinge_criterion_loss(scores, pos_lists, upper, lower, w, penalty),
+                    exact_loss(scores, user_ids, [positives[k]], single,
+                               LossConfig(w, (1.0,), penalty)))
 
 
 def oracle_positive_index(pos_lists):
@@ -676,33 +724,59 @@ def test_positive_index_equals_oracle(pos_lists):
         assert np.array_equal(got, want)
 
 
-def _loss_scale(scores, user_ids, positives, bounds, cfg):
-    """The summed magnitude of every penalty term the loss adds or cancels.
+def blocked_loss(scores, user_ids, positives, bounds, cfg, rows):
+    """criterion_total_loss over blocks of ``rows`` score rows, combined as
+    training.batch_gradients combines them: the losses and d_item_bound summed
+    in block order, the row outputs stacked.  A per-user neg_weight is cut
+    into the same blocks."""
+    loss, d_item, parts = 0.0, np.zeros(bounds.item_bound.shape), []
+    w = np.asarray(cfg.neg_weight)
+    for r in range(0, len(scores), rows):
+        block_cfg = replace(cfg, neg_weight=w[r:r + rows]) if w.ndim else cfg
+        lb, d_scores, d_user, d_item_b = criterion_total_loss(
+            scores[r:r + rows], user_ids[r:r + rows], positives, bounds, block_cfg)
+        loss += lb
+        d_item += d_item_b
+        parts.append((d_scores, d_user))
+    return loss, *(np.vstack(part) for part in zip(*parts)), d_item
 
-    The complement identity subtracts the observed entries' negative terms
-    from a sum over all items, so two summation orders of a loss may differ
-    by rounding on this mass, not on the loss, which may be far smaller.
-    """
-    w = np.asarray(cfg.neg_weight, dtype=float)
-    w_col = w[:, None] if w.ndim else w
-    clamp = np.abs if cfg.penalty is RESIDUAL_SQUARE else (lambda x: np.maximum(x, 0.0))
-    scale = 0.0
+
+def _bound_grad_scales(scores, user_ids, positives, bounds, cfg):
+    """The summed magnitudes of the terms of each d_user_bound and each
+    d_item_bound entry, lam_k * |d(loss)/d(upper)| @ |factor|: a bound on the
+    rounding of any order of their sums."""
+    user_scale = np.zeros((len(user_ids), len(positives)))
+    item_scale = np.zeros((scores.shape[1], len(positives)))
     for k, lam in enumerate(cfg.behavior_weights):
-        upper = np.outer(bounds.user_bound[user_ids, k], bounds.item_bound[:, k])
+        pos_lists = [positives[k][u] for u in user_ids]
+        ub, ib = bounds.user_bound[user_ids, k], bounds.item_bound[:, k]
+        upper = np.outer(ub, ib)
         lower = bounds.bound_ratio * upper
-        scale += lam * float(np.sum(cfg.penalty.value(clamp(upper - scores)))
-                             + np.sum(w_col * cfg.penalty.value(clamp(scores - lower))))
-    return scale
+        if cfg.penalty is RESIDUAL_SQUARE:
+            _, _, d_up, d_lo = oracle_bounded_regression_loss(scores, pos_lists, upper, lower,
+                                                              cfg.neg_weight)
+        else:
+            _, _, d_up, d_lo = oracle_hinge_criterion_loss(scores, pos_lists, upper, lower,
+                                                           cfg.neg_weight, cfg.penalty)
+        d_eff = np.abs(d_up + bounds.bound_ratio * d_lo)
+        user_scale[:, k] = lam * (d_eff @ np.abs(ib))
+        item_scale[:, k] = lam * (d_eff.T @ np.abs(ub))
+    return user_scale, item_scale
 
 
-def assert_blocked_same(got, want, scale):
-    assert type(got[0]) is float
-    assert got[0] == pytest.approx(want[0], rel=1e-12, abs=1e-12 * scale)
-    for a, b in zip(got[1:], want[1:]):
-        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+def assert_blocked_close(got, want, exact, scales):
+    """The loss within 1e-12 of the exact sum and d_scores bitwise the
+    oracle's.  Each bound-factor gradient lies within 1e-12 of its terms'
+    summed magnitude: a block's GEMV may round d_user_bound rows otherwise
+    than one over the batch, and d_item_bound sums over the blocks."""
+    assert type(got[0]) is float and got[0] == pytest.approx(exact, rel=1e-12, abs=0.0)
+    assert got[1].shape == want[1].shape and got[1].tobytes() == want[1].tobytes()
+    for a, b, scale in zip(got[2:], want[2:], scales):
+        assert a.shape == b.shape and np.all(np.abs(a - b) <= 1e-12 * scale)
 
 
 @settings(max_examples=200, deadline=None)
+@example(inst=_cancelling_instance(), variant="full", name="expm1", per_user=False, cells=1)
 @example(inst=_corner_instance(), variant="full", name="expm1", per_user=True, cells=1)
 @given(inst=loss_instances(), variant=st.sampled_from(["full", "U", "I", "H"]),
        name=st.sampled_from(sorted(PENALTIES)), per_user=st.booleans(),
@@ -710,7 +784,7 @@ def assert_blocked_same(got, want, scale):
 def test_blocked_loss_equals_oracles(inst, variant, name, per_user, cells):
     """Row blocks of 1..3 rows at V <= 12: several blocks, the last one ragged."""
     scores, user_ids, positives, bounds, lambdas, w, w_user = inst
-    cells = min(cells, 3 * scores.shape[1])
+    rows = max(1, min(cells, 3 * scores.shape[1]) // scores.shape[1])
     if variant == "U":
         bounds.user_bound[...] = 1.0
     elif variant == "I":
@@ -722,10 +796,9 @@ def test_blocked_loss_equals_oracles(inst, variant, name, per_user, cells):
     else:
         cfg = LossConfig(w_user if per_user else w, lambdas, PENALTIES[name])
         want = oracle_criterion_total_loss(scores, user_ids, positives, bounds, cfg)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(losses, "BLOCK_CELLS", cells)
-        got = criterion_total_loss(scores, user_ids, positives, bounds, cfg)
-    assert_blocked_same(got, want, _loss_scale(scores, user_ids, positives, bounds, cfg))
+    got = blocked_loss(scores, user_ids, positives, bounds, cfg, rows)
+    assert_blocked_close(got, want, exact_loss(scores, user_ids, positives, bounds, cfg),
+                         _bound_grad_scales(scores, user_ids, positives, bounds, cfg))
 
 
 def _wide_batch(B, V, densities, seed):
@@ -740,26 +813,27 @@ def _wide_batch(B, V, densities, seed):
 
 @pytest.mark.parametrize("variant", ["full", "H"])
 def test_blocked_loss_ragged_wide_batch(variant):
-    """437 x 1500 at the default block: 43-row blocks, the last one 7 rows.
-    A per-block GEMV for d_user gives other bits at these shapes."""
-    scores, user_ids, positives, bounds = _wide_batch(437, 1500, (0.02, 0.01, 0.005), 3)
-    assert losses.BLOCK_CELLS // 1500 == 43 and 437 % 43 != 0
+    """437 x 1500 at the default block: 43-row blocks, the last one 7 rows."""
+    inputs = _wide_batch(437, 1500, (0.02, 0.01, 0.005), 3)
+    rows = block_rows(1500)
+    assert rows == 43 and 437 % rows != 0
     cfg = LossConfig(0.1, (0.5, 0.3, 0.2), SQUARE)
     if variant == "H":
         cfg = replace(cfg, penalty=RESIDUAL_SQUARE)
-        want = oracle_bounded_regression_total_loss(scores, user_ids, positives, bounds,
-                                                    replace(cfg, penalty=SQUARE))
+        want = oracle_bounded_regression_total_loss(*inputs, replace(cfg, penalty=SQUARE))
     else:
-        want = oracle_criterion_total_loss(scores, user_ids, positives, bounds, cfg)
-    got = criterion_total_loss(scores, user_ids, positives, bounds, cfg)
-    assert_blocked_same(got, want, _loss_scale(scores, user_ids, positives, bounds, cfg))
+        want = oracle_criterion_total_loss(*inputs, cfg)
+    assert_blocked_close(blocked_loss(*inputs, cfg, rows), want, exact_loss(*inputs, cfg),
+                         _bound_grad_scales(*inputs, cfg))
 
 
 def test_blocked_loss_memory_peak():
-    """One 512 x 4000 three-behavior call holds d_scores, d_eff and two
-    BLOCK_CELLS work blocks: under 2.25 (B, V) float64 arrays."""
-    B, V = 512, 4000
-    inputs = _wide_batch(B, V, (0.014, 0.0037, 0.00175), 5)
+    """One 16 x 4000 row block of a three-behavior batch, as training cuts a
+    batch at 4000 items, holds d_scores and two work arrays of its shape:
+    under 3.75 such blocks."""
+    V = 4000
+    rows = block_rows(V)
+    inputs = _wide_batch(rows, V, (0.014, 0.0037, 0.00175), 5)
     cfg = LossConfig(0.1, (0.5, 0.3, 0.2), SQUARE)
     tracemalloc.start()
     try:
@@ -767,4 +841,4 @@ def test_blocked_loss_memory_peak():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.25 * B * V * 8, peak / 2.0 ** 20
+    assert peak < 3.75 * rows * V * 8, peak / (rows * V * 8)

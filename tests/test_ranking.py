@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from critcf import ranking
+from critcf import ranking, synthetic
 from critcf.datasets import BehaviorDataset
 from critcf.errors import DataError, NumericalError
 from critcf.losses import BoundParams
@@ -19,6 +19,7 @@ from critcf.ranking import (
     predict_scores,
     rank_in_candidates,
 )
+from critcf.synthetic import block_rows
 
 
 class TableModel:
@@ -169,8 +170,8 @@ def test_heldout_item_must_not_be_train_positive():
 @pytest.mark.parametrize("batch_users", [1, 2, 3, 1024])
 def test_heldout_clash_names_first_user(batch_users, monkeypatch):
     # users 2 and 4 hold out a training positive; the error names user 2,
-    # as the per-user loop did, whether or not they share a batch
-    monkeypatch.setattr(ranking, "EVAL_BATCH_USERS", batch_users)
+    # as the per-user loop did, whether or not they share a row block
+    monkeypatch.setattr(synthetic, "BLOCK_CELLS", batch_users * 4)
     train = single_behavior_train(6, 4, [[0], [1], [2, 3], [], [0, 1], [3]])
     heldout = np.array([1, 2, 3, 0, 1, 2])
     model = TableModel(np.zeros((6, 4)))
@@ -221,7 +222,7 @@ def test_batch_ranks_equal_oracle(inst):
     got = rank_in_candidates(table, heldout, rows, cols)
     assert got.tolist() == [want[u] for u in range(num_users)]
     # every rank lies within the candidate count, so the report keeps them all
-    with mock.patch.object(ranking, "EVAL_BATCH_USERS", batch_users):
+    with mock.patch.object(synthetic, "BLOCK_CELLS", batch_users * num_items):
         report = evaluate(TableModel(table), None, train, heldout, cutoffs=(num_items,))
     assert report.per_user_rank == want
 
@@ -342,8 +343,8 @@ def test_non_finite_scores_are_rejected_before_ranking():
 def test_evaluate_peak_memory_is_under_three_batch_arrays():
     # evaluate holds the scores and the bound matrix that the quotient is
     # written into, plus bool masks; the old out-of-place division held
-    # four score-sized float arrays per batch.  The users fill more than one
-    # batch at any batch size up to 1024.
+    # four score-sized float arrays per batch.  The 1100 users fill 17 row
+    # blocks of 65.
     num_users, num_items = 1100, 1000
     rng = np.random.default_rng(3)
     model = MfModel(project_rows(rng.uniform(-0.3, 0.3, (num_users, 8))),
@@ -361,7 +362,7 @@ def test_evaluate_peak_memory_is_under_three_batch_arrays():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3 * ranking.EVAL_BATCH_USERS * num_items * 8
+    assert peak < 3 * block_rows(num_items) * num_items * 8
 
 
 def old_predict_scores(model, bounds, user_ids):

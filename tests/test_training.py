@@ -1,10 +1,11 @@
 import os
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from critcf import losses, training
+from critcf import synthetic, training
 from critcf.cli import main
 from critcf.datasets import BehaviorDataset, leave_one_out_split
 from critcf.errors import ConfigError, NumericalError
@@ -15,8 +16,8 @@ from critcf.losses import (
     criterion_total_loss,
     get_penalty,
 )
-from critcf.models import MfModel, init_bounds, init_model, project_rows
-from critcf.synthetic import SynthConfig, generate
+from critcf.models import MfModel, _read_checkpoint, init_bounds, init_model, project_rows
+from critcf.synthetic import SynthConfig, block_rows, generate
 from critcf.training import (
     ADAGRAD_EPS,
     TrainConfig,
@@ -393,6 +394,70 @@ def test_batch_gradients_equal_two_body_oracle(kind, variant, dropout, behaviors
         assert grads[name].shape == grad.shape and grads[name].tobytes() == grad.tobytes(), name
 
 
+@pytest.mark.parametrize("rows", [1, 2, 5])
+@pytest.mark.parametrize("kind,variant", [
+    (kind, variant) for kind in ("mf", "gmf", "lightgcn")
+    for variant in ("full", "H", "U", "I")] + [("gmf", "O")])
+def test_batch_gradients_at_small_blocks_equal_two_body_oracle(kind, variant, rows,
+                                                               monkeypatch):
+    # row blocks of 1, 2 and 5 of the 13 users, a ragged last one at 2 and 5;
+    # the oracle takes the whole batch in one block
+    ds, _, _ = generate(SynthConfig(num_users=20, num_items=15, latent_dim=3,
+                                    densities=(0.4, 0.3, 0.25), seed=2))
+    rng = np.random.default_rng(rows)
+    model = init_model(kind, ds.num_users, ds.num_items, 4, rng, num_layers=2,
+                       behavior_layers=3 if variant == "O" else 0, train=ds)
+    bounds = None if variant == "O" else BoundParams(
+        rng.uniform(0.5, 1.5, (ds.num_users, 3)), rng.uniform(0.5, 1.5, (ds.num_items, 3)), 0.5)
+    users = rng.permutation(ds.num_users)[:13]
+    mask = (rng.random((len(users), 4)) >= 0.3) / 0.7
+    loss_cfg = toy_config(behavior_weights=(0.25, 0.0, 0.75)).loss_config()
+    monkeypatch.setattr(synthetic, "BLOCK_CELLS", rows * ds.num_items)
+    loss, grads = batch_gradients(model, bounds, users, ds.positives, loss_cfg, variant, mask)
+    want_loss, want = oracle_batch_gradients(model, bounds, users, ds.positives, loss_cfg,
+                                             variant, mask)
+    assert loss == pytest.approx(want_loss, rel=1e-12, abs=0.0)
+    assert list(grads) == list(want)
+    for name, grad in want.items():
+        assert grads[name].shape == grad.shape
+        assert np.all(np.abs(grads[name] - grad) <= 1e-12 * np.abs(grad).max()), name
+
+
+def _wide_gmf_peak(variant):
+    """tracemalloc peak of one batch_gradients call: 512 of 2000 users against
+    4000 items and three behaviors, gmf at d = 32 with a dropout mask."""
+    rng = np.random.default_rng(5)
+    U, V, d = 2000, 4000, 32
+    positives = [[np.flatnonzero(rng.random(V) < p) for _ in range(U)]
+                 for p in (0.014, 0.0037, 0.00175)]
+    model = init_model("gmf", U, V, d, rng, behavior_layers=3 if variant == "O" else 0)
+    bounds = init_bounds(U, V, 3, 0.5, rng)
+    users = rng.permutation(U)[:512]
+    mask = (rng.random((512, d)) >= 0.5) / 0.5
+    loss_cfg = TrainConfig().loss_config()
+    tracemalloc.start()
+    try:
+        batch_gradients(model, bounds, users, positives, loss_cfg, variant, mask)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_batch_gradients_peak_is_under_half_a_batch_array():
+    # 16-row blocks hold no (512, 4000) array; a whole-batch step held three:
+    # scores, d_scores and d_eff
+    peak = _wide_gmf_peak("full")
+    assert peak < 0.5 * 512 * 4000 * 8, peak / 2.0 ** 20
+
+
+def test_variant_o_peak_is_full_plus_one_block():
+    # each of O's three heads scores, takes its loss and backpropagates one
+    # block before the next head runs
+    full, per_behavior = _wide_gmf_peak("full"), _wide_gmf_peak("O")
+    assert per_behavior <= full + block_rows(4000) * 4000 * 8, \
+        (per_behavior / 2.0 ** 20, full / 2.0 ** 20)
+
+
 @pytest.mark.parametrize("kind,variant,name", [("mf", "full", "user_emb"),
                                                 ("gmf", "O", "pred_weight")])
 def test_batch_gradients_reject_non_finite_scores(kind, variant, name):
@@ -470,20 +535,27 @@ def test_sparse_step_equals_dense_oracle(sparse_step_dataset, tmp_path, monkeypa
     for variant in ("full", "H", "U", "I")] + [("gmf", "O")])
 def test_run_files_do_not_depend_on_loss_block(sparse_step_dataset, tmp_path, monkeypatch,
                                                model, variant):
-    # 64 cells are 2-row blocks at the 23 items, ragged in every 5-user last batch
+    # 64 cells are 2-row blocks at the 23 items, ragged in every 5-user last
+    # batch.  The item-side sums change order with the block, so the trained
+    # arrays agree to rounding; a rerun at one block agrees byte for byte.
     argv = ["--override", "model=%s" % model, "--override", "variant=%s" % variant,
             "--override", "epochs=3", "--override", "batch=8", "--override", "d=4",
             "--override", "dropout=0.3", "--override", "eval_cutoff=5"]
     runs = []
-    for cells in (losses.BLOCK_CELLS, 64):
-        monkeypatch.setattr(losses, "BLOCK_CELLS", cells)
-        run = tmp_path / str(cells)
+    for cells in (synthetic.BLOCK_CELLS, 64, 64):
+        monkeypatch.setattr(synthetic, "BLOCK_CELLS", cells)
+        run = tmp_path / str(len(runs))
         assert main(["train", sparse_step_dataset, str(run)] + argv) == 0
         runs.append(run)
-    assert (runs[0] / "checkpoint.txt").read_bytes() == (runs[1] / "checkpoint.txt").read_bytes()
+    for name in ("checkpoint.txt", "history.txt"):
+        assert (runs[1] / name).read_bytes() == (runs[2] / name).read_bytes(), name
     default, tiny = ([line.split() for line in (run / "history.txt").read_text().splitlines()]
-                     for run in runs)
+                     for run in runs[:2])
     assert len(default) == len(tiny) == 3
     for a, b in zip(default, tiny):
         assert a[:1] + a[2:] == b[:1] + b[2:]
         assert float(b[1]) == pytest.approx(float(a[1]), rel=1e-12)
+    default, tiny = (_read_checkpoint(str(run / "checkpoint.txt"))[2] for run in runs[:2])
+    assert list(default) == list(tiny)
+    for name, arr in default.items():
+        assert np.all(np.abs(tiny[name] - arr) <= 1e-13 * np.abs(arr).max()), name
