@@ -235,7 +235,7 @@ def hinge_criterion_loss(scores, pos_lists, upper, lower, neg_weight, penalty):
     return loss, work[0], d_upper, d_lower
 
 
-def criterion_total_loss(scores, user_ids, positives, bounds, cfg):
+def criterion_total_loss(scores, user_ids, positives, bounds, cfg, pairs=None, work=None):
     """Weighted multi-behavior criterion loss over one batch.
 
     The upper bound of (u, v, k) is user_bound[u, k] * item_bound[v, k] and
@@ -251,25 +251,35 @@ def criterion_total_loss(scores, user_ids, positives, bounds, cfg):
             indexed as positives[k][u] over the FULL user axis.
         bounds: BoundParams.
         cfg: LossConfig; behavior_weights must sum to 1.
+        pairs: optional per-behavior ``positive_pairs(positives[k],
+            user_ids)`` from a caller that has them (the trainer cuts each
+            block's from its batch's) and has validated cfg; otherwise both
+            are done here.
+        work: optional float (3, B, V) buffer; the returned d_scores is
+            work[0].  A new one is allocated otherwise.
     Returns:
         (loss, d_scores, d_user_bound, d_item_bound) with d_user_bound of
         shape (B, K) aligned to user_ids and d_item_bound of shape (V, K).
     """
     num_behaviors = len(positives)
-    cfg.validate(num_behaviors)
     scores = np.asarray(scores, dtype=float)
     B, V = scores.shape
+    if pairs is None:
+        cfg.validate(num_behaviors)
+        pairs = [positive_pairs(pos, user_ids) for pos in positives]
+    if work is None:
+        work = np.empty((3, B, V))
+    d_scores, work = work[0], work[1:]
+    d_scores[...] = 0.0
     ratio = bounds.bound_ratio
     loss = 0.0
-    d_scores = np.zeros((B, V))
     d_user = np.zeros((B, num_behaviors))
     d_item = np.zeros((V, num_behaviors))
-    work = np.empty((2, B, V))
     for k in range(num_behaviors):
         lam = cfg.behavior_weights[k]
         if lam == 0.0:
             continue
-        rows, cols = positive_pairs(positives[k], user_ids)
+        rows, cols = pairs[k]
         ub = bounds.user_bound[user_ids, k]
         ib = bounds.item_bound[:, k]
         upper = np.multiply.outer(ub, ib, out=work[0])

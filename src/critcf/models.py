@@ -164,7 +164,10 @@ class LightGcnModel(MfModel):
 
     Base embeddings are propagated num_layers times through the symmetric
     normalized adjacency and averaged with weight 1/(num_layers + 1); the
-    score is the dot product of the propagated embeddings.  Propagation is
+    score is the dot product of the propagated embeddings.  score_batch and
+    backward are those of ``head()``, an MfModel over the propagated tables
+    (so a dropout mask multiplies the propagated user rows; the trainer
+    draws masks for gmf only), and ``head_gradients``.  Propagation is
     recomputed from the current base embeddings on every call, and the
     adjacency is constant, so the backward pass applies the same linear
     operator to the upstream gradient.
@@ -204,32 +207,27 @@ class LightGcnModel(MfModel):
         return MfModel(*self.propagated_embeddings())
 
     def head_gradients(self, user_ids, grads):
-        """The base-embedding gradients from the head's: its user row block,
-        each user at most once in user_ids, and its item gradient go into one
-        (N, dim) gradient of the propagated tables, propagated once."""
+        """The base-embedding gradients from the head's: its user row block
+        (a user repeated in user_ids gets the sum of its rows) and its item
+        gradient go into one (N, dim) gradient of the propagated tables,
+        propagated once."""
         num_users = self.user_emb.shape[0]
         d_final = np.zeros((num_users + self.item_emb.shape[0], self.dim))
-        d_final[user_ids] = grads["user_emb"]
-        d_final[num_users:] = grads["item_emb"]
+        np.add.at(d_final, user_ids, grads["user_emb"])
+        d_final[num_users:] += grads["item_emb"]
+        # The adjacency is symmetric, so the Jacobian of the propagation is
+        # the propagation operator itself.
         d_base = self._propagate(d_final)
         return dict(grads, user_emb=d_base[:num_users], item_emb=d_base[num_users:])
 
     def score_batch(self, user_ids, mask=None, layer=0):
-        user_ids = np.asarray(user_ids, dtype=np.int64)
-        user_final, item_final = self.propagated_embeddings()
-        scores = user_final[user_ids] @ item_final.T
-        return scores, (user_ids, user_final, item_final)
+        head = self.head()
+        scores, cache = head.score_batch(user_ids, mask, layer)
+        return scores, (head, cache)
 
     def backward(self, cache, d_scores):
-        user_ids, user_final, item_final = cache
-        num_users = self.user_emb.shape[0]
-        d_final = np.zeros((num_users + self.item_emb.shape[0], self.dim))
-        np.add.at(d_final, user_ids, d_scores @ item_final)
-        d_final[num_users:] += d_scores.T @ user_final[user_ids]
-        # The adjacency is symmetric, so the Jacobian of the propagation is
-        # the propagation operator itself.
-        d_base = self._propagate(d_final)
-        return {"user_emb": d_base[:num_users], "item_emb": d_base[num_users:]}
+        head, cache = cache
+        return self.head_gradients(cache[0], head.backward(cache, d_scores))
 
 
 def row_partitions(matrix, count):

@@ -101,8 +101,9 @@ def evaluate(model, bounds, train, heldout, cutoffs=DEFAULT_CUTOFFS):
     heldout maps user index -> held-out item.  Candidates are all items
     minus the user's target-behavior training positives; the held-out item
     itself must not be among them.  Users are scored and ranked in the row
-    blocks of training, block_rows(V) users each, so a block's two (rows, V)
-    float arrays are all the scores that exist at once.
+    blocks of training, block_rows(V, d) users each (d the model's dim, 1
+    for an object without one), so a block's two (rows, V) float arrays are
+    all the scores that exist at once.
     """
     num_users = train.num_users
     target = train.num_behaviors - 1
@@ -110,7 +111,7 @@ def evaluate(model, bounds, train, heldout, cutoffs=DEFAULT_CUTOFFS):
     # A model scores through the head it trains with (LightGCN's propagates
     # once); an object with only score_batch is its own head.
     head = model.head() if hasattr(model, "head") else model
-    size = block_rows(train.num_items)
+    size = block_rows(train.num_items, getattr(head, "dim", 1))
     ranks = np.empty(num_users, dtype=np.int64)
     for start in range(0, num_users, size):
         batch = np.arange(start, min(start + size, num_users))

@@ -76,9 +76,12 @@ class SynthConfig:
 BLOCK_CELLS = 1 << 16
 
 
-def block_rows(num_items):
-    """Rows of a row block of about BLOCK_CELLS cells over num_items columns."""
-    return max(1, BLOCK_CELLS // max(num_items, 1))
+def block_rows(num_items, dim=1):
+    """Rows of a row block of about BLOCK_CELLS cells over num_items columns,
+    and at least dim: a block scored against a (num_items, dim) table then
+    has at least as many cells as the table, so the table's reads and its
+    summed gradient cost no more per block than the block's own arrays."""
+    return max(1, BLOCK_CELLS // max(num_items, 1), dim)
 
 
 def _largest(values, n):

@@ -645,6 +645,15 @@ def _cancelling_instance():
     return scores, np.arange(10), positives, bounds, (1.0,), 0.1, np.full(10, 0.1)
 
 
+def _subnormal_instance():
+    # a subnormal bound ratio: each lower-bound term of a bound gradient
+    # rounds on the subnormal grid, where a relative tolerance reads 0
+    scores = np.array([[1.0], [1.5]])
+    positives = [[np.array([], dtype=np.int64)] * 2] * 2
+    bounds = BoundParams(np.ones((2, 2)), np.ones((1, 2)), 2.2250738585e-313)
+    return scores, np.arange(2), positives, bounds, (0.5, 0.5), 0.1, np.full(2, 0.1)
+
+
 @settings(max_examples=200, deadline=None)
 @example(inst=_cancelling_instance(), variant="full", name="expm1", per_user=False)
 @example(inst=_corner_instance(), variant="full", name="expm1", per_user=False)
@@ -768,16 +777,21 @@ def assert_blocked_close(got, want, exact, scales):
     """The loss within 1e-12 of the exact sum and d_scores bitwise the
     oracle's.  Each bound-factor gradient lies within 1e-12 of its terms'
     summed magnitude: a block's GEMV may round d_user_bound rows otherwise
-    than one over the batch, and d_item_bound sums over the blocks."""
+    than one over the batch, and d_item_bound sums over the blocks.  Below
+    the normal range that relative bound underflows to 0 while each of an
+    entry's (at most B + V) products still rounds to the subnormal grid, so
+    one smallest subnormal per term is allowed too."""
     assert type(got[0]) is float and got[0] == pytest.approx(exact, rel=1e-12, abs=0.0)
     assert got[1].shape == want[1].shape and got[1].tobytes() == want[1].tobytes()
+    tiny = sum(got[1].shape) * np.finfo(float).smallest_subnormal
     for a, b, scale in zip(got[2:], want[2:], scales):
-        assert a.shape == b.shape and np.all(np.abs(a - b) <= 1e-12 * scale)
+        assert a.shape == b.shape and np.all(np.abs(a - b) <= 1e-12 * scale + tiny)
 
 
 @settings(max_examples=200, deadline=None)
 @example(inst=_cancelling_instance(), variant="full", name="expm1", per_user=False, cells=1)
 @example(inst=_corner_instance(), variant="full", name="expm1", per_user=True, cells=1)
+@example(inst=_subnormal_instance(), variant="full", name="expm1", per_user=False, cells=1)
 @given(inst=loss_instances(), variant=st.sampled_from(["full", "U", "I", "H"]),
        name=st.sampled_from(sorted(PENALTIES)), per_user=st.booleans(),
        cells=st.integers(1, 36))

@@ -394,14 +394,15 @@ def test_batch_gradients_equal_two_body_oracle(kind, variant, dropout, behaviors
         assert grads[name].shape == grad.shape and grads[name].tobytes() == grad.tobytes(), name
 
 
-@pytest.mark.parametrize("rows", [1, 2, 5])
+@pytest.mark.parametrize("rows", [4, 5, 6])
 @pytest.mark.parametrize("kind,variant", [
     (kind, variant) for kind in ("mf", "gmf", "lightgcn")
     for variant in ("full", "H", "U", "I")] + [("gmf", "O")])
 def test_batch_gradients_at_small_blocks_equal_two_body_oracle(kind, variant, rows,
                                                                monkeypatch):
-    # row blocks of 1, 2 and 5 of the 13 users, a ragged last one at 2 and 5;
-    # the oracle takes the whole batch in one block
+    # row blocks of 4, 5 and 6 of the 13 users, the d = 4 floor, with a
+    # ragged last one of 1, 3 and 1; the oracle takes the whole batch in one
+    # block
     ds, _, _ = generate(SynthConfig(num_users=20, num_items=15, latent_dim=3,
                                     densities=(0.4, 0.3, 0.25), seed=2))
     rng = np.random.default_rng(rows)
@@ -421,6 +422,29 @@ def test_batch_gradients_at_small_blocks_equal_two_body_oracle(kind, variant, ro
     for name, grad in want.items():
         assert grads[name].shape == grad.shape
         assert np.all(np.abs(grads[name] - grad) <= 1e-12 * np.abs(grad).max()), name
+
+
+def test_block_rows_hold_at_least_the_model_dim():
+    # 8 rows of Beibei's 7977 items would read the (7977, 64) item table
+    # for every 8 users
+    assert block_rows(7977) == 8
+    assert block_rows(7977, 64) == 64
+    assert block_rows(600, 64) == 109
+
+
+def test_lightgcn_batch_gradients_sum_a_repeated_user():
+    # user 3 twice is the loss and gradient of user 3 taken twice
+    ds, _, _ = generate(SynthConfig(num_users=20, num_items=15, latent_dim=3,
+                                    densities=(0.4, 0.3, 0.25), seed=2))
+    rng = np.random.default_rng(4)
+    model = init_model("lightgcn", ds.num_users, ds.num_items, 4, rng, num_layers=2, train=ds)
+    bounds = init_bounds(ds.num_users, ds.num_items, 3, 0.5, rng)
+    loss_cfg = toy_config(behavior_weights=(0.25, 0.0, 0.75)).loss_config()
+    once = batch_gradients(model, bounds, [3], ds.positives, loss_cfg)
+    twice = batch_gradients(model, bounds, [3, 3], ds.positives, loss_cfg)
+    assert twice[0] == pytest.approx(2 * once[0], rel=1e-12)
+    for name in ("user_emb", "item_emb", "item_bound"):
+        assert np.allclose(twice[1][name], 2 * once[1][name], rtol=1e-12, atol=0.0), name
 
 
 def _wide_gmf_peak(variant):
@@ -444,8 +468,8 @@ def _wide_gmf_peak(variant):
 
 
 def test_batch_gradients_peak_is_under_half_a_batch_array():
-    # 16-row blocks hold no (512, 4000) array; a whole-batch step held three:
-    # scores, d_scores and d_eff
+    # 32-row blocks (the d = 32 floor) hold no (512, 4000) array; a
+    # whole-batch step held three: scores, d_scores and d_eff
     peak = _wide_gmf_peak("full")
     assert peak < 0.5 * 512 * 4000 * 8, peak / 2.0 ** 20
 
@@ -454,7 +478,7 @@ def test_variant_o_peak_is_full_plus_one_block():
     # each of O's three heads scores, takes its loss and backpropagates one
     # block before the next head runs
     full, per_behavior = _wide_gmf_peak("full"), _wide_gmf_peak("O")
-    assert per_behavior <= full + block_rows(4000) * 4000 * 8, \
+    assert per_behavior <= full + block_rows(4000, 32) * 4000 * 8, \
         (per_behavior / 2.0 ** 20, full / 2.0 ** 20)
 
 
@@ -535,8 +559,8 @@ def test_sparse_step_equals_dense_oracle(sparse_step_dataset, tmp_path, monkeypa
     for variant in ("full", "H", "U", "I")] + [("gmf", "O")])
 def test_run_files_do_not_depend_on_loss_block(sparse_step_dataset, tmp_path, monkeypatch,
                                                model, variant):
-    # 64 cells are 2-row blocks at the 23 items, ragged in every 5-user last
-    # batch.  The item-side sums change order with the block, so the trained
+    # 64 cells are 4-row blocks at the 23 items and d = 4, ragged in every
+    # 5-user last batch.  The item-side sums change order with the block, so the trained
     # arrays agree to rounding; a rerun at one block agrees byte for byte.
     argv = ["--override", "model=%s" % model, "--override", "variant=%s" % variant,
             "--override", "epochs=3", "--override", "batch=8", "--override", "d=4",
