@@ -90,10 +90,10 @@ def _load_config(args, num_behaviors):
     return cfg, given + [("--override", overrides)]
 
 
-def _check_run_dir(out_dir):
+def _check_run_dir(out_dir, name="out_dir"):
     """Fail unless out_dir can be made into or written as a directory; creates nothing."""
     if not out_dir:
-        raise DataError("out_dir: the output path is empty")
+        raise DataError("%s: the output path is empty" % name)
     if os.path.exists(out_dir) and not os.path.isdir(out_dir):
         raise DataError("%s: exists and is not a directory" % out_dir)
     ancestor = os.path.abspath(out_dir)
@@ -178,10 +178,10 @@ def cmd_prepare(args):
     final_items = [item_ids[v] for v in kept_items]
     write_dataset_dir(args.out_dir, split, final_users, final_items, labels)
     train_ds = split.train
-    counts = [sum(len(p) for p in train_ds.positives[k]) for k in range(train_ds.num_behaviors)]
     print("wrote %s: %d users, %d items, train positives per behavior: %s"
           % (args.out_dir, train_ds.num_users, train_ds.num_items,
-             " ".join("%s=%d" % (labels[k], counts[k]) for k in range(len(counts)))))
+             " ".join("%s=%d" % (label, len(store.items))
+                      for label, store in zip(labels, train_ds.positives))))
     return 0
 
 
@@ -230,6 +230,8 @@ def cmd_train(args):
 
 def cmd_evaluate(args):
     cutoffs = _split_cutoffs(args.cutoffs)
+    if args.out is not None:
+        _check_run_dir(args.out, "--out")  # before any work, as for train's out_dir
     split, _, _, _ = read_dataset_dir(args.dataset_dir)
     model, bounds, _ = load_checkpoint(args.checkpoint, train=split.train)
     heldout = split.test if args.split == "test" else split.validation

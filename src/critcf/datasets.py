@@ -16,6 +16,9 @@ The last behavior index (num_behaviors - 1) is always the target behavior;
 only its records are held out by the split, auxiliary behaviors stay in the
 training positives untouched.
 
+Each behavior's positives are one PositiveStore, a CSR pair (indptr,
+items) that every layer emits from sorted columns and gathers from.
+
 A dataset directory (write_dataset_dir, read_dataset_dir) holds meta.txt,
 index_map.txt, behavior_<k>.txt, validation.txt and test.txt.  Every line
 of every file ends in a newline, the last one included.  behavior_<k>.txt,
@@ -30,7 +33,7 @@ index_map.txt lists the users, then the items, in dense order.
 import codecs
 import os
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import count, repeat
 from typing import NamedTuple, Optional
 
@@ -63,21 +66,63 @@ class Interactions(NamedTuple):
     timestamp: np.ndarray
 
 
+class PositiveStore:
+    """One behavior's positives in CSR form: user u's items are the view
+    store[u] = items[indptr[u]:indptr[u + 1]], both arrays int64.  A u
+    outside [0, len(store)) raises IndexError; iteration runs over users."""
+
+    def __init__(self, sizes, items):
+        self.indptr = np.append(0, np.cumsum(sizes))
+        self.items = items
+
+    @classmethod
+    def of(cls, per_user):
+        """per_user as a store: itself if it is one, else its per-user item
+        sequences (Python lists or arrays) laid end to end."""
+        if isinstance(per_user, cls):
+            return per_user
+        sizes = np.fromiter(map(len, per_user), dtype=np.int64, count=len(per_user))
+        # An empty Python list converts as float64; "unsafe" casts it like the rest.
+        items = np.concatenate([_EMPTY, *per_user], dtype=np.int64, casting="unsafe")
+        return cls(sizes, items)
+
+    def __len__(self):
+        return len(self.indptr) - 1
+
+    def __getitem__(self, u):
+        if not 0 <= u < len(self):
+            raise IndexError("user %r out of range for %d users" % (u, len(self)))
+        return self.items[self.indptr[u]:self.indptr[u + 1]]
+
+    def pairs(self, users):
+        """(rows, items) of the positives of ``users``: items[j] is a positive
+        of users[rows[j]]; rows and items are int64."""
+        users = np.asarray(users, dtype=np.int64)
+        starts = self.indptr[users]
+        sizes = self.indptr[users + 1] - starts
+        rows = np.repeat(np.arange(len(users), dtype=np.int64), sizes)
+        # Entry j of the batch is item starts[r] + (j - first entry of row r).
+        at = np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)
+        return rows, self.items[at + np.arange(len(at))]
+
+
 @dataclass
 class BehaviorDataset:
     """Per-behavior positive-item sets over dense user/item indices.
 
-    positives[k][u] is a strictly sorted int64 array of the items user u
-    interacted with under behavior k.  target_order, when present, lists
-    each user's target-behavior items in chronological order and exists only
-    between build_dataset and the split.
-    """
+    positives[k] is behavior k's PositiveStore: positives[k][u] views user
+    u's strictly sorted items.  target_order, when present, is a store of each
+    user's target-behavior items in time order, made by build_dataset for the
+    split.  Per-user sequences (Python lists or arrays) are accepted for both."""
 
     num_users: int
     num_items: int
     num_behaviors: int
-    positives: list  # [k][u] -> sorted np.ndarray of item ids
-    target_order: Optional[list] = None  # [u] -> np.ndarray in time order
+    positives: list  # [k] -> PositiveStore of sorted item ids
+    target_order: Optional[PositiveStore] = None  # items in time order
+
+    def __post_init__(self):
+        self.positives = list(map(PositiveStore.of, self.positives))
 
 
 @dataclass
@@ -292,24 +337,6 @@ def _int64_error(text, what):
     return None
 
 
-def rows_by_user(users, items, num_users):
-    """One array per user 0..num_users-1 from items grouped by ascending user."""
-    ends = np.cumsum(np.bincount(users, minlength=num_users)).tolist()
-    return [items[start:stop] for start, stop in zip([0] + ends[:-1], ends)]
-
-
-def positive_pairs(per_user, users):
-    """(rows, items) of the positives of the rows ``users`` of a per-user list.
-
-    items[j] is a positive of user users[rows[j]]; rows and items are int64.
-    """
-    sets = list(map(per_user.__getitem__, users))
-    sizes = np.fromiter(map(len, sets), dtype=np.int64, count=len(sets))
-    # An empty Python list converts as float64; "unsafe" casts it like the rest.
-    items = np.concatenate([_EMPTY] + sets, dtype=np.int64, casting="unsafe")
-    return np.repeat(np.arange(len(sets), dtype=np.int64), sizes), items
-
-
 def build_dataset(interactions, num_behaviors, min_target=5):
     """Deduplicate, filter, and densify columnar interactions.
 
@@ -360,17 +387,17 @@ def build_dataset(interactions, num_behaviors, min_target=5):
     behavior, timestamp = behavior[live], timestamp[live]
     num_kept = len(kept_users)
 
-    # Records are unique, so sorting (behavior, user, item) codes orders each
-    # user's items under each behavior.
+    # Records are unique, so sorted (behavior, user, item) codes order each user's items.
     rows, items = np.divmod(np.sort((behavior * num_kept + user) * len(kept_items) + item),
                             len(kept_items))
-    groups = rows_by_user(rows, items, num_behaviors * num_kept)
-    positives = [groups[k * num_kept:(k + 1) * num_kept] for k in range(num_behaviors)]
+    sizes = np.bincount(rows, minlength=num_behaviors * num_kept).reshape(num_behaviors, num_kept)
+    parts = np.split(items, np.cumsum(sizes.sum(axis=1))[:-1])  # one per behavior
+    positives = list(map(PositiveStore, sizes, parts))
     # Chronological order; lexsort is stable, so file order breaks timestamp
     # ties (and stands in entirely when timestamps are absent).
     is_target = behavior == target
     order = np.lexsort((timestamp[is_target], user[is_target]))
-    target_order = rows_by_user(user[is_target][order], item[is_target][order], num_kept)
+    target_order = PositiveStore(sizes[target], item[is_target][order])
     ds = BehaviorDataset(num_kept, len(kept_items), num_behaviors, positives, target_order)
     return ds, kept_users, kept_items
 
@@ -387,8 +414,8 @@ def leave_one_out_split(dataset, on_short="error"):
     if on_short not in ("error", "drop"):
         raise ValueError("on_short must be 'error' or 'drop'")
 
-    counts = np.fromiter(map(len, dataset.target_order), dtype=np.int64,
-                         count=dataset.num_users)
+    order = PositiveStore.of(dataset.target_order)
+    counts = np.diff(order.indptr)
     short = np.flatnonzero(counts < MIN_SPLIT_POSITIVES)
     if short.size and on_short == "error":
         worst = short[0]
@@ -397,19 +424,17 @@ def leave_one_out_split(dataset, on_short="error"):
             % (worst, counts[worst], MIN_SPLIT_POSITIVES)
         )
     keep = np.flatnonzero(counts >= MIN_SPLIT_POSITIVES)
-    ends = np.cumsum(counts)[keep]
-    order = np.concatenate([_EMPTY] + list(dataset.target_order))
-    test, validation = order[ends - 1], order[ends - 2]
+    ends = order.indptr[keep + 1]
+    test, validation = order.items[ends - 1], order.items[ends - 2]
 
-    kept_users = keep.tolist()
-    pairs = [positive_pairs(per_user, kept_users) for per_user in dataset.positives]
+    pairs = [store.pairs(keep) for store in dataset.positives]
     # The held-out items leave the target positives through one mask.
     row, items = pairs[-1]
     trained = (items != test[row]) & (items != validation[row])
     pairs[-1] = row[trained], items[trained]
-    positives = [rows_by_user(*pair, len(keep)) for pair in pairs]
-    train = BehaviorDataset(len(keep), dataset.num_items, dataset.num_behaviors,
-                            positives, None)
+    positives = [PositiveStore(np.bincount(rows, minlength=len(keep)), items)
+                 for rows, items in pairs]
+    train = replace(dataset, num_users=len(keep), positives=positives, target_order=None)
     return SplitDataset(train, validation, test, keep, dropped_users=len(short))
 
 
@@ -417,12 +442,9 @@ def drop_behavior(split, k):
     """Remove one auxiliary behavior from a split (for data ablations)."""
     if k == split.train.num_behaviors - 1:
         raise DataError("cannot drop the target behavior")
-    train = split.train
-    positives = [per_user for j, per_user in enumerate(train.positives) if j != k]
-    new_train = BehaviorDataset(train.num_users, train.num_items,
-                                train.num_behaviors - 1, positives, None)
-    return SplitDataset(new_train, split.validation, split.test,
-                        split.source_users, split.dropped_users)
+    positives = split.train.positives[:k] + split.train.positives[k + 1:]
+    train = replace(split.train, num_behaviors=len(positives), positives=positives)
+    return replace(split, train=train)
 
 
 def write_dataset_dir(out_dir, split, user_ids, item_ids, behavior_labels):
@@ -458,11 +480,12 @@ def write_dataset_dir(out_dir, split, user_ids, item_ids, behavior_labels):
     with open(os.path.join(out_dir, "index_map.txt"), "w", encoding="utf-8") as fh:
         fh.writelines(map("u\t{}\t{}\n".format, user_ids, names))
         fh.writelines(map("i\t{}\t{}\n".format, item_ids, names))
-    for k in range(train.num_behaviors):
-        path = os.path.join(out_dir, "behavior_%d.txt" % k)
-        with open(path, "w", encoding="utf-8") as fh:
-            for u, items in enumerate(train.positives[k]):
-                fh.write(" ".join([names[u], *map(name, items.tolist())]) + "\n")
+    for k, store in enumerate(train.positives):
+        tokens = list(map(name, store.items.tolist()))
+        ends = store.indptr.tolist()
+        with open(os.path.join(out_dir, "behavior_%d.txt" % k), "w", encoding="utf-8") as fh:
+            fh.writelines(" ".join([user, *tokens[start:stop]]) + "\n"
+                          for user, start, stop in zip(names, ends, ends[1:]))
     for file_name, held in (("validation.txt", split.validation), ("test.txt", split.test)):
         with open(os.path.join(out_dir, file_name), "w", encoding="utf-8") as fh:
             fh.writelines(map("{} {}\n".format, names, map(name, held.tolist())))
@@ -721,24 +744,20 @@ def read_dataset_dir(dataset_dir):
     # that a count larger than the lines listed fails here.
     user_ids, item_ids = _read_index_map(os.path.join(dataset_dir, "index_map.txt"),
                                          num_users, num_items)
-    users = np.arange(num_users, dtype=np.int64)
-    columns = []
-    for k in range(num_behaviors):
-        lengths, items = _read_rows(os.path.join(dataset_dir, "behavior_%d.txt" % k),
-                                    num_users, num_items)
-        columns.append((np.repeat(users, lengths), items))
+    positives = [PositiveStore(*_read_rows(os.path.join(dataset_dir, "behavior_%d.txt" % k),
+                                           num_users, num_items)) for k in range(num_behaviors)]
     validation, test = (_read_heldout(os.path.join(dataset_dir, name), num_users, num_items)
                         for name in ("validation.txt", "test.txt"))
     # Ranking leaves a user's target positives out of the candidates, so a
     # held-out item among them could not be ranked.
-    owners, items = columns[-1]
+    users = np.arange(num_users, dtype=np.int64)
+    owners, items = positives[-1].pairs(users)
     for name, held in (("validation.txt", validation), ("test.txt", test)):
         clash = np.flatnonzero(items == held[owners])
         if clash.size:
             u = owners[clash[0]]
             raise DataError("%s: the held-out item %d of user %d is one of its target-behavior "
                             "training positives" % (os.path.join(dataset_dir, name), held[u], u))
-    positives = [rows_by_user(*pair, num_users) for pair in columns]
     train = BehaviorDataset(num_users, num_items, num_behaviors, positives, None)
     split = SplitDataset(train, validation, test, users, dropped_users=dropped_users)
     return split, user_ids, item_ids, labels

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datasets import positive_pairs
+from .datasets import PositiveStore
 from .errors import ConfigError
 
 # Overflow guard for the exponential penalty; exp(700) is near the float64
@@ -224,7 +224,7 @@ def hinge_criterion_loss(scores, pos_lists, upper, lower, neg_weight, penalty):
         (loss, d_scores, d_upper, d_lower); gradient arrays match (B, V).
     """
     scores = np.asarray(scores, dtype=float)
-    rows, cols = positive_pairs(pos_lists, range(len(pos_lists)))
+    rows, cols = PositiveStore.of(pos_lists).pairs(range(len(pos_lists)))
     work = (np.array(lower, dtype=float), np.empty_like(scores))
     loss, pos_grad = _criterion_kernel(scores, rows, cols, np.asarray(upper)[rows, cols],
                                        work, neg_weight, penalty)
@@ -235,7 +235,7 @@ def hinge_criterion_loss(scores, pos_lists, upper, lower, neg_weight, penalty):
     return loss, work[0], d_upper, d_lower
 
 
-def criterion_total_loss(scores, user_ids, positives, bounds, cfg, pairs=None, work=None):
+def criterion_total_loss(scores, user_ids, positives, bounds, cfg, work=None):
     """Weighted multi-behavior criterion loss over one batch.
 
     The upper bound of (u, v, k) is user_bound[u, k] * item_bound[v, k] and
@@ -247,14 +247,10 @@ def criterion_total_loss(scores, user_ids, positives, bounds, cfg, pairs=None, w
     Args:
         scores: (B, V) shared score matrix.
         user_ids: (B,) user indices matching the score rows.
-        positives: per-behavior list of per-user positive-item arrays,
-            indexed as positives[k][u] over the FULL user axis.
+        positives: per-behavior list of PositiveStore over the FULL user
+            axis; each call gathers the pairs of user_ids from them.
         bounds: BoundParams.
         cfg: LossConfig; behavior_weights must sum to 1.
-        pairs: optional per-behavior ``positive_pairs(positives[k],
-            user_ids)`` from a caller that has them (the trainer cuts each
-            block's from its batch's) and has validated cfg; otherwise both
-            are done here.
         work: optional float (3, B, V) buffer; the returned d_scores is
             work[0].  A new one is allocated otherwise.
     Returns:
@@ -264,9 +260,7 @@ def criterion_total_loss(scores, user_ids, positives, bounds, cfg, pairs=None, w
     num_behaviors = len(positives)
     scores = np.asarray(scores, dtype=float)
     B, V = scores.shape
-    if pairs is None:
-        cfg.validate(num_behaviors)
-        pairs = [positive_pairs(pos, user_ids) for pos in positives]
+    cfg.validate(num_behaviors)
     if work is None:
         work = np.empty((3, B, V))
     d_scores, work = work[0], work[1:]
@@ -279,7 +273,7 @@ def criterion_total_loss(scores, user_ids, positives, bounds, cfg, pairs=None, w
         lam = cfg.behavior_weights[k]
         if lam == 0.0:
             continue
-        rows, cols = pairs[k]
+        rows, cols = positives[k].pairs(user_ids)
         ub = bounds.user_bound[user_ids, k]
         ib = bounds.item_bound[:, k]
         upper = np.multiply.outer(ub, ib, out=work[0])

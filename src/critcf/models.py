@@ -260,7 +260,7 @@ def build_adjacency(train):
     entries 1/sqrt(deg_u * deg_v), N = num_users + num_items, each row's
     columns ascending: the bytes of the COO edge list's tocsr().
     """
-    pairs = sum(len(items) for per_user in train.positives for items in per_user)
+    pairs = sum(len(store.items) for store in train.positives)
     try:
         return _csr_adjacency(train.num_users, train.num_items, train.positives, pairs)
     except MemoryError:
@@ -274,11 +274,11 @@ def _csr_adjacency(num_users, num_items, positives, pairs):
     # Sorted user-major edge codes u * V + v order the user rows; below them
     # all, codes[0] = -1, so an edge's first copy differs from its left one.
     codes, start = np.full(pairs + 1, -1, dtype=np.int64), 1
-    for per_user in positives:
-        sizes = np.fromiter(map(len, per_user), dtype=np.int64, count=num_users)
-        stop = start + int(sizes.sum())
-        np.concatenate([codes[:0]] + list(per_user), out=codes[start:stop], casting="unsafe")
-        codes[start:stop] += np.repeat(np.arange(num_users, dtype=np.int64) * num_items, sizes)
+    for store in positives:
+        stop = start + len(store.items)
+        codes[start:stop] = store.items
+        codes[start:stop] += np.repeat(np.arange(num_users, dtype=np.int64) * num_items,
+                                       np.diff(store.indptr))
         start = stop
     codes.sort()
     codes = codes[1:][codes[1:] != codes[:-1]]

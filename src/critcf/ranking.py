@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .datasets import positive_pairs
 from .errors import DataError, NumericalError
 from .losses import POSITIVITY_FLOOR
 from .synthetic import block_rows
@@ -106,7 +105,6 @@ def evaluate(model, bounds, train, heldout, cutoffs=DEFAULT_CUTOFFS):
     all the scores that exist at once.
     """
     num_users = train.num_users
-    target = train.num_behaviors - 1
     heldout = np.asarray(heldout, dtype=np.int64)
     # A model scores through the head it trains with (LightGCN's propagates
     # once); an object with only score_batch is its own head.
@@ -117,7 +115,7 @@ def evaluate(model, bounds, train, heldout, cutoffs=DEFAULT_CUTOFFS):
         batch = np.arange(start, min(start + size, num_users))
         scores = predict_scores(head, bounds, batch)
         items = heldout[batch]
-        rows, cols = positive_pairs(train.positives[target], batch)
+        rows, cols = train.positives[-1].pairs(batch)  # the target behavior's
         clash = np.flatnonzero(cols == items[rows])
         if clash.size:
             u = batch[rows[clash[0]]]

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datasets import MIN_SPLIT_POSITIVES, BehaviorDataset, rows_by_user
+from .datasets import MIN_SPLIT_POSITIVES, BehaviorDataset, PositiveStore
 from .errors import ConfigError, DataError
 
 
@@ -241,11 +241,9 @@ def generate(cfg):
                                 cfg.criterion_spread),
         (cfg.num_users, cfg.num_items), counts, MIN_SPLIT_POSITIVES)
 
-    target = cfg.num_behaviors - 1
-    positives = [rows_by_user(*np.divmod(np.flatnonzero(mask), cfg.num_items), cfg.num_users)
-                 for mask in masks]
-    target_order = [rng.permutation(positives[target][u]).astype(np.int64)
-                    for u in range(cfg.num_users)]
+    positives = [PositiveStore(np.count_nonzero(mask, axis=1),
+                               np.flatnonzero(mask) % cfg.num_items) for mask in masks]
+    target_order = PositiveStore.of(list(map(rng.permutation, positives[-1])))
     dataset = BehaviorDataset(cfg.num_users, cfg.num_items, cfg.num_behaviors,
                               positives, target_order)
     user_ids = [str(u) for u in range(cfg.num_users)]

@@ -23,7 +23,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .datasets import positive_pairs
 from .errors import ConfigError, NumericalError
 from .losses import (
     RESIDUAL_SQUARE,
@@ -165,22 +164,21 @@ def batch_gradients(model, bounds, user_ids, positives, loss_cfg, variant="full"
     The model's head scores, the loss differentiates and the head
     backpropagates one row block of block_rows(V, d) users at a time, so no
     (B, V) array exists; each block's scores are validated to be finite
-    before its loss is taken.  The config is validated, the positive pairs
-    cut and the loss's work buffer allocated once per batch.  The item-side
-    gradients are summed over the blocks in order.
+    before its loss is taken; the loss gathers the block's positive pairs
+    from the stores in positives.  The loss's work buffer is allocated once
+    per batch.  The item-side gradients are summed over the blocks in order.
     """
     user_ids = np.asarray(user_ids, dtype=np.int64)
     if variant in ("H", "O"):
         loss_cfg = replace(loss_cfg, penalty=RESIDUAL_SQUARE)
     loss_cfg.validate(len(positives))
-    pairs = [positive_pairs(pos, user_ids) for pos in positives]
-    heads = [(0, (positives, bounds, loss_cfg), pairs, 1.0)]  # (layer, loss args, pairs, weight)
+    heads = [(0, (positives, bounds, loss_cfg), 1.0)]  # (layer, loss args, weight)
     if variant == "O":
         # Regression toward 1/0 is variant H with unit bounds and ratio 0,
         # one behavior per output layer; the bound gradients are dropped.
         unit = BoundParams(np.ones((len(positives[0]), 1)), np.ones((len(model.item_emb), 1)), 0.0)
         one = replace(loss_cfg, behavior_weights=(1.0,))
-        heads = [(k, ([positives[k]], unit, one), [pairs[k]], lam)
+        heads = [(k, ([positives[k]], unit, one), lam)
                  for k, lam in enumerate(loss_cfg.behavior_weights)]
     head = model.head()
     arrays = dict(head.param_arrays())
@@ -196,12 +194,12 @@ def batch_gradients(model, bounds, user_ids, positives, loss_cfg, variant="full"
     for start in range(0, len(user_ids), rows):
         blk = slice(start, start + rows)
         ids, block_mask = user_ids[blk], None if mask is None else mask[blk]
-        for layer, loss_args, head_pairs, weight in heads:
+        for layer, loss_args, weight in heads:
             scores, cache = head.score_batch(ids, mask=block_mask, layer=layer)
             if not np.all(np.isfinite(scores)):
                 raise NumericalError("non-finite scores in batch")
             loss, d_scores, d_user, d_item = criterion_total_loss(
-                scores, ids, *loss_args, _block_pairs(head_pairs, blk), work[:, :len(ids)])
+                scores, ids, *loss_args, work[:, :len(ids)])
             del scores  # freed before the backward pass makes its (V, d) item gradient
             if weight != 1.0:
                 d_scores *= weight
@@ -211,16 +209,6 @@ def batch_gradients(model, bounds, user_ids, positives, loss_cfg, variant="full"
             for name, grad in grads.items():
                 grad[blk if name in row_blocks else slice(None)] += block[name]
     return total, model.head_gradients(user_ids, grads)
-
-
-def _block_pairs(pairs, blk):
-    """The (rows, cols) pairs of each behavior that lie in the rows blk of
-    the batch, their rows counted from blk.start: rows come sorted."""
-    cut = []
-    for rows, cols in pairs:
-        lo, hi = np.searchsorted(rows, (blk.start, blk.stop))
-        cut.append((rows[lo:hi] - blk.start, cols[lo:hi]))
-    return cut
 
 
 def batch_loss(model, bounds, user_ids, positives, loss_cfg, variant="full", mask=None):

@@ -552,6 +552,24 @@ def test_empty_output_path_fails_before_any_work(dataset_dir, tmp_path, capsys, 
     assert capsys.readouterr() == ("", "data error: out_dir: the output path is empty\n")
 
 
+@pytest.mark.parametrize("out", ["file", "empty"])
+def test_evaluate_out_fails_before_any_work(dataset_dir, run_dir, tmp_path, capsys, monkeypatch,
+                                            out):
+    # an unusable --out exits 2 before the dataset is read, and prints no table
+    def unreachable(*args, **kwargs):
+        raise AssertionError("work started although --out is unusable")
+
+    monkeypatch.setattr("critcf.cli.read_dataset_dir", unreachable)
+    blocker = tmp_path / "afile"
+    blocker.write_text("not a report dir\n")
+    path = str(blocker) if out == "file" else ""
+    assert main(["evaluate", run_dir + "/checkpoint.txt", dataset_dir, "--out", path]) == 2
+    assert capsys.readouterr() == ("", "data error: %s\n" % (
+        "%s: exists and is not a directory" % blocker if path
+        else "--out: the output path is empty"))
+    assert blocker.read_text() == "not a report dir\n"
+
+
 @pytest.mark.parametrize("argv", [["prepare", "{missing}"], ["synth"]])
 def test_unusable_dataset_dir_fails_before_reading_or_generating(tmp_path, capsys, argv):
     blocker = tmp_path / "afile"

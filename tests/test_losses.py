@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from critcf.datasets import positive_pairs
+from critcf.datasets import PositiveStore
 from critcf.errors import ConfigError
 from critcf.losses import (
     POSITIVITY_FLOOR,
@@ -35,6 +35,25 @@ from critcf.synthetic import block_rows
 SQUARE = PENALTIES["square"]
 LINEAR = PENALTIES["linear"]
 EXPM1 = PENALTIES["expm1"]
+
+
+def oracle_positive_index(pos_lists, users):
+    """(rows, cols) of the positives of the rows ``users`` of per-user lists,
+    as they were gathered before one concatenate replaced the per-user
+    np.asarray calls: cols[j] is a positive of users[rows[j]]."""
+    picked = [pos_lists[u] for u in users]
+    sizes = [len(p) for p in picked]
+    if sum(sizes) == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty
+    rows = np.repeat(np.arange(len(picked), dtype=np.int64), sizes)
+    cols = np.concatenate([np.asarray(p, dtype=np.int64) for p in picked if len(p)])
+    return rows, cols
+
+
+def stores(per_behavior):
+    """Per-behavior per-user lists as the loss takes them: one store each."""
+    return [PositiveStore.of(per_user) for per_user in per_behavior]
 
 
 def oracle_hinge_criterion_loss(scores, pos_lists, upper, lower, neg_weight, penalty):
@@ -63,7 +82,7 @@ def oracle_hinge_criterion_loss(scores, pos_lists, upper, lower, neg_weight, pen
     neg_val = penalty.value(neg_margin)
     neg_grad = np.where(neg_margin > 0.0, penalty.grad(neg_margin), 0.0)
 
-    rows, cols = positive_pairs(pos_lists, range(len(pos_lists)))
+    rows, cols = oracle_positive_index(pos_lists, range(len(pos_lists)))
     pos_margin = np.maximum(upper[rows, cols] - scores[rows, cols], 0.0)
     pos_val = penalty.value(pos_margin)
     pos_grad = np.where(pos_margin > 0.0, penalty.grad(pos_margin), 0.0)
@@ -145,7 +164,7 @@ def oracle_regression_loss(scores, pos_lists, neg_weight):
     """
     scores = np.asarray(scores, dtype=float)
     w = float(neg_weight)
-    rows, cols = positive_pairs(pos_lists, range(len(pos_lists)))
+    rows, cols = oracle_positive_index(pos_lists, range(len(pos_lists)))
     sq_all = scores * scores
     pos_scores = scores[rows, cols]
     pos_resid = 1.0 - pos_scores
@@ -168,7 +187,7 @@ def oracle_bounded_regression_loss(scores, pos_lists, upper, lower, neg_weight):
     """
     scores = np.asarray(scores, dtype=float)
     w = float(neg_weight)
-    rows, cols = positive_pairs(pos_lists, range(len(pos_lists)))
+    rows, cols = oracle_positive_index(pos_lists, range(len(pos_lists)))
 
     neg_resid = scores - lower
     pos_resid = upper[rows, cols] - scores[rows, cols]
@@ -227,7 +246,7 @@ def behavior_loss(scores, user_ids, pos_k, bp, k, w, penalty):
     single = BoundParams(bp.user_bound[:, k:k + 1], bp.item_bound[:, k:k + 1],
                          bp.bound_ratio)
     loss, d_scores, d_user, d_item = criterion_total_loss(
-        scores, user_ids, [pos_k], single, LossConfig(w, (1.0,), penalty)
+        scores, user_ids, stores([pos_k]), single, LossConfig(w, (1.0,), penalty)
     )
     return loss, d_scores, d_user[:, 0], d_item[:, 0]
 
@@ -237,7 +256,7 @@ def regression(scores, pos_lists, w):
     B, V = scores.shape
     unit = BoundParams(np.ones((B, 1)), np.ones((V, 1)), 0.0)
     loss, d_scores, _, _ = criterion_total_loss(
-        scores, np.arange(B), [pos_lists], unit, LossConfig(w, (1.0,), RESIDUAL_SQUARE)
+        scores, np.arange(B), stores([pos_lists]), unit, LossConfig(w, (1.0,), RESIDUAL_SQUARE)
     )
     return loss, d_scores
 
@@ -387,10 +406,10 @@ def _random_nonkink_instance(rng, B=4, V=8, K=3):
             rng.uniform(0.8, 1.2, size=(V, K)),
             0.5,
         )
-        positives = [
+        positives = stores([
             [np.sort(rng.permutation(V)[: rng.integers(1, 4)]) for _ in range(B)]
             for _ in range(K)
-        ]
+        ])
         ok = True
         for k in range(K):
             upper = np.outer(bp.user_bound[:, k], bp.item_bound[:, k])
@@ -478,7 +497,8 @@ def test_bounded_regression_recovers_plain():
     bp = BoundParams(np.ones((3, 1)), np.ones((6, 1)), 0.0)
     cfg = LossConfig(0.1, (1.0,), RESIDUAL_SQUARE)
     plain_loss, plain_d = oracle_regression_loss(scores, pos_lists, 0.1)
-    bound_loss, bound_d, _, _ = criterion_total_loss(scores, np.arange(3), [pos_lists], bp, cfg)
+    bound_loss, bound_d, _, _ = criterion_total_loss(scores, np.arange(3), stores([pos_lists]),
+                                                      bp, cfg)
     assert bound_loss == plain_loss
     assert np.array_equal(bound_d, plain_d)
 
@@ -486,7 +506,7 @@ def test_bounded_regression_recovers_plain():
 def test_bounded_regression_gradients():
     rng = np.random.default_rng(13)
     scores = rng.uniform(0.0, 1.5, size=(3, 6))
-    positives = [[np.sort(rng.permutation(6)[:2]) for _ in range(3)] for _ in range(2)]
+    positives = stores([[np.sort(rng.permutation(6)[:2]) for _ in range(3)] for _ in range(2)])
     bp = BoundParams(rng.uniform(0.8, 1.2, (3, 2)), rng.uniform(0.8, 1.2, (6, 2)), 0.5)
     cfg = LossConfig(0.1, (0.25, 0.75), RESIDUAL_SQUARE)
     user_ids = np.arange(3)
@@ -510,10 +530,10 @@ def test_total_loss_is_weighted_sum():
     rng = np.random.default_rng(21)
     B, V, K = 4, 8, 3
     scores = rng.uniform(0.0, 1.5, size=(B, V))
-    positives = [
+    positives = stores([
         [np.sort(rng.permutation(V)[: rng.integers(1, 4)]) for _ in range(B)]
         for _ in range(K)
-    ]
+    ])
     bp = BoundParams(rng.uniform(0.8, 1.2, (B, K)), rng.uniform(0.8, 1.2, (V, K)), 0.5)
     lambdas = (1 / 6, 4 / 6, 1 / 6)
     cfg = LossConfig(0.1, lambdas, SQUARE)
@@ -530,7 +550,7 @@ def test_total_loss_degenerate_weights():
     rng = np.random.default_rng(22)
     B, V = 3, 5
     scores = rng.uniform(0.0, 1.5, size=(B, V))
-    positives = [[np.sort(rng.permutation(V)[:2]) for _ in range(B)] for _ in range(3)]
+    positives = stores([[np.sort(rng.permutation(V)[:2]) for _ in range(B)] for _ in range(3)])
     bp = BoundParams(np.ones((B, 3)), np.ones((V, 3)), 0.5)
     user_ids = np.arange(B)
     only_target, _, _, _ = criterion_total_loss(
@@ -584,7 +604,7 @@ def loss_instances(draw):
                          draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))))
     rows = st.one_of(st.just([False] * V), st.just([True] * V),
                      st.lists(st.booleans(), min_size=V, max_size=V))
-    positives = [[np.flatnonzero(draw(rows)) for _ in range(U)] for _ in range(K)]
+    positives = stores([[np.flatnonzero(draw(rows)) for _ in range(U)] for _ in range(K)])
     scores = _array(draw, SCORES, (B, V))
     # put some scores exactly on a bound: margins of exactly 0
     for r, v, k, on_upper in draw(st.lists(st.tuples(
@@ -612,7 +632,7 @@ def exact_loss(scores, user_ids, positives, bounds, cfg):
     for k, lam in enumerate(cfg.behavior_weights):
         upper = np.outer(bounds.user_bound[user_ids, k], bounds.item_bound[:, k])
         observed = np.zeros(scores.shape, dtype=bool)
-        observed[positive_pairs(positives[k], user_ids)] = True
+        observed[oracle_positive_index(positives[k], user_ids)] = True
         pos = cfg.penalty.value(clamp(upper - scores))
         neg = w_col * cfg.penalty.value(clamp(scores - bounds.bound_ratio * upper))
         terms.append((lam * np.where(observed, pos, neg)).ravel())
@@ -630,7 +650,7 @@ def _corner_instance():
     # empty and full rows, a zero margin on each side, expm1 past its clamp
     scores = np.array([[800.0, -0.0, 0.5], [0.0, 1.0, 0.5]])
     bounds = BoundParams(np.ones((2, 1)), np.array([[1.0], [2.0], [1.0]]), 0.5)
-    positives = [[np.array([], dtype=np.int64), np.array([0, 1, 2])]]
+    positives = stores([[np.array([], dtype=np.int64), np.array([0, 1, 2])]])
     return scores, np.array([0, 1]), positives, bounds, (1.0,), 0.1, np.array([0.0, 2.0])
 
 
@@ -640,7 +660,8 @@ def _cancelling_instance():
     # is.  The oracles' complement identity reads 0.0 here.
     scores = np.zeros((10, 1))
     scores[2, 0], scores[7, 0] = 1.0, 800.0
-    positives = [[np.array([0]) if u == 7 else np.array([], dtype=np.int64) for u in range(10)]]
+    positives = stores([[np.array([0]) if u == 7 else np.array([], dtype=np.int64)
+                         for u in range(10)]])
     bounds = BoundParams(np.ones((10, 1)), np.ones((1, 1)), 0.0)
     return scores, np.arange(10), positives, bounds, (1.0,), 0.1, np.full(10, 0.1)
 
@@ -649,7 +670,7 @@ def _subnormal_instance():
     # a subnormal bound ratio: each lower-bound term of a bound gradient
     # rounds on the subnormal grid, where a relative tolerance reads 0
     scores = np.array([[1.0], [1.5]])
-    positives = [[np.array([], dtype=np.int64)] * 2] * 2
+    positives = stores([[np.array([], dtype=np.int64)] * 2] * 2)
     bounds = BoundParams(np.ones((2, 2)), np.ones((1, 2)), 2.2250738585e-313)
     return scores, np.arange(2), positives, bounds, (0.5, 0.5), 0.1, np.full(2, 0.1)
 
@@ -703,34 +724,39 @@ def test_kernel_equals_oracles(inst, variant, name, per_user):
                                LossConfig(w, (1.0,), penalty)))
 
 
-def oracle_positive_index(pos_lists):
-    """positive_pairs over a whole batch as it was before one concatenate replaced the
-    per-user np.asarray calls."""
-    sizes = [len(p) for p in pos_lists]
-    total = sum(sizes)
-    if total == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    rows = np.repeat(np.arange(len(pos_lists), dtype=np.int64), sizes)
-    cols = np.concatenate([np.asarray(p, dtype=np.int64) for p in pos_lists if len(p)])
-    return rows, cols
-
-
 _item_lists = st.lists(st.integers(0, 2**40), max_size=6)
 
 
+@st.composite
+def per_user_lists(draw):
+    """Per-user item lists, each a Python list or an int64 array, and a users
+    vector over them: repeated, unordered or empty."""
+    pos_lists = draw(st.lists(st.one_of(_item_lists, _item_lists.map(
+        lambda items: np.array(items, dtype=np.int64))), max_size=8))
+    users = draw(st.lists(st.integers(0, len(pos_lists) - 1), max_size=10)
+                 if pos_lists else st.just([]))
+    return pos_lists, users
+
+
 @settings(max_examples=200, deadline=None)
-@example(pos_lists=[])
-@example(pos_lists=[[], np.empty(0, dtype=np.int64), []])
-@example(pos_lists=[[], np.array([3, 1], dtype=np.int64), [], [7]])
-@given(pos_lists=st.lists(st.one_of(_item_lists, _item_lists.map(
-    lambda items: np.array(items, dtype=np.int64))), max_size=8))
-def test_positive_index_equals_oracle(pos_lists):
-    """Int64 arrays, Python lists, empty rows and all-empty batches."""
-    for got, want in zip(positive_pairs(pos_lists, range(len(pos_lists))),
-                         oracle_positive_index(pos_lists)):
+@example(inst=([], []))
+@example(inst=([[], np.empty(0, dtype=np.int64), []], [2, 0, 0]))
+@example(inst=([[], np.array([3, 1], dtype=np.int64), [], [7]], [3, 1, 1, 0]))
+@given(inst=per_user_lists())
+def test_positive_index_equals_oracle(inst):
+    """Int64 arrays, Python lists, empty rows and all-empty inputs."""
+    pos_lists, users = inst
+    store = PositiveStore.of(pos_lists)
+    assert store.indptr.dtype == store.items.dtype == np.int64
+    for got, want in zip(store.pairs(users), oracle_positive_index(pos_lists, users)):
         assert got.dtype == want.dtype == np.int64
-        assert np.array_equal(got, want)
+        assert got.tobytes() == want.tobytes()
+    assert len(store) == len(pos_lists)
+    for u, (got, want) in enumerate(zip(store, pos_lists, strict=True)):
+        assert got.dtype == np.int64 and got.tolist() == list(want) == store[u].tolist()
+    for u in (-1, len(pos_lists)):
+        with pytest.raises(IndexError):
+            store[u]
 
 
 def blocked_loss(scores, user_ids, positives, bounds, cfg, rows):
@@ -819,7 +845,8 @@ def _wide_batch(B, V, densities, seed):
     rng = np.random.default_rng(seed)
     U = B + 40
     user_ids = rng.permutation(U)[:B]
-    positives = [[np.flatnonzero(rng.random(V) < p) for _ in range(U)] for p in densities]
+    positives = stores([[np.flatnonzero(rng.random(V) < p) for _ in range(U)]
+                        for p in densities])
     bounds = BoundParams(rng.uniform(0.05, 1.0, (U, len(densities))),
                          rng.uniform(0.05, 1.0, (V, len(densities))), 0.3)
     return rng.normal(0.0, 0.5, (B, V)), user_ids, positives, bounds

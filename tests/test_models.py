@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from critcf import models
 from critcf.cli import main
-from critcf.datasets import BehaviorDataset, positive_pairs
+from critcf.datasets import BehaviorDataset
 from critcf.errors import ConfigError, DataError
 from critcf.losses import BoundParams
 from critcf.models import (
@@ -259,8 +259,8 @@ def coo_build_adjacency(train):
     n = num_users + train.num_items
     codes = [np.empty(0, dtype=np.int64)]
     for per_user in train.positives:
-        users, items = positive_pairs(per_user, range(num_users))
-        codes.append(users * n + num_users + items)
+        for u, items in enumerate(per_user):
+            codes.append(u * n + num_users + np.asarray(items, dtype=np.int64))
     codes = np.sort(np.concatenate(codes))
     first = np.ones(len(codes), dtype=bool)
     np.not_equal(codes[1:], codes[:-1], out=first[1:])

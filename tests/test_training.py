@@ -452,8 +452,8 @@ def _wide_gmf_peak(variant):
     4000 items and three behaviors, gmf at d = 32 with a dropout mask."""
     rng = np.random.default_rng(5)
     U, V, d = 2000, 4000, 32
-    positives = [[np.flatnonzero(rng.random(V) < p) for _ in range(U)]
-                 for p in (0.014, 0.0037, 0.00175)]
+    positives = BehaviorDataset(U, V, 3, [[np.flatnonzero(rng.random(V) < p) for _ in range(U)]
+                                          for p in (0.014, 0.0037, 0.00175)]).positives
     model = init_model("gmf", U, V, d, rng, behavior_layers=3 if variant == "O" else 0)
     bounds = init_bounds(U, V, 3, 0.5, rng)
     users = rng.permutation(U)[:512]
