@@ -8,9 +8,9 @@ is positive for a behavior when its affinity exceeds the scaled threshold.
 
 Thresholds are calibrated by quantile so each behavior hits its target
 count exactly.  Every user is guaranteed enough target positives to
-survive the leave-one-out split: each user's strongest items are marked
-positive first and only the remaining quota is filled globally.  The floor
-uses the same per-behavior ordering as the global fill, so at spread 0
+survive the leave-one-out split: each user's strongest items count as
+larger than any value, so the one global top-count cut takes them first.
+The floor uses the same per-behavior ordering as that cut, so at spread 0
 (one shared criterion per behavior) the behavior sets still nest exactly.
 """
 
@@ -33,8 +33,9 @@ class SynthConfig:
     seed: int = 0
 
     def validate(self):
-        if self.num_users < 1 or self.num_items < 2:
-            raise ConfigError("need at least 1 user and 2 items")
+        if self.num_users < 1 or self.num_items < MIN_SPLIT_POSITIVES:
+            raise ConfigError("need at least 1 user (--users) and %d items (--items), one per "
+                              "target record of a user's split" % MIN_SPLIT_POSITIVES)
         if self.seed < 0:
             raise ConfigError("seed (--seed) must be >= 0, got %d" % self.seed)
         if self.latent_dim < 1:
@@ -63,8 +64,8 @@ class SynthConfig:
                 % (self.densities[-1], expected_target,
                    MIN_SPLIT_POSITIVES / self.num_items, MIN_SPLIT_POSITIVES)
             )
-        # numpy makes no array of 2**63 bytes or more: here the U x d and V x d
-        # float64s, the U x V bool masks and the int64 flat indices into them.
+        # numpy makes no array of 2**63 bytes or more (here the U x d and V x d
+        # float64s), and the int64 flat indices of the U x V cells must not wrap.
         if max(self.num_users, self.num_items) * max(self.num_items, self.latent_dim) >= 2 ** 60:
             raise ConfigError("--users %d, --items %d and --latent-dim %d need arrays larger than "
                               "numpy can make" % (self.num_users, self.num_items, self.latent_dim))
@@ -85,88 +86,87 @@ def block_rows(num_items, dim=1):
 
 
 def _largest(values, n):
-    """The ``n`` largest of ``values`` (partitioned in place), least first."""
+    """The ``n`` largest of ``values`` (partitioned in place) and their least, +inf if none."""
     kth = values.size - n
-    values.partition(kth)
-    return values[kth:].copy()
+    if n:
+        values.partition(kth)
+    top = values[kth:].copy()
+    return top, top[0] if n else np.inf
 
 
-def _floored_mask(blocks, shape, counts, floor):
-    """Top-count masks with a per-user floor, one per behavior, in O(U*V) time.
+def _floored_cells(blocks, shape, counts, floor):
+    """Top-count cells with a per-user floor, one array per behavior, in O(U*V) time.
 
     ``blocks`` is a zero-argument callable; each call starts a pass that
     yields ``(first_row, block)`` pairs covering the ``shape[0]`` rows in
     order, with ``block[k]`` the values of behavior k on those rows, the same
-    on every pass.  Each user first gets its ``floor`` largest entries: every
-    entry above the row's floor-th largest value t, then the entries equal to
-    t in ascending column order until the row holds ``floor`` cells.  The
-    same rule then runs once over all unmarked cells, with ties taken in
-    ascending flat (row-major) index, until exactly ``counts[k]`` cells are
-    set.  Selection only compares values, so -0.0 and 0.0 tie.  Values must
-    be finite and each count at most U*V.
+    on every pass; this function overwrites them.  Each user's ``floor``
+    largest entries (every entry above the row's floor-th largest value t,
+    then the entries equal to t in ascending column order) count as +inf.
+    Then the ``counts[k]`` largest cells are taken, ties in ascending flat
+    (row-major) index.  Selection only compares values, so -0.0 and 0.0 tie.
+    Values must be finite and each count at most U*V.  Returns each
+    behavior's selected flat indices, ascending.
 
-    The first pass marks the floors and buffers the unmarked values not below
-    tau, the least value kept when the buffer was last cut to the
-    ``remaining`` largest.  After it, tau is exactly the remaining-th largest
-    unmarked value, and the second pass marks the cells above tau and the
-    first ties at tau.
+    The first pass keeps the floor cells and buffers the values not below
+    tau, the least value kept when the buffer was last cut to the count
+    largest; after it, tau is exactly the count-th largest value.  The
+    second pass takes the cells above tau and the first ties at tau.
     """
     num_users, num_items = shape
-    remaining = [count - num_users * min(floor, num_items) for count in counts]
-    for count, left in zip(counts, remaining):
-        if left < 0:
+    per_row = min(floor, num_items)
+    for count in counts:
+        if count < num_users * per_row:
             raise DataError(
                 "count %d cannot honor a floor of %d items for each of %d users"
                 % (count, floor, num_users)
             )
-    masks = [np.full(shape, floor >= num_items) for _ in counts]
     tau = [-np.inf] * len(counts)
+    floors = [np.empty((num_users, per_row), dtype=np.int64) for _ in counts]
     kept = [[] for _ in counts]
     sizes = [0] * len(counts)
     for first, block in blocks():
         for k, adjusted in enumerate(block):
-            mask = masks[k][first:first + len(adjusted)]
-            if 0 < floor < num_items:
-                kth = num_items - floor
-                t = np.partition(adjusted, kth, axis=1)[:, kth:kth + 1]
+            mask = np.zeros(adjusted.shape, dtype=bool)
+            if floor:
+                t = np.partition(adjusted, -per_row, axis=1)[:, -per_row, None]
                 np.greater(adjusted, t, out=mask)
                 ties = adjusted == t
-                need = floor - np.count_nonzero(mask, axis=1)
+                need = per_row - np.count_nonzero(mask, axis=1)
                 # rows with more ties at t than free slots keep the leftmost ones
                 crowded = np.flatnonzero(np.count_nonzero(ties, axis=1) > need)
                 ties[crowded] &= np.cumsum(ties[crowded], axis=1) <= need[crowded, None]
                 mask |= ties
-            if remaining[k] > 0:
-                values = adjusted[(adjusted >= tau[k]) & ~mask]
-                kept[k].append(values)
-                sizes[k] += values.size
-                if sizes[k] > 2 * remaining[k] + adjusted.size:
-                    kept[k] = [_largest(np.concatenate(kept[k]), remaining[k])]
-                    tau[k], sizes[k] = kept[k][0][0], remaining[k]
-    ties_left = list(remaining)
-    for k, left in enumerate(remaining):
-        if left > 0:
-            top = _largest(np.concatenate(kept[k]), left)
-            tau[k] = top[0]
-            ties_left[k] -= np.count_nonzero(top > tau[k])
-    if any(left > 0 for left in remaining):
-        for first, block in blocks():
-            for k, adjusted in enumerate(block):
-                if remaining[k] > 0:
-                    mask = masks[k][first:first + len(adjusted)]
-                    if ties_left[k]:
-                        ties = np.flatnonzero(adjusted == tau[k])
-                        ties = ties[~mask.ravel()[ties]][:ties_left[k]]
-                        mask.ravel()[ties] = True
-                        ties_left[k] -= ties.size
-                    mask |= adjusted > tau[k]
+            # .flat indexes in row-major order whatever the block's layout
+            floors[k][first:first + len(adjusted)].flat = np.flatnonzero(mask)
+            adjusted.flat[floors[k][first:first + len(adjusted)]] = np.inf
+            values = adjusted[adjusted >= tau[k]]
+            kept[k].append(values)
+            sizes[k] += values.size
+            if sizes[k] > 2 * counts[k] + adjusted.size:
+                top, tau[k] = _largest(np.concatenate(kept[k]), counts[k])
+                kept[k], sizes[k] = [top], counts[k]
+    ties_left = list(counts)
+    for k, count in enumerate(counts):
+        top, tau[k] = _largest(np.concatenate(kept[k]), count)
+        ties_left[k] -= np.count_nonzero(top > tau[k])
+    cells = [[] for _ in counts]
+    for first, block in blocks():
+        for k, adjusted in enumerate(block):
+            adjusted.flat[floors[k][first:first + len(adjusted)]] = np.inf
+            mask = adjusted > tau[k]
+            if ties_left[k]:
+                ties = np.flatnonzero(adjusted == tau[k])[:ties_left[k]]
+                mask.flat[ties] = True
+                ties_left[k] -= ties.size
+            cells[k].append(np.flatnonzero(mask) + first * num_items)
+    cells = [np.concatenate(c) for c in cells]
     # Both counts only hold if the second pass saw the first pass's bits.
-    for k, mask in enumerate(masks):
-        marked = np.count_nonzero(mask)
-        if ties_left[k] or marked != counts[k]:
+    for k, marked in enumerate(cells):
+        if ties_left[k] or marked.size != counts[k]:
             raise RuntimeError("behavior %d: %d cells marked instead of %d; the passes over "
-                               "the values disagree" % (k, marked, counts[k]))
-    return masks
+                               "the values disagree" % (k, marked.size, counts[k]))
+    return cells
 
 
 def _planted_blocks(user_latent, item_latent, user_factor, item_factor, overflow, spread):
@@ -174,12 +174,12 @@ def _planted_blocks(user_latent, item_latent, user_factor, item_factor, overflow
 
     Yields ``(first_row, adjusted)`` for block_rows(V) rows at a time, with
     ``adjusted[k]`` computed by the same operations, and so to the same
-    bits, on every pass; the next block overwrites it.  Every
-    adjusted value is checked to be finite.  ``overflow[k]`` flags a behavior
-    whose threshold is already known not to be.  Once a behavior fails, no
-    more blocks are yielded, and after the last row the DataError of the
-    lowest failing behavior is raised, as a whole-matrix check in behavior
-    order would.
+    bits, on every pass; the next block overwrites it, so the consumer may
+    too.  Every adjusted value is checked to be finite.  ``overflow[k]``
+    flags a behavior whose threshold is already known not to be.  Once a
+    behavior fails, no more blocks are yielded, and after the last row the
+    DataError of the lowest failing behavior is raised, as a whole-matrix
+    check in behavior order would.
     """
     num_users, num_items = len(user_latent), len(item_latent)
     rows = min(num_users, block_rows(num_items))
@@ -236,13 +236,13 @@ def generate(cfg):
     # its largest entry is.
     with np.errstate(over="ignore", invalid="ignore"):
         overflow = ~np.isfinite(user_factor.max(axis=0) * item_factor.max(axis=0))
-    masks = _floored_mask(
+    cells = _floored_cells(
         lambda: _planted_blocks(user_latent, item_latent, user_factor, item_factor, overflow,
                                 cfg.criterion_spread),
         (cfg.num_users, cfg.num_items), counts, MIN_SPLIT_POSITIVES)
 
-    positives = [PositiveStore(np.count_nonzero(mask, axis=1),
-                               np.flatnonzero(mask) % cfg.num_items) for mask in masks]
+    positives = [PositiveStore(np.bincount(users, minlength=cfg.num_users), items)
+                 for users, items in (np.divmod(flat, cfg.num_items) for flat in cells)]
     target_order = PositiveStore.of(list(map(rng.permutation, positives[-1])))
     dataset = BehaviorDataset(cfg.num_users, cfg.num_items, cfg.num_behaviors,
                               positives, target_order)

@@ -222,7 +222,7 @@ def test_synth_reports_arrays_that_do_not_fit_in_memory(tmp_path, capsys, monkey
         raise MemoryError
 
     # stands in for a size that numpy tries and fails to allocate
-    monkeypatch.setattr("critcf.synthetic._floored_mask", no_memory)
+    monkeypatch.setattr("critcf.synthetic._floored_cells", no_memory)
     out = tmp_path / "data"
     assert main(["synth", str(out), "--users", "30", "--items", "80"]) == 1
     assert capsys.readouterr().err == (
@@ -269,6 +269,19 @@ def test_synth_argument_validation(tmp_path, capsys):
     assert main(["synth", str(tmp_path / "b"), "--users", "5", "--items", "20",
                  "--densities", "0.3,0.2,0.1"]) == 1  # 2 expected target items < 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("items", ["1", "2"])
+def test_synth_names_the_items_a_split_needs(tmp_path, capsys, items):
+    # --items 2 once asked for a target density above 1
+    out = tmp_path / "data"
+    assert main(["synth", str(out), "--users", "1", "--items", items,
+                 "--densities", "1,1,1"]) == 1
+    assert capsys.readouterr().err == (
+        "config error: need at least 1 user (--users) and 3 items (--items), one per target "
+        "record of a user's split\n")
+    assert not out.exists()
+    assert main(["synth", str(out), "--users", "1", "--items", "3", "--densities", "1,1,1"]) == 0
 
 
 UNMATCHABLE = "starts or ends with whitespace or holds a line end, so no log field can match it"

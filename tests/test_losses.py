@@ -12,6 +12,7 @@ loss is held to exact_loss instead.
 import math
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -618,30 +619,52 @@ def loss_instances(draw):
             _array(draw, NEG_WEIGHTS, (B,)))
 
 
-def exact_loss(scores, user_ids, positives, bounds, cfg):
-    """The loss as one math.fsum of its weighted per-entry terms.
+def exact_sum(values):
+    """The exact sum of float ``values``, as a Fraction.  math.fsum rounds a
+    sum correctly, so it reads 0 only once the parts taken leave nothing."""
+    values, total = list(values), Fraction(0)
+    while part := math.fsum(values):
+        total += Fraction(part)
+        values.append(-part)
+    return total
 
-    Every term is >= 0, so a float sum of them in any order lies within a
-    few ulps of this one; the oracles' complement identity subtracts the
+
+def exact_loss(scores, user_ids, positives, bounds, cfg, blocks=1):
+    """The loss's exact value, as a pytest.approx that allows the kernel's roundings.
+
+    Every term lam * value and lam * w * value is taken exactly, so the sum
+    is rounded once; the oracles' complement identity subtracts the
     observed entries' negative terms instead and can cancel every digit.
+    Every term is >= 0, so the kernel's float sums stay within 1e-12 of it.
+    The kernel also rounds its products: lam * loss per behavior and row
+    block, w * sum per behavior and row block for a two-sided penalty, and
+    w * value per entry for a hinge penalty.  A product that lands below
+    the normal range is off by up to half a smallest subnormal, which no
+    relative bound covers, so that much absolute slack is allowed for each
+    such product.
     """
-    w = np.asarray(cfg.neg_weight, dtype=float)
-    w_col = w[:, None] if w.ndim else w
+    w = np.broadcast_to(np.asarray(cfg.neg_weight, dtype=float), scores.shape[:1])
     clamp = (lambda x: np.maximum(x, 0.0)) if cfg.penalty.hinge else (lambda x: x)
-    terms = []
+    total, roundings = Fraction(0), 0
     for k, lam in enumerate(cfg.behavior_weights):
         upper = np.outer(bounds.user_bound[user_ids, k], bounds.item_bound[:, k])
         observed = np.zeros(scores.shape, dtype=bool)
         observed[oracle_positive_index(positives[k], user_ids)] = True
-        pos = cfg.penalty.value(clamp(upper - scores))
-        neg = w_col * cfg.penalty.value(clamp(scores - bounds.bound_ratio * upper))
-        terms.append((lam * np.where(observed, pos, neg)).ravel())
-    return math.fsum(np.concatenate(terms))
+        pos = cfg.penalty.value(clamp(upper - scores))[observed]
+        neg = cfg.penalty.value(clamp(scores - bounds.bound_ratio * upper))
+        neg[observed] = 0.0
+        negative = sum(Fraction(w_u) * exact_sum(row) for w_u, row in zip(w, neg))
+        total += Fraction(lam) * (exact_sum(pos) + negative)
+        w_col = w[:, None]
+        below = (0.0 < w_col) & (0.0 < neg) & (w_col * neg <= np.finfo(float).tiny)
+        roundings += blocks + (np.count_nonzero(below) if cfg.penalty.hinge else blocks)
+    return pytest.approx(float(total), rel=1e-12,
+                         abs=roundings * np.finfo(float).smallest_subnormal / 2)
 
 
 def assert_same(got, want, exact):
-    """The loss within 1e-12 of the exact sum, every gradient equal to the oracle's."""
-    assert type(got[0]) is float and got[0] == pytest.approx(exact, rel=1e-12, abs=0.0)
+    """The loss within exact_loss's bounds, every gradient equal to the oracle's."""
+    assert type(got[0]) is float and got[0] == exact
     for a, b in zip(got[1:], want[1:]):
         assert a.shape == b.shape and np.array_equal(a, b)
 
@@ -675,7 +698,18 @@ def _subnormal_instance():
     return scores, np.arange(2), positives, bounds, (0.5, 0.5), 0.1, np.full(2, 0.1)
 
 
+def _subnormal_weight_instance():
+    # variant H at a subnormal neg_weight: the kernel rounds w * sum once onto
+    # the subnormal grid, to 5.5626846463e-313, but a float sum of the w *
+    # value terms, each rounded there, reads 5.56268464626e-313, 7e-12 away
+    empty = [np.array([], dtype=np.int64)] * 2
+    bounds = BoundParams(np.ones((2, 3)), np.ones((1, 3)), 0.0)
+    return (np.array([[0.5], [1.5]]), np.arange(2), stores([empty] * 3), bounds,
+            (0.0, 0.0, 1.0), 2.2250738585e-313, np.full(2, 2.2250738585e-313))
+
+
 @settings(max_examples=200, deadline=None)
+@example(inst=_subnormal_weight_instance(), variant="H", name="square", per_user=False)
 @example(inst=_cancelling_instance(), variant="full", name="expm1", per_user=False)
 @example(inst=_corner_instance(), variant="full", name="expm1", per_user=False)
 @example(inst=_corner_instance(), variant="full", name="linear", per_user=True)
@@ -800,14 +834,14 @@ def _bound_grad_scales(scores, user_ids, positives, bounds, cfg):
 
 
 def assert_blocked_close(got, want, exact, scales):
-    """The loss within 1e-12 of the exact sum and d_scores bitwise the
+    """The loss within exact_loss's bounds and d_scores bitwise the
     oracle's.  Each bound-factor gradient lies within 1e-12 of its terms'
     summed magnitude: a block's GEMV may round d_user_bound rows otherwise
     than one over the batch, and d_item_bound sums over the blocks.  Below
     the normal range that relative bound underflows to 0 while each of an
     entry's (at most B + V) products still rounds to the subnormal grid, so
     one smallest subnormal per term is allowed too."""
-    assert type(got[0]) is float and got[0] == pytest.approx(exact, rel=1e-12, abs=0.0)
+    assert type(got[0]) is float and got[0] == exact
     assert got[1].shape == want[1].shape and got[1].tobytes() == want[1].tobytes()
     tiny = sum(got[1].shape) * np.finfo(float).smallest_subnormal
     for a, b, scale in zip(got[2:], want[2:], scales):
@@ -837,7 +871,8 @@ def test_blocked_loss_equals_oracles(inst, variant, name, per_user, cells):
         cfg = LossConfig(w_user if per_user else w, lambdas, PENALTIES[name])
         want = oracle_criterion_total_loss(scores, user_ids, positives, bounds, cfg)
     got = blocked_loss(scores, user_ids, positives, bounds, cfg, rows)
-    assert_blocked_close(got, want, exact_loss(scores, user_ids, positives, bounds, cfg),
+    blocks = -(-len(scores) // rows)
+    assert_blocked_close(got, want, exact_loss(scores, user_ids, positives, bounds, cfg, blocks),
                          _bound_grad_scales(scores, user_ids, positives, bounds, cfg))
 
 
@@ -864,7 +899,8 @@ def test_blocked_loss_ragged_wide_batch(variant):
         want = oracle_bounded_regression_total_loss(*inputs, replace(cfg, penalty=SQUARE))
     else:
         want = oracle_criterion_total_loss(*inputs, cfg)
-    assert_blocked_close(blocked_loss(*inputs, cfg, rows), want, exact_loss(*inputs, cfg),
+    assert_blocked_close(blocked_loss(*inputs, cfg, rows), want,
+                         exact_loss(*inputs, cfg, blocks=11),
                          _bound_grad_scales(*inputs, cfg))
 
 

@@ -12,11 +12,11 @@ from critcf.cli import main
 from critcf.config import dataset_fingerprint
 from critcf.datasets import MIN_SPLIT_POSITIVES, leave_one_out_split
 from critcf.errors import ConfigError, DataError
-from critcf.synthetic import SynthConfig, _floored_mask, generate
+from critcf.synthetic import SynthConfig, _floored_cells, generate
 
 
 def stable_sort_floored_mask(adjusted, count, floor):
-    """Reference oracle for _floored_mask: the O(U*V log V) stable-sort form.
+    """Reference oracle for _floored_cells: the O(U*V log V) stable-sort form.
 
     Marks each user's ``floor`` largest entries, then the globally largest
     unmarked entries until exactly ``count`` are set.  Ties break toward the
@@ -49,11 +49,17 @@ def outcome(fn, adjusted, count, floor):
 
 
 def floored_mask(adjusted, count, floor, rows=None):
-    """_floored_mask on one behavior's whole array, fed in blocks of ``rows`` rows."""
+    """_floored_cells on one behavior's whole array, fed in blocks of ``rows``
+    rows, as a mask.  Each pass gets copies in the array's own layout, since
+    the function overwrites its blocks."""
     rows = rows or len(adjusted)
-    blocks = [(first, adjusted[None, first:first + rows])
-              for first in range(0, len(adjusted), rows)]
-    return _floored_mask(lambda: blocks, adjusted.shape, [count], floor)[0]
+    cells = _floored_cells(lambda: [(first, adjusted[None, first:first + rows].copy(order="K"))
+                                    for first in range(0, len(adjusted), rows)],
+                           adjusted.shape, [count], floor)[0]
+    assert cells.dtype == np.int64 and np.all(np.diff(cells) > 0)
+    mask = np.zeros(adjusted.shape, dtype=bool)
+    mask.flat[cells] = True
+    return mask
 
 
 def assert_same_outcome(adjusted, count, floor, rows=None):
@@ -163,7 +169,7 @@ def test_floored_mask_rejects_passes_that_disagree(shift):
     # so the second pass must see 2 cells above 8 and one tie at it.
     passes = iter([np.arange(12.0).reshape(3, 4), np.arange(12.0).reshape(3, 4) + shift])
     with pytest.raises(RuntimeError, match="behavior 0: . cells marked instead of 6"):
-        _floored_mask(lambda: [(0, next(passes)[None])], (3, 4), [6], 1)
+        _floored_cells(lambda: [(0, next(passes)[None])], (3, 4), [6], 1)
 
 
 def test_floored_mask_prefers_large_entries():
@@ -256,7 +262,8 @@ def test_lowest_non_finite_behavior_is_reported(monkeypatch, rows):
 
 
 def test_generate_holds_no_dense_float_array():
-    # One U x V float64 array alone takes 8 bytes per cell.
+    # One U x V float64 array alone takes 8 bytes per cell, and one U x V
+    # bool mask per behavior K bytes per cell.
     cfg = SynthConfig(num_users=2048, num_items=4000, densities=(0.014, 0.0037, 0.00175), seed=1)
     tracemalloc.start()
     try:
@@ -265,6 +272,7 @@ def test_generate_holds_no_dense_float_array():
     finally:
         tracemalloc.stop()
     assert peak < 8 * cfg.num_users * cfg.num_items
+    assert peak < cfg.num_users * cfg.num_items * cfg.num_behaviors
 
 
 # dataset_fingerprint of `critcf synth` output dirs as written by the
