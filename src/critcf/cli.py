@@ -9,6 +9,7 @@ import argparse
 import os
 import sys
 import time
+from dataclasses import replace
 
 from . import __version__
 from .atomic import atomic_write
@@ -73,8 +74,7 @@ def _load_config(args, num_behaviors):
     """The run config, and (source, values) of the config file and the overrides."""
     cfg = TrainConfig()
     if num_behaviors != len(cfg.behavior_weights):
-        cfg = apply_kv(cfg, {"lambdas": ",".join(["%.17g" % (1.0 / num_behaviors)] * num_behaviors)},
-                       source="defaults")
+        cfg = replace(cfg, behavior_weights=(1.0 / num_behaviors,) * num_behaviors)
     given = []
     if args.config:
         values = parse_kv_file(args.config)
@@ -263,12 +263,11 @@ def cmd_ablate(args):
         total = sum(weights)
         if total <= 0:
             raise ConfigError("behavior weights left after dropping sum to 0")
-        cfg = apply_kv(cfg, {"lambdas": ",".join(repr(w / total) for w in weights)},
-                       source="ablate")
+        cfg = replace(cfg, behavior_weights=tuple(w / total for w in weights))
         print("dropped behavior %r; weights renormalized to %s"
               % (drop_label, ",".join("%.6g" % w for w in cfg.behavior_weights)))
     else:
-        cfg = apply_kv(cfg, {"variant": variant}, source="ablate")
+        cfg = replace(cfg, variant=variant)
     result = _run_training(split, args, cfg, given, variant)
     report = evaluate(result.model, result.bounds, split.train, split.test, cutoffs=cutoffs)
     _write_report(report, args.out_dir)

@@ -561,10 +561,18 @@ def _int_blocks(path):
         # a newline, so a token at its first byte has an edge like the rest.
         kind = np.frombuffer((b"\n" + block).translate(_BYTE_CLASS), dtype=np.uint8)
         token = kind >= _DIGIT
-        first = np.flatnonzero(token[1:] > token[:-1])  # byte offset of each token
+        start = token[1:] > token[:-1]
+        first = np.flatnonzero(start)  # byte offset of each token
         bad = len(block)
         if kind.min() == _BAD or kind.max() > _DIGIT:
-            bad = _first_bad_byte(kind)
+            # The first byte outside the grammar: one outside printable ASCII,
+            # space and newline, a printable byte other than a digit, or a '-'
+            # that does not begin a token and precede a digit.
+            body = kind[1:]
+            digit_next = np.append(body[1:] == _DIGIT, False)
+            hits = np.flatnonzero((body == _BAD) | (body == _OTHER)
+                                  | ((body == _MINUS) & ~(start & digit_next)))
+            bad = int(hits[0]) if hits.size else bad
         # fromstring saturates at the int64 limits, so longer tokens are checked first.
         long = first[np.diff(first, append=len(block)) > _SAFE_TOKEN_BYTES + 1]
         for at in long[long < bad].tolist():
@@ -583,22 +591,6 @@ def _int_blocks(path):
         lengths = np.diff(np.searchsorted(first, newlines), prepend=0)
         values = np.fromstring(block, dtype=np.int64, sep=" ") if first.size else _EMPTY
         yield lines_before + 1, values, np.cumsum(lengths) - lengths, lengths
-
-
-def _first_bad_byte(kind):
-    """Offset of the first byte outside the token grammar, or the block length.
-
-    kind is as in _int_blocks.  A bad byte is one outside printable ASCII,
-    space and newline, a printable byte other than a digit, or a '-' that
-    does not begin a token and precede a digit.
-    """
-    token = kind >= _DIGIT
-    start = token[1:] > token[:-1]
-    body = kind[1:]
-    digit_next = np.append(body[1:] == _DIGIT, False)
-    hits = np.flatnonzero((body == _BAD) | (body == _OTHER)
-                          | ((body == _MINUS) & ~(start & digit_next)))
-    return int(hits[0]) if hits.size else len(body)
 
 
 def _token_text(block, token, at):

@@ -5,7 +5,9 @@ it, against the full item axis (no negative sampling).  The unobserved
 entries' terms are summed over a dense array of every item's term in which
 the observed entries are set to 0, so every summed term is non-negative and
 the cost stays O(B * |V|) regardless of how many unobserved entries there
-are.
+are.  One rule weights them for every penalty: a behavior's loss on a block
+is its observed terms plus w times each row's summed unobserved terms, w a
+scalar or one weight per user.
 
 One kernel, run in two work arrays shaped like the scores, serves every
 variant: the hinge penalties give the criterion loss, the two-sided
@@ -151,7 +153,7 @@ class BoundParams:
 class LossConfig:
     """Weights shaping the combined multi-behavior objective."""
 
-    neg_weight: float  # weight w on unobserved entries
+    neg_weight: float  # weight w on unobserved entries, or a per-user (B,) array
     behavior_weights: tuple  # one weight per behavior, summing to 1
     penalty: MarginPenalty
 
@@ -176,11 +178,11 @@ def _criterion_kernel(scores, rows, cols, upper_pos, work, neg_weight, penalty):
     bound in work[0] on entry and d_scores on return; work[1] is scratch.
     upper_pos holds the upper bounds at the observed entries (rows, cols).
     Returns (loss, pos_grad), pos_grad the (nnz,) gradient w.r.t. those
-    upper bounds.  A two-sided penalty sums, then weights by scalar neg_weight.
+    upper bounds.  Every penalty weights each row's summed unobserved terms
+    by neg_weight, a scalar w or one per row.
     """
     margin, val = work
     w = np.asarray(neg_weight, dtype=float)
-    w_col = w[:, None] if w.ndim == 1 else w
     np.subtract(scores, margin, out=margin)
     pos_margin = upper_pos - scores[rows, cols]
     if penalty.hinge:
@@ -190,17 +192,13 @@ def _criterion_kernel(scores, rows, cols, upper_pos, work, neg_weight, penalty):
     pos_grad = penalty.grad(pos_margin)
     penalty.value(margin, out=val)
     val[rows, cols] = 0.0  # the observed entries' terms are pos_val's
-    if penalty.hinge:
-        val *= w_col
-        loss = np.sum(pos_val) + np.sum(val)
-    else:
-        loss = np.sum(pos_val) + w * np.sum(val)
+    loss = np.sum(pos_val) + np.sum(w * np.sum(val, axis=1 if w.ndim else None))
     active = margin > 0.0 if penalty.grad_at_zero else None
     penalty.grad(margin, out=margin)
     if active is not None:
         margin *= active
         pos_grad *= pos_margin > 0.0
-    margin *= w_col
+    margin *= w[:, None] if w.ndim else w
     margin[rows, cols] = -pos_grad
     return float(loss), pos_grad
 
@@ -218,7 +216,7 @@ def hinge_criterion_loss(scores, pos_lists, upper, lower, neg_weight, penalty):
         scores: (B, V) score matrix.
         pos_lists: length-B list of sorted arrays of observed item ids.
         upper, lower: (B, V) bound matrices.
-        neg_weight: scalar w, or per-user (B,) array.
+        neg_weight: scalar w, or per-user (B,) array, for any penalty.
         penalty: MarginPenalty shaping the clamped margins.
     Returns:
         (loss, d_scores, d_upper, d_lower); gradient arrays match (B, V).
@@ -240,9 +238,11 @@ def criterion_total_loss(scores, user_ids, positives, bounds, cfg, work=None):
 
     The upper bound of (u, v, k) is user_bound[u, k] * item_bound[v, k] and
     the lower bound that times bound_ratio.  With cfg.penalty set to
-    RESIDUAL_SQUARE this is variant H's bounded regression.  Each output row
-    depends on its score row alone, so the trainer calls this once per row
-    block of a batch and sums the losses and the d_item_bound blocks.
+    RESIDUAL_SQUARE this is variant H's bounded regression.  For every
+    penalty cfg.neg_weight is a scalar w or a (B,) w per user of user_ids.
+    Each output row depends on its score row and w alone, so the trainer
+    calls this once per row block of a batch and sums the losses and the
+    d_item_bound blocks.
 
     Args:
         scores: (B, V) shared score matrix.

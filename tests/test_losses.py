@@ -1,12 +1,13 @@
 """Loss tests.
 
 The oracle_* functions are the loss implementations that preceded the fused
-kernel in critcf.losses, kept verbatim: one (B, V) temporary per step, the
-hinge, bounded-regression (variant H) and regression (variant O) losses as
-three separate functions.  The kernel must reproduce their gradients bit
-for bit.  Their losses subtract the observed entries' negative-side terms
-from a sum over every item, which can cancel every digit, so the kernel's
-loss is held to exact_loss instead.
+kernel in critcf.losses, kept verbatim but for the bounded regression's
+per-user w: one (B, V) temporary per step, the hinge, bounded-regression
+(variant H) and regression (variant O) losses as three separate functions.
+The kernel must reproduce their gradients bit for bit.  Their losses
+subtract the observed entries' negative-side terms from a sum over every
+item, which can cancel every digit, so the kernel's loss is held to
+exact_loss instead.
 """
 
 import math
@@ -183,21 +184,21 @@ def oracle_bounded_regression_loss(scores, pos_lists, upper, lower, neg_weight):
     Observed entries regress to their upper bound, unobserved entries to
     their lower bound; no hinge, so overshooting is penalized too.  With
     upper fixed at 1 and lower at 0 this reduces to regression_loss.
+    neg_weight is a scalar w or a per-user (B,) array.
 
     Returns (loss, d_scores, d_upper, d_lower).
     """
     scores = np.asarray(scores, dtype=float)
-    w = float(neg_weight)
+    w = np.asarray(neg_weight, dtype=float)
+    w_col = w[:, None] if w.ndim == 1 else w
     rows, cols = oracle_positive_index(pos_lists, range(len(pos_lists)))
 
     neg_resid = scores - lower
     pos_resid = upper[rows, cols] - scores[rows, cols]
-    neg_sq = neg_resid * neg_resid
-    loss = float(
-        np.sum(pos_resid * pos_resid) + w * (np.sum(neg_sq) - np.sum(neg_sq[rows, cols]))
-    )
+    neg_sq = w_col * neg_resid * neg_resid
+    loss = float(np.sum(pos_resid * pos_resid) + np.sum(neg_sq) - np.sum(neg_sq[rows, cols]))
 
-    d_scores = 2.0 * w * neg_resid
+    d_scores = 2.0 * w_col * neg_resid
     d_lower = -d_scores.copy()
     d_scores[rows, cols] = -2.0 * pos_resid
     d_lower[rows, cols] = 0.0
@@ -636,12 +637,12 @@ def exact_loss(scores, user_ids, positives, bounds, cfg, blocks=1):
     is rounded once; the oracles' complement identity subtracts the
     observed entries' negative terms instead and can cancel every digit.
     Every term is >= 0, so the kernel's float sums stay within 1e-12 of it.
-    The kernel also rounds its products: lam * loss per behavior and row
-    block, w * sum per behavior and row block for a two-sided penalty, and
-    w * value per entry for a hinge penalty.  A product that lands below
-    the normal range is off by up to half a smallest subnormal, which no
+    The kernel also rounds its products, by one rule for every penalty:
+    lam * loss per behavior and row block, and w * sum per behavior and row
+    block, or per row for a per-user w.  A product that lands below the
+    normal range is off by up to half a smallest subnormal, which no
     relative bound covers, so that much absolute slack is allowed for each
-    such product.
+    product.
     """
     w = np.broadcast_to(np.asarray(cfg.neg_weight, dtype=float), scores.shape[:1])
     clamp = (lambda x: np.maximum(x, 0.0)) if cfg.penalty.hinge else (lambda x: x)
@@ -655,9 +656,7 @@ def exact_loss(scores, user_ids, positives, bounds, cfg, blocks=1):
         neg[observed] = 0.0
         negative = sum(Fraction(w_u) * exact_sum(row) for w_u, row in zip(w, neg))
         total += Fraction(lam) * (exact_sum(pos) + negative)
-        w_col = w[:, None]
-        below = (0.0 < w_col) & (0.0 < neg) & (w_col * neg <= np.finfo(float).tiny)
-        roundings += blocks + (np.count_nonzero(below) if cfg.penalty.hinge else blocks)
+        roundings += blocks + (len(w) if np.ndim(cfg.neg_weight) else blocks)
     return pytest.approx(float(total), rel=1e-12,
                          abs=roundings * np.finfo(float).smallest_subnormal / 2)
 
@@ -714,6 +713,7 @@ def _subnormal_weight_instance():
 @example(inst=_corner_instance(), variant="full", name="expm1", per_user=False)
 @example(inst=_corner_instance(), variant="full", name="linear", per_user=True)
 @example(inst=_corner_instance(), variant="H", name="square", per_user=False)
+@example(inst=_corner_instance(), variant="H", name="square", per_user=True)
 @example(inst=_corner_instance(), variant="O", name="square", per_user=False)
 @given(inst=loss_instances(), variant=st.sampled_from(["full", "U", "I", "H", "O"]),
        name=st.sampled_from(sorted(PENALTIES)), per_user=st.booleans())
@@ -733,6 +733,7 @@ def test_kernel_equals_oracles(inst, variant, name, per_user):
                         exact_loss(scores, np.arange(B), [pos_lists], unit,
                                    LossConfig(w, (1.0,), RESIDUAL_SQUARE)))
         return
+    w = w_user if per_user else w
     if variant == "H":
         cfg = LossConfig(w, lambdas, RESIDUAL_SQUARE)
         assert_same(criterion_total_loss(scores, user_ids, positives, bounds, cfg),
@@ -741,7 +742,6 @@ def test_kernel_equals_oracles(inst, variant, name, per_user):
                     exact_loss(scores, user_ids, positives, bounds, cfg))
         return
     penalty = PENALTIES[name]
-    w = w_user if per_user else w
     cfg = LossConfig(w, lambdas, penalty)
     assert_same(criterion_total_loss(scores, user_ids, positives, bounds, cfg),
                 oracle_criterion_total_loss(scores, user_ids, positives, bounds, cfg),
@@ -863,12 +863,13 @@ def test_blocked_loss_equals_oracles(inst, variant, name, per_user, cells):
         bounds.user_bound[...] = 1.0
     elif variant == "I":
         bounds.item_bound[...] = 1.0
+    w = w_user if per_user else w
     if variant == "H":
         cfg = LossConfig(w, lambdas, RESIDUAL_SQUARE)
         want = oracle_bounded_regression_total_loss(scores, user_ids, positives, bounds,
                                                     replace(cfg, penalty=SQUARE))
     else:
-        cfg = LossConfig(w_user if per_user else w, lambdas, PENALTIES[name])
+        cfg = LossConfig(w, lambdas, PENALTIES[name])
         want = oracle_criterion_total_loss(scores, user_ids, positives, bounds, cfg)
     got = blocked_loss(scores, user_ids, positives, bounds, cfg, rows)
     blocks = -(-len(scores) // rows)
