@@ -29,11 +29,11 @@ import hashlib
 import math
 import os
 import re
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import scipy.sparse as sp
 
+from . import pool
 from .atomic import atomic_write
 from .errors import ConfigError, DataError, NumericalError
 from .losses import BoundParams
@@ -44,12 +44,6 @@ MODEL_KINDS = ("mf", "gmf", "lightgcn")
 CHECKPOINT_MAGIC = "critcf-checkpoint"
 CHECKPOINT_VERSION = 2
 _ARRAY_LINE = re.compile(rb"array ([a-z_]+) ([0-9]+) ([0-9]+) ([0-9a-f]{64})\n")
-
-# LightGCN multiplies its adjacency in this many row partitions at once, one
-# per usable CPU up to a cap; the products do not depend on the count.
-PROPAGATION_WORKERS = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                          else os.cpu_count() or 1, 8)
-_POOL = ThreadPoolExecutor(max(PROPAGATION_WORKERS - 1, 1))
 
 
 def project_rows(arr):
@@ -184,7 +178,8 @@ class LightGcnModel(MfModel):
         super().__init__(user_emb, item_emb)
         self.adjacency = adjacency  # (N, N) csr, N = users + items
         self.num_layers = num_layers
-        self.partitions = row_partitions(adjacency, PROPAGATION_WORKERS)
+        # one row partition per worker; the products do not depend on the count
+        self.partitions = row_partitions(adjacency, pool.WORKERS)
 
     def _propagate(self, base):
         """Layer-averaged propagation of a full (N, dim) stack."""
@@ -248,7 +243,7 @@ def partitioned_product(parts, x):
     """The stacked products of the row partitions with x, the first on the
     calling thread and the rest on the pool.  scipy sums each output row
     over its nonzeros in order, so this is ``matrix @ x`` bit for bit."""
-    futures = [_POOL.submit(part.dot, x) for part in parts[1:]]
+    futures = [pool.POOL.submit(part.dot, x) for part in parts[1:]]
     return np.vstack([parts[0] @ x] + [future.result() for future in futures])
 
 

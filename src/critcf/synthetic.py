@@ -12,12 +12,21 @@ survive the leave-one-out split: each user's strongest items count as
 larger than any value, so the one global top-count cut takes them first.
 The floor uses the same per-behavior ordering as that cut, so at spread 0
 (one shared criterion per behavior) the behavior sets still nest exactly.
+
+The affinity is computed in row blocks, never as a users x items array, in
+two passes: one finds the floor cells and each behavior's threshold, the
+other takes the cells.  Each pass builds its blocks on the package's worker
+pool and merges them on the calling thread in row order, and the selection
+only compares values and takes ties in flat order, so the output has the
+same bytes at any worker count and block size.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
+from . import pool
 from .datasets import MIN_SPLIT_POSITIVES, BehaviorDataset, PositiveStore
 from .errors import ConfigError, DataError
 
@@ -85,33 +94,53 @@ def block_rows(num_items, dim=1):
     return max(1, BLOCK_CELLS // max(num_items, 1), dim)
 
 
-def _largest(values, n):
-    """The ``n`` largest of ``values`` (partitioned in place) and their least, +inf if none."""
-    kth = values.size - n
-    if n:
-        values.partition(kth)
-    top = values[kth:].copy()
-    return top, top[0] if n else np.inf
+def _least_of_largest(values, n):
+    """Partitions ``values`` in place so that its ``n`` largest come last;
+    returns their least, +inf if n is 0."""
+    if not n:
+        return np.inf
+    values.partition(values.size - n)
+    return values[values.size - n]
 
 
-def _floored_cells(blocks, shape, counts, floor):
+def _floor_mask(block, per_row):
+    """Each row's ``per_row`` largest entries: every entry above the row's
+    per_row-th largest value t, then the entries equal to t in ascending
+    column order."""
+    t = np.partition(block, -per_row, axis=1)[:, -per_row, None]
+    mask = block >= t
+    # a row with more ties at t than free places keeps the leftmost ones
+    crowded = np.flatnonzero(np.count_nonzero(mask, axis=1) > per_row)
+    values, t = block[crowded], t[crowded]
+    ties = values == t
+    free = per_row - np.count_nonzero(values > t, axis=1)
+    mask[crowded] &= ~ties | (np.cumsum(ties, axis=1) <= free[:, None])
+    return mask
+
+
+def _floored_cells(fill, shape, rows, counts, floor):
     """Top-count cells with a per-user floor, one array per behavior, in O(U*V) time.
 
-    ``blocks`` is a zero-argument callable; each call starts a pass that
-    yields ``(first_row, block)`` pairs covering the ``shape[0]`` rows in
-    order, with ``block[k]`` the values of behavior k on those rows, the same
-    on every pass; this function overwrites them.  Each user's ``floor``
+    ``fill(first, out)`` writes the values of behavior k on rows ``first``
+    to ``first + out.shape[1]`` into ``out[k]``, the same bits on every call
+    for the same rows, and returns False to refuse the block.  It is called
+    on blocks of ``rows`` rows, several at once.  Each user's ``floor``
     largest entries (every entry above the row's floor-th largest value t,
     then the entries equal to t in ascending column order) count as +inf.
     Then the ``counts[k]`` largest cells are taken, ties in ascending flat
     (row-major) index.  Selection only compares values, so -0.0 and 0.0 tie.
     Values must be finite and each count at most U*V.  Returns each
-    behavior's selected flat indices, ascending.
+    behavior's selected flat indices, ascending, or None if fill refused a
+    block; every row is still filled once before that.
 
-    The first pass keeps the floor cells and buffers the values not below
-    tau, the least value kept when the buffer was last cut to the count
-    largest; after it, tau is exactly the count-th largest value.  The
-    second pass takes the cells above tau and the first ties at tau.
+    Each pass builds its blocks on the package's workers (``pool.in_order``)
+    and merges them on the caller in row order.  The first pass keeps the
+    floor cells and buffers the values not below tau, the least value kept
+    when the buffer was last cut to the count largest; a block may be built
+    against an older tau, which is smaller and only buffers more.  After
+    the pass, tau is exactly the count-th largest value.  The second pass
+    takes the cells above tau, then the first ties at tau in ascending flat
+    order.  So the cells depend neither on ``rows`` nor on the worker count.
     """
     num_users, num_items = shape
     per_row = min(floor, num_items)
@@ -121,89 +150,116 @@ def _floored_cells(blocks, shape, counts, floor):
                 "count %d cannot honor a floor of %d items for each of %d users"
                 % (count, floor, num_users)
             )
-    tau = [-np.inf] * len(counts)
+    rows = min(rows, num_users)
+    blocks = -(-num_users // rows)
+    slots = np.empty((pool.WORKERS, len(counts), rows, num_items))
+    # the second pass leaves each block's cell indices in its slot's bytes
+    slot_cells = slots.view(np.int64).reshape(len(slots), len(counts), -1)
     floors = [np.empty((num_users, per_row), dtype=np.int64) for _ in counts]
-    kept = [[] for _ in counts]
+    kept = [np.empty(2 * count + rows * num_items) for count in counts]
     sizes = [0] * len(counts)
-    for first, block in blocks():
-        for k, adjusted in enumerate(block):
-            mask = np.zeros(adjusted.shape, dtype=bool)
-            if floor:
-                t = np.partition(adjusted, -per_row, axis=1)[:, -per_row, None]
-                np.greater(adjusted, t, out=mask)
-                ties = adjusted == t
-                need = per_row - np.count_nonzero(mask, axis=1)
-                # rows with more ties at t than free slots keep the leftmost ones
-                crowded = np.flatnonzero(np.count_nonzero(ties, axis=1) > need)
-                ties[crowded] &= np.cumsum(ties[crowded], axis=1) <= need[crowded, None]
-                mask |= ties
-            # .flat indexes in row-major order whatever the block's layout
-            floors[k][first:first + len(adjusted)].flat = np.flatnonzero(mask)
-            adjusted.flat[floors[k][first:first + len(adjusted)]] = np.inf
-            values = adjusted[adjusted >= tau[k]]
-            kept[k].append(values)
-            sizes[k] += values.size
-            if sizes[k] > 2 * counts[k] + adjusted.size:
-                top, tau[k] = _largest(np.concatenate(kept[k]), counts[k])
-                kept[k], sizes[k] = [top], counts[k]
+    tau = [-np.inf] * len(counts)
+    refused = []
+
+    def block(i, slot):
+        first = i * rows
+        values = slots[slot, :, :min(rows, num_users - first)]
+        return first, values, fill(first, values)
+
+    def keep_floor(i, slot):
+        # Builds a block and leaves its values not below tau first in its slot.
+        first, values, ok = block(i, slot)
+        if not ok:
+            return None
+        lengths = []
+        for k, adjusted in enumerate(values):
+            floored = floors[k][first:first + len(adjusted)]
+            if per_row:
+                floored.flat = np.flatnonzero(_floor_mask(adjusted, per_row))
+            adjusted.flat[floored] = np.inf
+            flat = adjusted.reshape(-1)
+            keep = flat[flat >= tau[k]]
+            flat[:keep.size] = keep
+            lengths.append(keep.size)
+        return lengths
+
+    def buffer(i, slot, lengths):
+        if lengths is None:
+            refused.append(i)
+        if refused:
+            return
+        for k, size in enumerate(lengths):
+            if sizes[k] + size > kept[k].size:
+                tau[k] = _least_of_largest(kept[k][:sizes[k]], counts[k])
+                # more than 2 * count are buffered, so the two ranges are apart
+                kept[k][:counts[k]] = kept[k][sizes[k] - counts[k]:sizes[k]]
+                sizes[k] = counts[k]
+            kept[k][sizes[k]:sizes[k] + size] = slots[slot, k].reshape(-1)[:size]
+            sizes[k] += size
+
+    pool.in_order(keep_floor, blocks, buffer)
+    if refused:
+        return None
     ties_left = list(counts)
     for k, count in enumerate(counts):
-        top, tau[k] = _largest(np.concatenate(kept[k]), count)
-        ties_left[k] -= np.count_nonzero(top > tau[k])
-    cells = [[] for _ in counts]
-    for first, block in blocks():
-        for k, adjusted in enumerate(block):
+        tau[k] = _least_of_largest(kept[k][:sizes[k]], count)
+        ties_left[k] -= np.count_nonzero(kept[k][sizes[k] - count:sizes[k]] > tau[k])
+    del kept  # before the cells are allocated
+    cells = [np.empty(count, dtype=np.int64) for count in counts]
+    marked = [0] * len(counts)
+
+    def above_and_ties(i, slot):
+        # Builds a block again and leaves in its slot the flat indices of
+        # its cells above tau, then those of its ties at tau.
+        first, values, _ = block(i, slot)
+        found = []
+        for k, adjusted in enumerate(values):
             adjusted.flat[floors[k][first:first + len(adjusted)]] = np.inf
-            mask = adjusted > tau[k]
-            if ties_left[k]:
-                ties = np.flatnonzero(adjusted == tau[k])[:ties_left[k]]
-                mask.flat[ties] = True
-                ties_left[k] -= ties.size
-            cells[k].append(np.flatnonzero(mask) + first * num_items)
-    cells = [np.concatenate(c) for c in cells]
+            above = np.flatnonzero(adjusted > tau[k])
+            ties = np.flatnonzero(adjusted == tau[k])
+            slot_cells[slot, k, :above.size] = above
+            slot_cells[slot, k, above.size:above.size + ties.size] = ties
+            found.append((above.size, ties.size))
+        return found
+
+    def take(i, slot, found):
+        for k, (above, ties) in enumerate(found):
+            taken = min(ties, ties_left[k])
+            ties_left[k] -= taken
+            index = slot_cells[slot, k, :above + taken]
+            if marked[k] + index.size <= counts[k]:
+                np.add(np.sort(index) if taken else index, i * rows * num_items,
+                       out=cells[k][marked[k]:marked[k] + index.size])
+            marked[k] += index.size
+
+    pool.in_order(above_and_ties, blocks, take)
     # Both counts only hold if the second pass saw the first pass's bits.
-    for k, marked in enumerate(cells):
-        if ties_left[k] or marked.size != counts[k]:
+    for k, count in enumerate(counts):
+        if ties_left[k] or marked[k] != count:
             raise RuntimeError("behavior %d: %d cells marked instead of %d; the passes over "
-                               "the values disagree" % (k, marked.size, counts[k]))
+                               "the values disagree" % (k, marked[k], count))
     return cells
 
 
-def _planted_blocks(user_latent, item_latent, user_factor, item_factor, overflow, spread):
-    """One pass over row blocks of each behavior's affinity over its threshold.
+def _planted_block(user_latent, item_latent, user_factor, item_factor, bad, first, out):
+    """The ``fill`` of ``_floored_cells``: each behavior's affinity over its
+    threshold on rows ``first`` to ``first + out.shape[1]``.
 
-    Yields ``(first_row, adjusted)`` for block_rows(V) rows at a time, with
-    ``adjusted[k]`` computed by the same operations, and so to the same
-    bits, on every pass; the next block overwrites it, so the consumer may
-    too.  Every adjusted value is checked to be finite.  ``overflow[k]``
-    flags a behavior whose threshold is already known not to be.  Once a
-    behavior fails, no more blocks are yielded, and after the last row the
-    DataError of the lowest failing behavior is raised, as a whole-matrix
-    check in behavior order would.
+    ``user_factor`` and ``item_factor`` are (K, U) and (K, V).  The same
+    operations, and so the same bits, run on every call for the same rows.
+    ``bad[k]`` is set when a value of behavior k is not finite, and is never
+    cleared, so blocks on several threads lose no flag.  Returns whether no
+    behavior has failed so far; a block with a failure never does.
     """
-    num_users, num_items = len(user_latent), len(item_latent)
-    rows = min(num_users, block_rows(num_items))
-    user_factor = np.ascontiguousarray(user_factor.T)
-    item_factor = np.ascontiguousarray(item_factor.T)
-    bad = np.array(overflow)
-    buffer = np.empty((len(bad), rows, num_items))
-    for first in range(0, num_users, rows):
-        users = slice(first, first + rows)
-        affinity = user_latent[users] @ item_latent.T
-        adjusted = buffer[:, :len(affinity)]
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            for k, values in enumerate(adjusted):
-                np.outer(user_factor[k, users], item_factor[k], out=values)
-                np.divide(affinity, values, out=values)
-                bad[k] |= not np.isfinite(values).all()
-        if not bad.any():
-            yield first, adjusted
-    if bad.any():
-        raise DataError(
-            "behavior %d: criterion_spread (--spread) %r puts the planted "
-            "thresholds out of float range; use a smaller spread"
-            % (np.argmax(bad), spread)
-        )
+    users = slice(first, first + out.shape[1])
+    affinity = user_latent[users] @ item_latent.T
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for k, values in enumerate(out):
+            np.outer(user_factor[k, users], item_factor[k], out=values)
+            np.divide(affinity, values, out=values)
+            if not np.isfinite(values).all():
+                bad[k] = True
+    return not bad.any()
 
 
 def generate(cfg):
@@ -233,13 +289,20 @@ def generate(cfg):
     counts = [max(1, int(round(rho * total))) for rho in cfg.densities]
     # The factors are >= 0 and rounding is monotone, so each behavior's
     # threshold np.outer(user_factor[:, k], item_factor[:, k]) is finite iff
-    # its largest entry is.
+    # its largest entry is.  A behavior that fails is only reported once
+    # every row is checked, as a whole-matrix check in behavior order would.
     with np.errstate(over="ignore", invalid="ignore"):
-        overflow = ~np.isfinite(user_factor.max(axis=0) * item_factor.max(axis=0))
-    cells = _floored_cells(
-        lambda: _planted_blocks(user_latent, item_latent, user_factor, item_factor, overflow,
-                                cfg.criterion_spread),
-        (cfg.num_users, cfg.num_items), counts, MIN_SPLIT_POSITIVES)
+        bad = ~np.isfinite(user_factor.max(axis=0) * item_factor.max(axis=0))
+    fill = partial(_planted_block, user_latent, item_latent, np.ascontiguousarray(user_factor.T),
+                   np.ascontiguousarray(item_factor.T), bad)
+    cells = _floored_cells(fill, (cfg.num_users, cfg.num_items), block_rows(cfg.num_items),
+                           counts, MIN_SPLIT_POSITIVES)
+    if cells is None:
+        raise DataError(
+            "behavior %d: criterion_spread (--spread) %r puts the planted "
+            "thresholds out of float range; use a smaller spread"
+            % (np.argmax(bad), cfg.criterion_spread)
+        )
 
     positives = [PositiveStore(np.bincount(users, minlength=cfg.num_users), items)
                  for users, items in (np.divmod(flat, cfg.num_items) for flat in cells)]

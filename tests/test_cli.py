@@ -221,8 +221,8 @@ def test_synth_reports_arrays_that_do_not_fit_in_memory(tmp_path, capsys, monkey
     def no_memory(*args, **kwargs):
         raise MemoryError
 
-    # stands in for a size that numpy tries and fails to allocate
-    monkeypatch.setattr("critcf.synthetic._floored_cells", no_memory)
+    # stands in for a size that numpy tries and fails to allocate in a block
+    monkeypatch.setattr("critcf.synthetic._planted_block", no_memory)
     out = tmp_path / "data"
     assert main(["synth", str(out), "--users", "30", "--items", "80"]) == 1
     assert capsys.readouterr().err == (

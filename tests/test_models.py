@@ -8,7 +8,7 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from critcf import models
+from critcf import models, pool
 from critcf.cli import main
 from critcf.datasets import BehaviorDataset
 from critcf.errors import ConfigError, DataError
@@ -704,7 +704,7 @@ def test_lightgcn_run_files_do_not_depend_on_worker_count(tmp_path, monkeypatch)
     monkeypatch.setattr(models, "partitioned_product", counting)
     files = []
     for workers in (1, 3):
-        monkeypatch.setattr(models, "PROPAGATION_WORKERS", workers)
+        monkeypatch.setattr(pool, "WORKERS", workers)
         counts.clear()
         run = tmp_path / ("run%d" % workers)
         assert main(["train", data, str(run), "--override", "model=lightgcn", "--override",

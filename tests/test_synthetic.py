@@ -1,5 +1,7 @@
 import contextlib
 import io
+import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from critcf import synthetic
+from critcf import pool, synthetic
 from critcf.cli import main
 from critcf.config import dataset_fingerprint
 from critcf.datasets import MIN_SPLIT_POSITIVES, leave_one_out_split
@@ -49,13 +51,13 @@ def outcome(fn, adjusted, count, floor):
 
 
 def floored_mask(adjusted, count, floor, rows=None):
-    """_floored_cells on one behavior's whole array, fed in blocks of ``rows``
-    rows, as a mask.  Each pass gets copies in the array's own layout, since
-    the function overwrites its blocks."""
-    rows = rows or len(adjusted)
-    cells = _floored_cells(lambda: [(first, adjusted[None, first:first + rows].copy(order="K"))
-                                    for first in range(0, len(adjusted), rows)],
-                           adjusted.shape, [count], floor)[0]
+    """_floored_cells on one behavior's whole array, filled in blocks of
+    ``rows`` rows, as a mask."""
+    def fill(first, out):
+        out[0] = adjusted[first:first + out.shape[1]]
+        return True
+
+    cells = _floored_cells(fill, adjusted.shape, rows or len(adjusted), [count], floor)[0]
     assert cells.dtype == np.int64 and np.all(np.diff(cells) > 0)
     mask = np.zeros(adjusted.shape, dtype=bool)
     mask.flat[cells] = True
@@ -168,8 +170,13 @@ def test_floored_mask_rejects_passes_that_disagree(shift):
     # floor 1 marks 3, 7 and 11; the top 3 free values are then 10, 9 and 8,
     # so the second pass must see 2 cells above 8 and one tie at it.
     passes = iter([np.arange(12.0).reshape(3, 4), np.arange(12.0).reshape(3, 4) + shift])
+
+    def fill(first, out):
+        out[0] = next(passes)
+        return True
+
     with pytest.raises(RuntimeError, match="behavior 0: . cells marked instead of 6"):
-        _floored_cells(lambda: [(0, next(passes)[None])], (3, 4), [6], 1)
+        _floored_cells(fill, (3, 4), 3, [6], 1)
 
 
 def test_floored_mask_prefers_large_entries():
@@ -222,11 +229,14 @@ def test_floored_mask_equals_stable_sort_oracle(case):
 
 
 @pytest.mark.parametrize("kind", SELECTION_KINDS)
-def test_floored_mask_equals_oracle_at_scale(kind):
+def test_floored_mask_equals_oracle_at_scale(monkeypatch, kind):
+    # At 1 and 7 rows a block, several blocks are in flight at 2 and 3 workers.
     adjusted = selection_values(np.random.default_rng(17), kind, (300, 200))
-    for count, floor in ((600, 0), (2400, 3), (9000, 7), (60000, 200)):
-        for rows in (1, 7, 300):
-            assert_same_outcome(adjusted, count, floor, rows)
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(pool, "WORKERS", workers)
+        for count, floor in ((600, 0), (2400, 3), (9000, 7), (60000, 200)):
+            for rows in (1, 7, 300):
+                assert_same_outcome(adjusted, count, floor, rows)
 
 
 @pytest.mark.filterwarnings("error")
@@ -252,13 +262,42 @@ def test_synth_rejects_non_finite_scores(tmp_path, capsys, argv):
 def test_lowest_non_finite_behavior_is_reported(monkeypatch, rows):
     # Behavior 2 first goes non-finite in row 6 and behavior 0 only in row 35,
     # so a pass that stopped at the first bad block would name behavior 2.
+    # At 3 workers the caller's and the pool's blocks set the shared failure
+    # flags, with a short switch interval so that their updates interleave.
     cfg = small_cfg(criterion_spread=150.0, seed=28)
     if rows:
         monkeypatch.setattr(synthetic, "BLOCK_CELLS", rows * cfg.num_items)
-    with pytest.raises(DataError) as exc:
-        generate(cfg)
-    assert str(exc.value) == ("behavior 0: criterion_spread (--spread) 150.0 puts the planted "
-                              "thresholds out of float range; use a smaller spread")
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        for workers in (1, 3):
+            monkeypatch.setattr(pool, "WORKERS", workers)
+            with pytest.raises(DataError) as exc:
+                generate(cfg)
+            assert str(exc.value) == ("behavior 0: criterion_spread (--spread) 150.0 puts the "
+                                      "planted thresholds out of float range; use a smaller "
+                                      "spread")
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_a_block_error_waits_for_the_blocks_in_flight(monkeypatch):
+    # Block 1 runs on the pool and fails while blocks 2 and 3 are in flight.
+    monkeypatch.setattr(pool, "WORKERS", 4)
+    started, finished = [], []
+
+    def fill(first, out):
+        started.append(first)
+        if first == 1:
+            raise MemoryError
+        time.sleep(0.05)
+        out[0] = first
+        finished.append(first)
+        return True
+
+    with pytest.raises(MemoryError):
+        _floored_cells(fill, (8, 5), 1, [20], 2)
+    assert sorted(started) == [0, 1, 2, 3] and sorted(finished) == [0, 2, 3]
 
 
 def test_generate_holds_no_dense_float_array():
@@ -327,3 +366,18 @@ def test_synth_output_is_pinned(tmp_path, argv, digest):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["synth", out] + argv) == 0
     assert dataset_fingerprint(out) == digest
+
+
+# A spread config and the two benchmark shapes, in blocks of 1 and 3 rows.
+SPLIT_GOLDEN = [GOLDEN[10], GOLDEN[-2], GOLDEN[-1]]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("rows", [1, 3])
+@pytest.mark.parametrize("argv,digest", SPLIT_GOLDEN,
+                         ids=[" ".join(a) for a, _ in SPLIT_GOLDEN])
+def test_synth_output_is_pinned_at_any_worker_count(tmp_path, monkeypatch, argv, digest, rows,
+                                                    workers):
+    monkeypatch.setattr(pool, "WORKERS", workers)
+    monkeypatch.setattr(synthetic, "BLOCK_CELLS", rows * int(argv[argv.index("--items") + 1]))
+    test_synth_output_is_pinned(tmp_path, argv, digest)
