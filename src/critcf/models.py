@@ -37,7 +37,6 @@ from . import pool
 from .atomic import atomic_write
 from .errors import ConfigError, DataError, NumericalError
 from .losses import BoundParams
-from .synthetic import BLOCK_CELLS
 
 MODEL_KINDS = ("mf", "gmf", "lightgcn")
 
@@ -240,11 +239,13 @@ def row_partitions(matrix, count):
 
 
 def partitioned_product(parts, x):
-    """The stacked products of the row partitions with x, the first on the
-    calling thread and the rest on the pool.  scipy sums each output row
-    over its nonzeros in order, so this is ``matrix @ x`` bit for bit."""
-    futures = [pool.POOL.submit(part.dot, x) for part in parts[1:]]
-    return np.vstack([parts[0] @ x] + [future.result() for future in futures])
+    """``matrix @ x`` from its row partitions: block i writes ``parts[i] @ x``
+    into its own rows of one output on the pool (``pool.in_order``).  scipy
+    sums each output row over its nonzeros in order, so the bits are equal."""
+    out = np.empty((sum(part.shape[0] for part in parts), x.shape[1]))
+    rows = np.split(out, np.cumsum([part.shape[0] for part in parts[:-1]]))
+    pool.in_order(lambda i, _: np.copyto(rows[i], parts[i] @ x), len(parts), lambda *_: None)
+    return out
 
 
 def build_adjacency(train):
@@ -296,8 +297,8 @@ def _csr_adjacency(num_users, num_items, positives, pairs):
     del cols
     inv_sqrt = 1.0 / np.sqrt(degrees)
     data = np.empty(len(indices))
-    # In row blocks of about BLOCK_CELLS entries; a row's entries share its factor.
-    cuts = np.unique(np.append(np.searchsorted(indptr, np.arange(0, len(data), BLOCK_CELLS)), n))
+    # In row blocks of about pool.BLOCK_CELLS entries; a row's entries share its factor.
+    cuts = np.unique(np.append(np.searchsorted(indptr, range(0, len(data), pool.BLOCK_CELLS)), n))
     for top, end in zip(cuts.tolist(), cuts[1:].tolist()):
         rows = slice(indptr[top], indptr[end])
         data[rows] = np.repeat(inv_sqrt[top:end], degrees[top:end]) * inv_sqrt[indices[rows]]

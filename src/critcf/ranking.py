@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DataError, NumericalError
 from .losses import POSITIVITY_FLOOR
-from .synthetic import block_rows
+from .pool import block_rows
 
 DEFAULT_CUTOFFS = (10, 50, 100, 200)
 

@@ -80,20 +80,6 @@ class SynthConfig:
                               "numpy can make" % (self.num_users, self.num_items, self.latent_dim))
 
 
-# Cells per row block of the planted affinity (no U x V float array is ever
-# built) and of a training or evaluation step: a few (rows, V) float64 blocks
-# stay in cache.
-BLOCK_CELLS = 1 << 16
-
-
-def block_rows(num_items, dim=1):
-    """Rows of a row block of about BLOCK_CELLS cells over num_items columns,
-    and at least dim: a block scored against a (num_items, dim) table then
-    has at least as many cells as the table, so the table's reads and its
-    summed gradient cost no more per block than the block's own arrays."""
-    return max(1, BLOCK_CELLS // max(num_items, 1), dim)
-
-
 def _least_of_largest(values, n):
     """Partitions ``values`` in place so that its ``n`` largest come last;
     returns their least, +inf if n is 0."""
@@ -118,13 +104,13 @@ def _floor_mask(block, per_row):
     return mask
 
 
-def _floored_cells(fill, shape, rows, counts, floor):
+def _floored_cells(fill, shape, counts, floor):
     """Top-count cells with a per-user floor, one array per behavior, in O(U*V) time.
 
     ``fill(first, out)`` writes the values of behavior k on rows ``first``
     to ``first + out.shape[1]`` into ``out[k]``, the same bits on every call
     for the same rows, and returns False to refuse the block.  It is called
-    on blocks of ``rows`` rows, several at once.  Each user's ``floor``
+    on blocks of pool.block_rows(V) rows, several at once.  Each user's ``floor``
     largest entries (every entry above the row's floor-th largest value t,
     then the entries equal to t in ascending column order) count as +inf.
     Then the ``counts[k]`` largest cells are taken, ties in ascending flat
@@ -140,7 +126,7 @@ def _floored_cells(fill, shape, rows, counts, floor):
     against an older tau, which is smaller and only buffers more.  After
     the pass, tau is exactly the count-th largest value.  The second pass
     takes the cells above tau, then the first ties at tau in ascending flat
-    order.  So the cells depend neither on ``rows`` nor on the worker count.
+    order.  So the cells depend on neither the block size nor the workers.
     """
     num_users, num_items = shape
     per_row = min(floor, num_items)
@@ -150,7 +136,7 @@ def _floored_cells(fill, shape, rows, counts, floor):
                 "count %d cannot honor a floor of %d items for each of %d users"
                 % (count, floor, num_users)
             )
-    rows = min(rows, num_users)
+    rows = min(pool.block_rows(num_items), num_users)
     blocks = -(-num_users // rows)
     slots = np.empty((pool.WORKERS, len(counts), rows, num_items))
     # the second pass leaves each block's cell indices in its slot's bytes
@@ -295,8 +281,7 @@ def generate(cfg):
         bad = ~np.isfinite(user_factor.max(axis=0) * item_factor.max(axis=0))
     fill = partial(_planted_block, user_latent, item_latent, np.ascontiguousarray(user_factor.T),
                    np.ascontiguousarray(item_factor.T), bad)
-    cells = _floored_cells(fill, (cfg.num_users, cfg.num_items), block_rows(cfg.num_items),
-                           counts, MIN_SPLIT_POSITIVES)
+    cells = _floored_cells(fill, (cfg.num_users, cfg.num_items), counts, MIN_SPLIT_POSITIVES)
     if cells is None:
         raise DataError(
             "behavior %d: criterion_spread (--spread) %r puts the planted "

@@ -2,7 +2,8 @@
 
 Each batch performs one joint update.  The model's head scores one row
 block of the batch's users at a time, about BLOCK_CELLS scores and at least
-the model's dim rows (synthetic.block_rows); the combined
+the model's dim rows (pool.block_rows, which also sizes the row blocks of
+evaluation, synth's selection and LightGCN's propagation); the combined
 multi-behavior loss differentiates them into the scores and the bound
 factors, and the head backpropagates the score gradient, before the next
 block is scored.  The user-side gradients fill the batch's rows and the
@@ -34,8 +35,8 @@ from .losses import (
     get_penalty,
 )
 from .models import MODEL_KINDS, init_bounds, init_model, project_rows
+from .pool import block_rows
 from .ranking import evaluate
-from .synthetic import block_rows
 
 ADAGRAD_EPS = 1e-8
 

@@ -32,7 +32,7 @@ from critcf.losses import (
     get_penalty,
     hinge_criterion_loss,
 )
-from critcf.synthetic import block_rows
+from critcf.pool import block_rows
 
 SQUARE = PENALTIES["square"]
 LINEAR = PENALTIES["linear"]

@@ -1,6 +1,7 @@
 import io
 import os
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -670,11 +671,12 @@ def test_failed_save_keeps_the_earlier_checkpoint(tmp_path):
 
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), num_users=st.integers(1, 5), num_items=st.integers(1, 5),
-       count=st.integers(1, 5), dim=st.integers(1, 3))
-def test_partitioned_product_equals_matmul_bitwise(data, num_users, num_items, count, dim):
+       count=st.integers(1, 5), dim=st.integers(1, 3), workers=st.integers(1, 3))
+def test_partitioned_product_equals_matmul_bitwise(data, num_users, num_items, count, dim,
+                                                   workers):
     # Random bipartite graphs leave some nodes isolated, each with a
     # self-loop; up to 10 rows against up to 5 partitions, and the inputs
-    # hold both zeros.
+    # hold both zeros.  More partitions than workers reuse the pool's slots.
     pos = data.draw(st.lists(st.lists(st.lists(st.integers(0, num_items - 1), max_size=3),
                                       min_size=num_users, max_size=num_users),
                              min_size=1, max_size=2))
@@ -688,7 +690,8 @@ def test_partitioned_product_equals_matmul_bitwise(data, num_users, num_items, c
     assert sum(part.shape[0] for part in parts) == n
     for part in parts:
         assert part.nnz == 0 or np.shares_memory(part.data, adjacency.data)
-    assert partitioned_product(parts, x).tobytes() == (adjacency @ x).tobytes()
+    with mock.patch.object(pool, "WORKERS", workers):
+        assert partitioned_product(parts, x).tobytes() == (adjacency @ x).tobytes()
 
 
 def test_lightgcn_run_files_do_not_depend_on_worker_count(tmp_path, monkeypatch):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from critcf import ranking, synthetic
+from critcf import pool, ranking
 from critcf.datasets import BehaviorDataset
 from critcf.errors import DataError, NumericalError
 from critcf.losses import BoundParams
@@ -19,7 +19,7 @@ from critcf.ranking import (
     predict_scores,
     rank_in_candidates,
 )
-from critcf.synthetic import block_rows
+from critcf.pool import block_rows
 
 
 class TableModel:
@@ -171,7 +171,7 @@ def test_heldout_item_must_not_be_train_positive():
 def test_heldout_clash_names_first_user(batch_users, monkeypatch):
     # users 2 and 4 hold out a training positive; the error names user 2,
     # as the per-user loop did, whether or not they share a row block
-    monkeypatch.setattr(synthetic, "BLOCK_CELLS", batch_users * 4)
+    monkeypatch.setattr(pool, "BLOCK_CELLS", batch_users * 4)
     train = single_behavior_train(6, 4, [[0], [1], [2, 3], [], [0, 1], [3]])
     heldout = np.array([1, 2, 3, 0, 1, 2])
     model = TableModel(np.zeros((6, 4)))
@@ -222,7 +222,7 @@ def test_batch_ranks_equal_oracle(inst):
     got = rank_in_candidates(table, heldout, rows, cols)
     assert got.tolist() == [want[u] for u in range(num_users)]
     # every rank lies within the candidate count, so the report keeps them all
-    with mock.patch.object(synthetic, "BLOCK_CELLS", batch_users * num_items):
+    with mock.patch.object(pool, "BLOCK_CELLS", batch_users * num_items):
         report = evaluate(TableModel(table), None, train, heldout, cutoffs=(num_items,))
     assert report.per_user_rank == want
 

@@ -3,13 +3,14 @@ import io
 import sys
 import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from critcf import pool, synthetic
+from critcf import pool
 from critcf.cli import main
 from critcf.config import dataset_fingerprint
 from critcf.datasets import MIN_SPLIT_POSITIVES, leave_one_out_split
@@ -52,12 +53,13 @@ def outcome(fn, adjusted, count, floor):
 
 def floored_mask(adjusted, count, floor, rows=None):
     """_floored_cells on one behavior's whole array, filled in blocks of
-    ``rows`` rows, as a mask."""
+    ``rows`` rows (pool.BLOCK_CELLS set to match), as a mask."""
     def fill(first, out):
         out[0] = adjusted[first:first + out.shape[1]]
         return True
 
-    cells = _floored_cells(fill, adjusted.shape, rows or len(adjusted), [count], floor)[0]
+    with mock.patch.object(pool, "BLOCK_CELLS", (rows or len(adjusted)) * adjusted.shape[1]):
+        cells = _floored_cells(fill, adjusted.shape, [count], floor)[0]
     assert cells.dtype == np.int64 and np.all(np.diff(cells) > 0)
     mask = np.zeros(adjusted.shape, dtype=bool)
     mask.flat[cells] = True
@@ -166,7 +168,7 @@ def test_floored_mask_count_below_floor_rejected():
 
 
 @pytest.mark.parametrize("shift", [0.5, -0.5])
-def test_floored_mask_rejects_passes_that_disagree(shift):
+def test_floored_mask_rejects_passes_that_disagree(monkeypatch, shift):
     # floor 1 marks 3, 7 and 11; the top 3 free values are then 10, 9 and 8,
     # so the second pass must see 2 cells above 8 and one tie at it.
     passes = iter([np.arange(12.0).reshape(3, 4), np.arange(12.0).reshape(3, 4) + shift])
@@ -175,8 +177,9 @@ def test_floored_mask_rejects_passes_that_disagree(shift):
         out[0] = next(passes)
         return True
 
+    monkeypatch.setattr(pool, "BLOCK_CELLS", 3 * 4)
     with pytest.raises(RuntimeError, match="behavior 0: . cells marked instead of 6"):
-        _floored_cells(fill, (3, 4), 3, [6], 1)
+        _floored_cells(fill, (3, 4), [6], 1)
 
 
 def test_floored_mask_prefers_large_entries():
@@ -266,7 +269,7 @@ def test_lowest_non_finite_behavior_is_reported(monkeypatch, rows):
     # flags, with a short switch interval so that their updates interleave.
     cfg = small_cfg(criterion_spread=150.0, seed=28)
     if rows:
-        monkeypatch.setattr(synthetic, "BLOCK_CELLS", rows * cfg.num_items)
+        monkeypatch.setattr(pool, "BLOCK_CELLS", rows * cfg.num_items)
     interval = sys.getswitchinterval()
     try:
         sys.setswitchinterval(1e-6)
@@ -284,6 +287,7 @@ def test_lowest_non_finite_behavior_is_reported(monkeypatch, rows):
 def test_a_block_error_waits_for_the_blocks_in_flight(monkeypatch):
     # Block 1 runs on the pool and fails while blocks 2 and 3 are in flight.
     monkeypatch.setattr(pool, "WORKERS", 4)
+    monkeypatch.setattr(pool, "BLOCK_CELLS", 1 * 5)
     started, finished = [], []
 
     def fill(first, out):
@@ -296,7 +300,7 @@ def test_a_block_error_waits_for_the_blocks_in_flight(monkeypatch):
         return True
 
     with pytest.raises(MemoryError):
-        _floored_cells(fill, (8, 5), 1, [20], 2)
+        _floored_cells(fill, (8, 5), [20], 2)
     assert sorted(started) == [0, 1, 2, 3] and sorted(finished) == [0, 2, 3]
 
 
@@ -379,5 +383,5 @@ SPLIT_GOLDEN = [GOLDEN[10], GOLDEN[-2], GOLDEN[-1]]
 def test_synth_output_is_pinned_at_any_worker_count(tmp_path, monkeypatch, argv, digest, rows,
                                                     workers):
     monkeypatch.setattr(pool, "WORKERS", workers)
-    monkeypatch.setattr(synthetic, "BLOCK_CELLS", rows * int(argv[argv.index("--items") + 1]))
+    monkeypatch.setattr(pool, "BLOCK_CELLS", rows * int(argv[argv.index("--items") + 1]))
     test_synth_output_is_pinned(tmp_path, argv, digest)

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from critcf import synthetic, training
+from critcf import pool, training
 from critcf.cli import main
 from critcf.datasets import BehaviorDataset, leave_one_out_split
 from critcf.errors import ConfigError, NumericalError
@@ -17,7 +17,8 @@ from critcf.losses import (
     get_penalty,
 )
 from critcf.models import MfModel, _read_checkpoint, init_bounds, init_model, project_rows
-from critcf.synthetic import SynthConfig, block_rows, generate
+from critcf.pool import block_rows
+from critcf.synthetic import SynthConfig, generate
 from critcf.training import (
     ADAGRAD_EPS,
     TrainConfig,
@@ -413,7 +414,7 @@ def test_batch_gradients_at_small_blocks_equal_two_body_oracle(kind, variant, ro
     users = rng.permutation(ds.num_users)[:13]
     mask = (rng.random((len(users), 4)) >= 0.3) / 0.7
     loss_cfg = toy_config(behavior_weights=(0.25, 0.0, 0.75)).loss_config()
-    monkeypatch.setattr(synthetic, "BLOCK_CELLS", rows * ds.num_items)
+    monkeypatch.setattr(pool, "BLOCK_CELLS", rows * ds.num_items)
     loss, grads = batch_gradients(model, bounds, users, ds.positives, loss_cfg, variant, mask)
     want_loss, want = oracle_batch_gradients(model, bounds, users, ds.positives, loss_cfg,
                                              variant, mask)
@@ -422,14 +423,6 @@ def test_batch_gradients_at_small_blocks_equal_two_body_oracle(kind, variant, ro
     for name, grad in want.items():
         assert grads[name].shape == grad.shape
         assert np.all(np.abs(grads[name] - grad) <= 1e-12 * np.abs(grad).max()), name
-
-
-def test_block_rows_hold_at_least_the_model_dim():
-    # 8 rows of Beibei's 7977 items would read the (7977, 64) item table
-    # for every 8 users
-    assert block_rows(7977) == 8
-    assert block_rows(7977, 64) == 64
-    assert block_rows(600, 64) == 109
 
 
 def test_lightgcn_batch_gradients_sum_a_repeated_user():
@@ -566,8 +559,8 @@ def test_run_files_do_not_depend_on_loss_block(sparse_step_dataset, tmp_path, mo
             "--override", "epochs=3", "--override", "batch=8", "--override", "d=4",
             "--override", "dropout=0.3", "--override", "eval_cutoff=5"]
     runs = []
-    for cells in (synthetic.BLOCK_CELLS, 64, 64):
-        monkeypatch.setattr(synthetic, "BLOCK_CELLS", cells)
+    for cells in (pool.BLOCK_CELLS, 64, 64):
+        monkeypatch.setattr(pool, "BLOCK_CELLS", cells)
         run = tmp_path / str(len(runs))
         assert main(["train", sparse_step_dataset, str(run)] + argv) == 0
         runs.append(run)
