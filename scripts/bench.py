@@ -2,20 +2,17 @@
 
     python3 scripts/bench.py N
 
-Run from the repository root.  For each workload of BENCHMARK.json and each
-seed of SEEDS it runs ``perfbench/run.py --trace 0 --seconds 20`` and reads
-the two JSON lines that run.py prints last.  Each seed first runs once with
-``--seconds 0``, so that a log workload's raw log is cached before the
-measured run; a pipeline's ``peak_rss_mb`` is then its own and not the log
-writer's, which ``ru_maxrss`` would keep across ``exec``.
+For each workload of BENCHMARK.json and each seed of SEEDS it runs
+``perfbench/run.py --trace 0 --seconds 20`` and reads the two JSON lines
+that run.py prints last.  Each seed first runs once with ``--seconds 0``, so
+that a log workload's raw log is cached and ``peak_rss_mb`` is the
+pipeline's own, not the log writer's (``ru_maxrss`` survives ``exec``).
 
-Per workload and metric (every stage time and ``peak_rss_mb``) the file
-holds the median, the interquartile range and n, over the pipelines of all
-seeds.  Per seed it holds run.py's info fields, without the raw samples and
-checks, and ``correct``.  It also names the git revision, the CPU model and
-the OpenBLAS core, since two files compare only on one host.
-
-ROADMAP item 2 adds ``--out`` to perfbench/run.py, which replaces this script.
+The file holds, per workload and metric (every stage time and
+``peak_rss_mb``), the median, IQR and n over the pipelines of all seeds;
+per seed, run.py's info fields without samples and checks, and ``correct``;
+and the git revision, CPU model and OpenBLAS core, since files compare only
+on one host.  ROADMAP item 2's ``--out`` for run.py will replace this script.
 """
 
 import ctypes
