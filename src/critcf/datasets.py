@@ -24,9 +24,9 @@ index_map.txt, behavior_<k>.txt, validation.txt and test.txt.  Every line
 of every file ends in a newline, the last one included.  behavior_<k>.txt,
 validation.txt and test.txt are ASCII: decimal tokens, optionally
 negative, separated by spaces; line n holds user n - 1.  They are written
-and read as whole arrays: the writer formats every index through one table
-of decimal strings, and the reader classifies each block's bytes through
-one 256-entry table and converts all of its tokens in one call.
+and read in blocks of whole arrays: the writer gathers each block's bytes
+from one table of decimal strings, and the reader classifies each block's
+bytes through one 256-entry table and converts its tokens in one call.
 index_map.txt lists the users, then the items, in dense order.
 """
 
@@ -39,6 +39,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from . import pool
 from .errors import DataError
 
 DEFAULT_BEHAVIORS = ("view", "cart", "buy")
@@ -94,16 +95,20 @@ class PositiveStore:
             raise IndexError("user %r out of range for %d users" % (u, len(self)))
         return self.items[self.indptr[u]:self.indptr[u + 1]]
 
-    def pairs(self, users):
-        """(rows, items) of the positives of ``users``: items[j] is a positive
-        of users[rows[j]]; rows and items are int64."""
+    def take(self, users):
+        """The store of ``users``' rows, in that order, gathered at once."""
         users = np.asarray(users, dtype=np.int64)
         starts = self.indptr[users]
         sizes = self.indptr[users + 1] - starts
-        rows = np.repeat(np.arange(len(users), dtype=np.int64), sizes)
-        # Entry j of the batch is item starts[r] + (j - first entry of row r).
+        # Entry j of the result is item starts[r] + (j - first entry of row r).
         at = np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)
-        return rows, self.items[at + np.arange(len(at))]
+        return PositiveStore(sizes, self.items[at + np.arange(len(at))])
+
+    def pairs(self, users):
+        """(rows, items) of the positives of ``users``: items[j] is a positive
+        of users[rows[j]]; rows and items are int64."""
+        store = self.take(users)
+        return np.repeat(np.arange(len(store), dtype=np.int64), np.diff(store.indptr)), store.items
 
 
 @dataclass
@@ -407,7 +412,9 @@ def leave_one_out_split(dataset, on_short="error"):
 
     Users with fewer than MIN_SPLIT_POSITIVES target positives cannot be split;
     on_short selects whether that raises (default) or silently drops them,
-    with the drop count reported on the returned split.
+    with the drop count reported on the returned split.  When no user is
+    dropped, the split's stores of the auxiliary behaviors are the dataset's
+    own; no layer writes into a store, so sharing one never mutates it.
     """
     if dataset.target_order is None:
         raise DataError("dataset has no target-order information; cannot split")
@@ -427,13 +434,12 @@ def leave_one_out_split(dataset, on_short="error"):
     ends = order.indptr[keep + 1]
     test, validation = order.items[ends - 1], order.items[ends - 2]
 
-    pairs = [store.pairs(keep) for store in dataset.positives]
+    # With every user kept, the auxiliary stores are shared, not copied.
+    positives = [store.take(keep) if short.size else store for store in dataset.positives[:-1]]
     # The held-out items leave the target positives through one mask.
-    row, items = pairs[-1]
+    row, items = dataset.positives[-1].pairs(keep)
     trained = (items != test[row]) & (items != validation[row])
-    pairs[-1] = row[trained], items[trained]
-    positives = [PositiveStore(np.bincount(rows, minlength=len(keep)), items)
-                 for rows, items in pairs]
+    positives.append(PositiveStore(np.bincount(row[trained], minlength=len(keep)), items[trained]))
     train = replace(dataset, num_users=len(keep), positives=positives, target_order=None)
     return SplitDataset(train, validation, test, keep, dropped_users=len(short))
 
@@ -455,7 +461,8 @@ def write_dataset_dir(out_dir, split, user_ids, item_ids, behavior_labels):
     index then space-separated sorted item indices), validation.txt and
     test.txt (user index, held-out item).  behavior_<k>.txt files of an
     earlier write with more behaviors are removed, so a rewritten dir holds
-    the bytes of a fresh one.
+    the bytes of a fresh one.  The files of integers are written from the
+    split's arrays, which are only read, one block of tokens at a time.
     """
     train = split.train
     if len(user_ids) != train.num_users or len(item_ids) != train.num_items:
@@ -470,7 +477,6 @@ def write_dataset_dir(out_dir, split, user_ids, item_ids, behavior_labels):
             os.remove(os.path.join(out_dir, file_name))
     # Every index is written through one table of decimal strings.
     names = list(map(str, range(max(train.num_users, train.num_items))))
-    name = names.__getitem__
     with open(os.path.join(out_dir, "meta.txt"), "w", encoding="utf-8") as fh:
         fh.write("num_users %d\n" % train.num_users)
         fh.write("num_items %d\n" % train.num_items)
@@ -480,15 +486,37 @@ def write_dataset_dir(out_dir, split, user_ids, item_ids, behavior_labels):
     with open(os.path.join(out_dir, "index_map.txt"), "w", encoding="utf-8") as fh:
         fh.writelines(map("u\t{}\t{}\n".format, user_ids, names))
         fh.writelines(map("i\t{}\t{}\n".format, item_ids, names))
-    for k, store in enumerate(train.positives):
-        tokens = list(map(name, store.items.tolist()))
-        ends = store.indptr.tolist()
-        with open(os.path.join(out_dir, "behavior_%d.txt" % k), "w", encoding="utf-8") as fh:
-            fh.writelines(" ".join([user, *tokens[start:stop]]) + "\n"
-                          for user, start, stop in zip(names, ends, ends[1:]))
-    for file_name, held in (("validation.txt", split.validation), ("test.txt", split.test)):
-        with open(os.path.join(out_dir, file_name), "w", encoding="utf-8") as fh:
-            fh.writelines(map("{} {}\n".format, names, map(name, held.tolist())))
+    table = np.frombuffer((" ".join(names) + " ").encode("ascii"), dtype=np.uint8)
+    starts = np.append(0, np.cumsum([len(name) + 1 for name in names]))
+    files = [("behavior_%d.txt" % k, store.indptr, store.items)
+             for k, store in enumerate(train.positives)]
+    single = np.arange(train.num_users + 1)  # the indptr of one held-out item per user
+    files += [("validation.txt", single, split.validation), ("test.txt", single, split.test)]
+    for file_name, indptr, items in files:
+        with open(os.path.join(out_dir, file_name), "wb") as fh:
+            _write_rows(fh, indptr, items, table, starts)
+
+
+def _write_rows(fh, indptr, items, table, starts):
+    """Writes a line per row u: u, then items[indptr[u]:indptr[u + 1]], each
+    token t as table[starts[t]:starts[t + 1]], its decimal string and a space.
+    A block of about pool.BLOCK_CELLS tokens is gathered at once, the space
+    after each row's last token becomes a newline, and the block is one write."""
+    num_users = len(indptr) - 1
+    heads = indptr + np.arange(num_users + 1)  # the token offset of each row's user
+    cuts = np.searchsorted(heads, np.arange(0, heads[-1], pool.BLOCK_CELLS))
+    cuts = np.unique(np.append(cuts, num_users))
+    for first, stop in zip(cuts.tolist(), cuts[1:].tolist()):
+        tokens = np.insert(items[indptr[first]:indptr[stop]], indptr[first:stop] - indptr[first],
+                           np.arange(first, stop))
+        width = starts[tokens + 1] - starts[tokens]
+        ends = np.cumsum(width)
+        # Byte j of token i is table[starts[tokens[i]] + j].
+        offsets = np.repeat(starts[tokens] - (ends - width), width)
+        offsets += np.arange(len(offsets))
+        data = table[offsets]
+        data[ends[heads[first + 1:stop + 1] - heads[first] - 1] - 1] = ord("\n")
+        fh.write(data)
 
 
 def _byte_blocks(path, cr=False):

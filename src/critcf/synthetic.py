@@ -89,21 +89,6 @@ def _least_of_largest(values, n):
     return values[values.size - n]
 
 
-def _floor_mask(block, per_row):
-    """Each row's ``per_row`` largest entries: every entry above the row's
-    per_row-th largest value t, then the entries equal to t in ascending
-    column order."""
-    t = np.partition(block, -per_row, axis=1)[:, -per_row, None]
-    mask = block >= t
-    # a row with more ties at t than free places keeps the leftmost ones
-    crowded = np.flatnonzero(np.count_nonzero(mask, axis=1) > per_row)
-    values, t = block[crowded], t[crowded]
-    ties = values == t
-    free = per_row - np.count_nonzero(values > t, axis=1)
-    mask[crowded] &= ~ties | (np.cumsum(ties, axis=1) <= free[:, None])
-    return mask
-
-
 def _floored_cells(fill, shape, counts, floor):
     """Top-count cells with a per-user floor, one array per behavior, in O(U*V) time.
 
@@ -160,8 +145,12 @@ def _floored_cells(fill, shape, counts, floor):
         lengths = []
         for k, adjusted in enumerate(values):
             floored = floors[k][first:first + len(adjusted)]
-            if per_row:
-                floored.flat = np.flatnonzero(_floor_mask(adjusted, per_row))
+            # per_row rounds take each row's largest value left, lowest column first
+            row = np.arange(len(adjusted))
+            for j in range(per_row):
+                picks = np.argmax(adjusted, axis=1)
+                adjusted[row, picks] = -np.inf
+                floored[:, j] = row * num_items + picks
             adjusted.flat[floored] = np.inf
             flat = adjusted.reshape(-1)
             keep = flat[flat >= tau[k]]

@@ -5,6 +5,7 @@ import io
 import os
 import re
 import tempfile
+import tracemalloc
 from itertools import chain, zip_longest
 from typing import NamedTuple, Optional
 
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from critcf import datasets
+from critcf import datasets, pool
 from critcf.cli import main
 from critcf.config import dataset_fingerprint
 from critcf.datasets import (
@@ -1113,6 +1114,63 @@ def test_dataset_dir_round_trip_equals_oracles(case, block_chars):
     assert_same_split(loaded, split)
     assert (loaded_users, loaded_items, loaded_labels) == (user_ids, item_ids, labels)
     assert expected[1:] == (user_ids, item_ids, labels)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=random_splits(), block_cells=st.integers(1, 9))
+def test_dataset_dir_bytes_do_not_depend_on_the_write_block(case, block_cells):
+    # Blocks of a few tokens cut inside and between rows, and hold single users.
+    split, user_ids, item_ids, labels = case
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pool, "BLOCK_CELLS", block_cells)
+        new, old = os.path.join(tmp, "new"), os.path.join(tmp, "old")
+        write_dataset_dir(new, split, user_ids, item_ids, labels)
+        oracle_write_dataset_dir(old, split, user_ids, item_ids, labels)
+        for name in sorted(os.listdir(old)):
+            with open(os.path.join(new, name), "rb") as got, \
+                    open(os.path.join(old, name), "rb") as expected:
+                assert got.read() == expected.read(), name
+
+
+def _dense_store(num_users, num_items, per_user):
+    """A store with per_user evenly spaced positives in every row."""
+    items = np.arange(0, num_items, num_items // per_user)
+    return datasets.PositiveStore(np.full(num_users, per_user), np.tile(items, num_users))
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_writer_memory_does_not_grow_with_the_positives(tmp_path):
+    # 0.9M and 3.6M positives (density 0.2 of 1500 items).  The id tables
+    # grow with the users, by about 0.8 MB here; a block holds more than
+    # four int64 arrays of BLOCK_CELLS entries (its tokens, their widths and
+    # ends, and the offsets of their bytes).
+    peaks = []
+    for num_users in (3000, 12000):
+        train = BehaviorDataset(num_users, 1500, 1, [_dense_store(num_users, 1500, 300)])
+        held = np.zeros(num_users, dtype=np.int64)
+        split = SplitDataset(train, held, held, np.arange(num_users))
+        ids = [str(u) for u in range(num_users)], [str(v) for v in range(1500)]
+        peaks.append(_traced_peak(write_dataset_dir, str(tmp_path / str(num_users)), split,
+                                  *ids, ("buy",)))
+    assert abs(peaks[1] - peaks[0]) < 4 * 8 * pool.BLOCK_CELLS
+
+
+def test_split_with_every_user_kept_copies_no_auxiliary_store():
+    # The synth-lightgcn-graph shape: 300, 120 and 60 positives per user.
+    stores = [_dense_store(3000, 1500, n) for n in (300, 120, 60)]
+    ds = BehaviorDataset(3000, 1500, 3, stores, stores[-1])
+    assert _traced_peak(leave_one_out_split, ds) < sum(s.items.nbytes for s in stores[:-1])
+    split = leave_one_out_split(ds)
+    assert all(got is store for got, store in zip(split.train.positives, stores[:-1]))
+    assert len(split.train.positives[-1].items) == 3000 * 58
 
 
 INT64_EDGES = [0, -1, 2 ** 63 - 1, -(2 ** 63)]

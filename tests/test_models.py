@@ -1,6 +1,7 @@
 import io
 import os
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -690,11 +691,13 @@ def test_partitioned_product_equals_matmul_bitwise(data, num_users, num_items, c
     assert sum(part.shape[0] for part in parts) == n
     for part in parts:
         assert part.nnz == 0 or np.shares_memory(part.data, adjacency.data)
-    with mock.patch.object(pool, "WORKERS", workers):
+    # A pool wider than any worker count builds that many partitions at once.
+    with ThreadPoolExecutor(8) as executor, mock.patch.object(pool, "WORKERS", workers), \
+            mock.patch.object(pool, "_POOL", executor):
         assert partitioned_product(parts, x).tobytes() == (adjacency @ x).tobytes()
 
 
-def test_lightgcn_run_files_do_not_depend_on_worker_count(tmp_path, monkeypatch):
+def test_lightgcn_run_files_do_not_depend_on_worker_count(tmp_path, monkeypatch, wide_pool):
     data = str(tmp_path / "data")
     assert main(["synth", data, "--users", "30", "--items", "20", "--densities",
                  "0.4,0.3,0.25", "--latent-dim", "3", "--seed", "4"]) == 0

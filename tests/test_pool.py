@@ -1,7 +1,6 @@
 import sys
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -10,18 +9,14 @@ from critcf.pool import block_rows
 
 
 @pytest.fixture
-def wide_pool(monkeypatch):
-    """A pool with more threads than any WORKERS below, so that only
-    in_order itself bounds the blocks in flight, switching threads often."""
-    executor = ThreadPoolExecutor(8)
-    monkeypatch.setattr(pool, "_POOL", executor)
+def wide_pool(wide_pool):
+    """conftest's wide pool, switching threads often."""
     interval = sys.getswitchinterval()
     try:
         sys.setswitchinterval(1e-6)
-        yield
+        yield wide_pool
     finally:
         sys.setswitchinterval(interval)
-        executor.shutdown()
 
 
 class Recorder:

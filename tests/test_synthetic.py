@@ -232,7 +232,7 @@ def test_floored_mask_equals_stable_sort_oracle(case):
 
 
 @pytest.mark.parametrize("kind", SELECTION_KINDS)
-def test_floored_mask_equals_oracle_at_scale(monkeypatch, kind):
+def test_floored_mask_equals_oracle_at_scale(monkeypatch, wide_pool, kind):
     # At 1 and 7 rows a block, several blocks are in flight at 2 and 3 workers.
     adjusted = selection_values(np.random.default_rng(17), kind, (300, 200))
     for workers in (1, 2, 3):
@@ -262,7 +262,7 @@ def test_synth_rejects_non_finite_scores(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize("rows", [1, None])
-def test_lowest_non_finite_behavior_is_reported(monkeypatch, rows):
+def test_lowest_non_finite_behavior_is_reported(monkeypatch, wide_pool, rows):
     # Behavior 2 first goes non-finite in row 6 and behavior 0 only in row 35,
     # so a pass that stopped at the first bad block would name behavior 2.
     # At 3 workers the caller's and the pool's blocks set the shared failure
@@ -380,8 +380,8 @@ SPLIT_GOLDEN = [GOLDEN[10], GOLDEN[-2], GOLDEN[-1]]
 @pytest.mark.parametrize("rows", [1, 3])
 @pytest.mark.parametrize("argv,digest", SPLIT_GOLDEN,
                          ids=[" ".join(a) for a, _ in SPLIT_GOLDEN])
-def test_synth_output_is_pinned_at_any_worker_count(tmp_path, monkeypatch, argv, digest, rows,
-                                                    workers):
+def test_synth_output_is_pinned_at_any_worker_count(tmp_path, monkeypatch, wide_pool, argv,
+                                                    digest, rows, workers):
     monkeypatch.setattr(pool, "WORKERS", workers)
     monkeypatch.setattr(pool, "BLOCK_CELLS", rows * int(argv[argv.index("--items") + 1]))
     test_synth_output_is_pinned(tmp_path, argv, digest)
