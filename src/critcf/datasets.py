@@ -434,7 +434,6 @@ def leave_one_out_split(dataset, on_short="error"):
     ends = order.indptr[keep + 1]
     test, validation = order.items[ends - 1], order.items[ends - 2]
 
-    # With every user kept, the auxiliary stores are shared, not copied.
     positives = [store.take(keep) if short.size else store for store in dataset.positives[:-1]]
     # The held-out items leave the target positives through one mask.
     row, items = dataset.positives[-1].pairs(keep)
