@@ -16,8 +16,8 @@ The last behavior index (num_behaviors - 1) is always the target behavior;
 only its records are held out by the split, auxiliary behaviors stay in the
 training positives untouched.
 
-Each behavior's positives are one PositiveStore, a CSR pair (indptr,
-items) that every layer emits from sorted columns and gathers from.
+Each behavior's positives are one PositiveStore, a CSR pair (int64 indptr,
+int32 items) that every layer emits from sorted columns and gathers from.
 
 A dataset directory (write_dataset_dir, read_dataset_dir) holds meta.txt,
 index_map.txt, behavior_<k>.txt, validation.txt and test.txt.  Every line
@@ -48,6 +48,8 @@ MIN_SPLIT_POSITIVES = 3  # target records to split: test, validation, one to tra
 
 BLOCK_CHARS = 1 << 16  # bytes read at a time from a raw log or a dataset file
 
+ITEM_LIMIT = 2 ** 31  # a dataset has fewer items, so that every item id fits int32
+
 _EMPTY = np.empty(0, dtype=np.int64)
 
 _BEHAVIOR_FILE = re.compile(r"behavior_(0|[1-9][0-9]*)\.txt")
@@ -69,12 +71,16 @@ class Interactions(NamedTuple):
 
 class PositiveStore:
     """One behavior's positives in CSR form: user u's items are the view
-    store[u] = items[indptr[u]:indptr[u + 1]], both arrays int64.  A u
-    outside [0, len(store)) raises IndexError; iteration runs over users."""
+    store[u] = items[indptr[u]:indptr[u + 1]], indptr int64, items int32 (an
+    id outside int32 raises DataError rather than wrap).  A u outside
+    [0, len(store)) raises IndexError; iteration runs over users."""
 
     def __init__(self, sizes, items):
         self.indptr = np.append(0, np.cumsum(sizes))
-        self.items = items
+        if items.dtype != np.int32 and items.size and not (
+                -ITEM_LIMIT <= items.min() <= items.max() < ITEM_LIMIT):
+            raise DataError("item ids %d..%d do not fit int32" % (items.min(), items.max()))
+        self.items = items.astype(np.int32, copy=False)
 
     @classmethod
     def of(cls, per_user):
@@ -106,9 +112,11 @@ class PositiveStore:
 
     def pairs(self, users):
         """(rows, items) of the positives of ``users``: items[j] is a positive
-        of users[rows[j]]; rows and items are int64."""
+        of users[rows[j]].  Both are int64, the items cast once per call:
+        numpy indexes faster with int64 columns than with int32 ones."""
         store = self.take(users)
-        return np.repeat(np.arange(len(store), dtype=np.int64), np.diff(store.indptr)), store.items
+        return (np.repeat(np.arange(len(store), dtype=np.int64), np.diff(store.indptr)),
+                store.items.astype(np.int64))
 
 
 @dataclass
@@ -128,6 +136,8 @@ class BehaviorDataset:
 
     def __post_init__(self):
         self.positives = list(map(PositiveStore.of, self.positives))
+        if self.target_order is not None:
+            self.target_order = PositiveStore.of(self.target_order)
 
 
 @dataclass
@@ -140,8 +150,8 @@ class SplitDataset:
     """
 
     train: BehaviorDataset
-    validation: np.ndarray  # (num_users,) held-out item per user
-    test: np.ndarray  # (num_users,) held-out item per user
+    validation: np.ndarray  # (num_users,) int64 held-out item per user
+    test: np.ndarray  # (num_users,) int64 held-out item per user
     source_users: np.ndarray
     dropped_users: int = 0
 
@@ -362,21 +372,30 @@ def build_dataset(interactions, num_behaviors, min_target=5):
         )
     num_users = int(user.max()) + 1 if user.size else 0
     num_items = int(item.max()) + 1 if item.size else 0
+    if num_items >= ITEM_LIMIT:
+        raise DataError("item id %d: a dataset has fewer than 2^31 items" % (num_items - 1))
 
+    # The dedup code and its sorted copy are freed before the first copies
+    # are sorted, and the columns are read only at those records.
     code = (user * num_items + item) * num_behaviors + behavior
     order = np.argsort(code)  # unstable; each run of equal codes keeps its least index
-    code = np.append(-1, code[order])  # ids are non-negative, so -1 is below every code
-    first = np.sort(np.minimum.reduceat(order, np.flatnonzero(code[1:] != code[:-1])))
-    user, item, behavior, timestamp = user[first], item[first], behavior[first], timestamp[first]
+    code = code[order]
+    head = np.ones(len(code), dtype=bool)  # the first of each run of equal codes
+    np.not_equal(code[1:], code[:-1], out=head[1:])
+    del code
+    first = np.minimum.reduceat(order, np.flatnonzero(head))
+    del order, head
+    first.sort()
 
     target = num_behaviors - 1
-    is_target = behavior == target
-    target_users, target_items = user[is_target], item[is_target]
+    records = first[behavior[first] == target]
+    target_users, target_items, target_stamps = user[records], item[records], timestamp[records]
     user_alive = np.ones(num_users, dtype=bool)
     item_alive = np.ones(num_items, dtype=bool)
     while True:
         live = user_alive[target_users] & item_alive[target_items]
         target_users, target_items = target_users[live], target_items[live]
+        target_stamps = target_stamps[live]
         drop_users = user_alive & (np.bincount(target_users, minlength=num_users) < min_target)
         drop_items = item_alive & (np.bincount(target_items, minlength=num_items) < min_target)
         if not drop_users.any() and not drop_items.any():
@@ -386,23 +405,21 @@ def build_dataset(interactions, num_behaviors, min_target=5):
 
     kept_users = np.flatnonzero(user_alive)
     kept_items = np.flatnonzero(item_alive)
-    live = user_alive[user] & item_alive[item]
-    user = (np.cumsum(user_alive, dtype=np.int64) - 1)[user[live]]
-    item = (np.cumsum(item_alive, dtype=np.int64) - 1)[item[live]]
-    behavior, timestamp = behavior[live], timestamp[live]
     num_kept = len(kept_users)
+    dense_user = np.cumsum(user_alive, dtype=np.int64) - 1
+    dense_item = np.cumsum(item_alive, dtype=np.int64) - 1
+    first = first[user_alive[user[first]] & item_alive[item[first]]]
 
     # Records are unique, so sorted (behavior, user, item) codes order each user's items.
-    rows, items = np.divmod(np.sort((behavior * num_kept + user) * len(kept_items) + item),
-                            len(kept_items))
+    code = (behavior[first] * num_kept + dense_user[user[first]]) * len(kept_items)
+    rows, items = np.divmod(np.sort(code + dense_item[item[first]]), len(kept_items))
     sizes = np.bincount(rows, minlength=num_behaviors * num_kept).reshape(num_behaviors, num_kept)
     parts = np.split(items, np.cumsum(sizes.sum(axis=1))[:-1])  # one per behavior
     positives = list(map(PositiveStore, sizes, parts))
     # Chronological order; lexsort is stable, so file order breaks timestamp
     # ties (and stands in entirely when timestamps are absent).
-    is_target = behavior == target
-    order = np.lexsort((timestamp[is_target], user[is_target]))
-    target_order = PositiveStore(sizes[target], item[is_target][order])
+    order = np.lexsort((target_stamps, target_users))
+    target_order = PositiveStore(sizes[target], dense_item[target_items[order]])
     ds = BehaviorDataset(num_kept, len(kept_items), num_behaviors, positives, target_order)
     return ds, kept_users, kept_items
 
@@ -421,7 +438,7 @@ def leave_one_out_split(dataset, on_short="error"):
     if on_short not in ("error", "drop"):
         raise ValueError("on_short must be 'error' or 'drop'")
 
-    order = PositiveStore.of(dataset.target_order)
+    order = dataset.target_order
     counts = np.diff(order.indptr)
     short = np.flatnonzero(counts < MIN_SPLIT_POSITIVES)
     if short.size and on_short == "error":
@@ -432,13 +449,15 @@ def leave_one_out_split(dataset, on_short="error"):
         )
     keep = np.flatnonzero(counts >= MIN_SPLIT_POSITIVES)
     ends = order.indptr[keep + 1]
-    test, validation = order.items[ends - 1], order.items[ends - 2]
+    test, validation = (order.items[ends - back].astype(np.int64) for back in (1, 2))
 
-    positives = [store.take(keep) if short.size else store for store in dataset.positives[:-1]]
+    positives = [store.take(keep) if short.size else store for store in dataset.positives]
     # The held-out items leave the target positives through one mask.
-    row, items = dataset.positives[-1].pairs(keep)
-    trained = (items != test[row]) & (items != validation[row])
-    positives.append(PositiveStore(np.bincount(row[trained], minlength=len(keep)), items[trained]))
+    target = positives.pop()
+    row = np.repeat(np.arange(len(keep)), np.diff(target.indptr))
+    trained = (target.items != test[row]) & (target.items != validation[row])
+    positives.append(PositiveStore(np.bincount(row[trained], minlength=len(keep)),
+                                   target.items[trained]))
     train = replace(dataset, num_users=len(keep), positives=positives, target_order=None)
     return SplitDataset(train, validation, test, keep, dropped_users=len(short))
 
@@ -506,8 +525,8 @@ def _write_rows(fh, indptr, items, table, starts):
     cuts = np.searchsorted(heads, np.arange(0, heads[-1], pool.BLOCK_CELLS))
     cuts = np.unique(np.append(cuts, num_users))
     for first, stop in zip(cuts.tolist(), cuts[1:].tolist()):
-        tokens = np.insert(items[indptr[first]:indptr[stop]], indptr[first:stop] - indptr[first],
-                           np.arange(first, stop))
+        tokens = np.insert(items[indptr[first]:indptr[stop]].astype(np.int64),
+                           indptr[first:stop] - indptr[first], np.arange(first, stop))
         width = starts[tokens + 1] - starts[tokens]
         ends = np.cumsum(width)
         # Byte j of token i is table[starts[tokens[i]] + j].
@@ -647,8 +666,8 @@ def _check(path, first_line, bad, message, values=None, starts=None):
 
 def _read_rows(path, num_users, num_items):
     """(lengths, items) of a per-user file, validated: line n holds user n - 1
-    and then lengths[n - 1] strictly increasing items, laid end to end in items."""
-    items, lengths = [_EMPTY], [_EMPTY]
+    and then lengths[n - 1] strictly increasing items, end to end in int32 items."""
+    items, lengths = [_EMPTY.astype(np.int32)], [_EMPTY]
     for first_line, values, starts, counts in _int_blocks(path):
         _check(path, first_line, counts == 0, "empty line, expected a user index")
         users = values[starts]
@@ -664,7 +683,7 @@ def _read_rows(path, num_users, num_items):
         _check(path, first_line, np.concatenate(([False], is_item[1:] & is_item[:-1]
                                                  & (values[1:] <= values[:-1]))),
                "items not strictly increasing at item %d", values, starts)
-        items.append(values[is_item])
+        items.append(values[is_item].astype(np.int32))  # each is below num_items
         lengths.append(counts - 1)
     lengths = np.concatenate(lengths)
     if len(lengths) != num_users:
@@ -676,7 +695,7 @@ def _read_heldout(path, num_users, num_items):
     """The held-out item of every user from validation.txt or test.txt, validated."""
     lengths, items = _read_rows(path, num_users, num_items)
     _check(path, 1, lengths != 1, "expected 'user item', got %d fields", lengths + 1)
-    return items
+    return items.astype(np.int64)
 
 
 def _read_index_map(path, num_users, num_items):
@@ -748,6 +767,9 @@ def read_dataset_dir(dataset_dir):
 
     num_users = count("num_users")
     num_items = count("num_items")
+    if num_items >= ITEM_LIMIT:
+        raise DataError("%s: num_items %d: a dataset has fewer than 2^31 items, so that every "
+                        "item id fits int32" % (meta_path, num_items))
     if num_users == 0 or num_items == 0:
         raise DataError("%s: the dataset has %d users and %d items; it needs at least one "
                         "of each" % (meta_path, num_users, num_items))
@@ -770,9 +792,9 @@ def read_dataset_dir(dataset_dir):
     # Ranking leaves a user's target positives out of the candidates, so a
     # held-out item among them could not be ranked.
     users = np.arange(num_users, dtype=np.int64)
-    owners, items = positives[-1].pairs(users)
+    owners = np.repeat(users, np.diff(positives[-1].indptr))
     for name, held in (("validation.txt", validation), ("test.txt", test)):
-        clash = np.flatnonzero(items == held[owners])
+        clash = np.flatnonzero(positives[-1].items == held[owners])
         if clash.size:
             u = owners[clash[0]]
             raise DataError("%s: the held-out item %d of user %d is one of its target-behavior "

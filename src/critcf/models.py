@@ -181,18 +181,19 @@ class LightGcnModel(MfModel):
         self.partitions = row_partitions(adjacency, pool.WORKERS)
 
     def _propagate(self, base):
-        """Layer-averaged propagation of a full (N, dim) stack."""
-        acc = base
-        total = base.copy()
+        """Layer-averaged propagation of a full (N, dim) stack; consumes base.
+        Each layer goes into the buffer freed two layers earlier, so three
+        (N, dim) buffers are live: the total, the last layer and the next."""
+        total, spare = base.copy(), None
         for _ in range(self.num_layers):
-            acc = partitioned_product(self.partitions, acc)
-            total += acc
-        return total / (self.num_layers + 1)
+            base, spare = partitioned_product(self.partitions, base, spare), base
+            total += base
+        total /= self.num_layers + 1
+        return total
 
     def propagated_embeddings(self):
         num_users = self.user_emb.shape[0]
-        stack = np.vstack([self.user_emb, self.item_emb])
-        final = self._propagate(stack)
+        final = self._propagate(np.vstack([self.user_emb, self.item_emb]))
         return final[:num_users], final[num_users:]
 
     def head(self):
@@ -238,11 +239,12 @@ def row_partitions(matrix, count):
     return parts
 
 
-def partitioned_product(parts, x):
-    """``matrix @ x`` from its row partitions: block i writes ``parts[i] @ x``
-    into its own rows of one output on the pool (``pool.in_order``).  scipy
-    sums each output row over its nonzeros in order, so the bits are equal."""
-    out = np.empty((sum(part.shape[0] for part in parts), x.shape[1]))
+def partitioned_product(parts, x, out=None):
+    """``matrix @ x`` from its row partitions, into ``out`` (a new array if
+    None; it must not overlap x): block i writes ``parts[i] @ x`` into its
+    own rows of out on the pool (``pool.in_order``).  scipy sums each output
+    row over its nonzeros in order, so the bits are equal."""
+    out = np.empty((sum(part.shape[0] for part in parts), x.shape[1])) if out is None else out
     rows = np.split(out, np.cumsum([part.shape[0] for part in parts[:-1]]))
     pool.in_order(lambda i, _: np.copyto(rows[i], parts[i] @ x), len(parts), lambda *_: None)
     return out

@@ -278,8 +278,8 @@ def generate(cfg):
             % (np.argmax(bad), cfg.criterion_spread)
         )
 
-    positives = [PositiveStore(np.bincount(users, minlength=cfg.num_users), items)
-                 for users, items in (np.divmod(flat, cfg.num_items) for flat in cells)]
+    positives = [PositiveStore(np.bincount(flat // cfg.num_items, minlength=cfg.num_users),
+                               flat % cfg.num_items) for flat in cells]
     target_order = PositiveStore.of(list(map(rng.permutation, positives[-1])))
     dataset = BehaviorDataset(cfg.num_users, cfg.num_items, cfg.num_behaviors,
                               positives, target_order)

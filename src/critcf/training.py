@@ -209,6 +209,7 @@ def batch_gradients(model, bounds, user_ids, positives, loss_cfg, variant="full"
             block.update(user_bound=d_user, item_bound=d_item)
             for name, grad in grads.items():
                 grad[blk if name in row_blocks else slice(None)] += block[name]
+    head = arrays = work = d_scores = None  # freed before LightGCN's backward buffers
     return total, model.head_gradients(user_ids, grads)
 
 

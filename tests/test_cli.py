@@ -400,6 +400,9 @@ def test_evaluate_rejects_non_finite_scores(dataset_dir, run_dir, tmp_path, caps
      "meta.txt: the dataset has 0 users and 18 items; it needs at least one of each"),
     ("meta.txt", lambda t: t.replace("num_items 18", "num_items 0"),
      "meta.txt: the dataset has 24 users and 0 items; it needs at least one of each"),
+    ("meta.txt", lambda t: t.replace("num_items 18", "num_items 2147483648"),
+     "meta.txt: num_items 2147483648: a dataset has fewer than 2^31 items, so that every item "
+     "id fits int32"),
     ("index_map.txt", lambda t: t.replace("i\t17\t17\n", "i\t17\t18\n"),
      "index_map.txt:42: expected 'i', a raw id and dense index 17, tab-separated"),
     ("index_map.txt", lambda t: t.replace("u\t5\t5\n", "u\t5\t-1\n"),
@@ -411,8 +414,8 @@ def test_evaluate_rejects_non_finite_scores(dataset_dir, run_dir, tmp_path, caps
     ("meta.txt", lambda t: t.replace("behaviors view,cart,buy", "behaviors view, cart,buy"),
      "meta.txt: behavior label ' cart' " + UNMATCHABLE),
 ], ids=["missing-key", "non-integer-count", "negative-count", "zero-users", "zero-items",
-        "index-past-count", "negative-index", "non-integer-index", "two-field-line",
-        "padded-label"])
+        "int32-item-count", "index-past-count", "negative-index", "non-integer-index",
+        "two-field-line", "padded-label"])
 def test_evaluate_rejects_bad_dataset_meta(dataset_dir, run_dir, tmp_path, capsys, name, edit,
                                            message):
     data = str(tmp_path / "data")

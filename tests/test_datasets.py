@@ -6,6 +6,7 @@ import os
 import re
 import tempfile
 import tracemalloc
+from dataclasses import replace
 from itertools import chain, zip_longest
 from typing import NamedTuple, Optional
 
@@ -31,6 +32,7 @@ from critcf.datasets import (
     write_dataset_dir,
 )
 from critcf.errors import DataError
+from critcf.synthetic import SynthConfig, generate
 
 
 # Reference oracles: the record-at-a-time ingestion that the columnar
@@ -268,7 +270,7 @@ def assert_same_columns(got, expected):
 def assert_same_arrays(got, expected):
     assert len(got) == len(expected)
     for a, b in zip(got, expected):
-        assert a.dtype == b.dtype == np.int64
+        assert a.dtype == b.dtype == np.int32
         np.testing.assert_array_equal(a, b)
 
 
@@ -1171,6 +1173,60 @@ def test_split_with_every_user_kept_copies_no_auxiliary_store():
     split = leave_one_out_split(ds)
     assert all(got is store for got, store in zip(split.train.positives, stores[:-1]))
     assert len(split.train.positives[-1].items) == 3000 * 58
+
+
+def _log_columns(num_lines, seed=5):
+    """Columns of a log of about 40 lines per user over 600 items, a sixth of
+    them target records, with few repeated records."""
+    rng = np.random.default_rng(seed)
+    return Interactions(rng.integers(0, num_lines // 40, num_lines),
+                        rng.integers(0, 600, num_lines),
+                        rng.choice(3, size=num_lines, p=[0.55, 0.28, 0.17]),
+                        rng.integers(0, 1 << 40, num_lines))
+
+
+def test_build_dataset_peak_is_under_60_bytes_per_line():
+    # The four input columns are 32 bytes per line.  The sorted dedup codes
+    # are freed before the first copies are found, the columns are read only
+    # at those copies, and only the target records carry timestamps through
+    # the filter: 39.3 bytes per line here, against 73.7 with the codes and
+    # whole-column copies live together.
+    interactions = _log_columns(100_000)
+    peak = _traced_peak(build_dataset, interactions, 3)
+    assert peak <= 60 * len(interactions.user), peak / len(interactions.user)
+
+
+def test_build_dataset_rejects_an_item_id_beyond_int32():
+    interactions = Interactions(*(np.array(column, dtype=np.int64) for column in
+                                  ([0, 1], [3, 2 ** 31], [2, 2], [0, 0])))
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataError,
+                           match=r"^item id 2147483648: a dataset has fewer than 2\^31 items$"):
+            build_dataset(interactions, 3, min_target=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16  # a count per item would take 16 GiB
+
+
+def test_every_store_holds_int32_items(tmp_path):
+    """The stores of synth, of build_dataset, of both split paths and of the
+    reader: int64 offsets, int32 item ids."""
+    dataset = generate(SynthConfig(num_users=30, num_items=100, seed=1))[0]
+    built = build_dataset(_log_columns(2000), 3, min_target=1)[0]
+    split = leave_one_out_split(dataset)
+    write_dataset_dir(str(tmp_path), split, list(map(str, range(30))),
+                      list(map(str, range(100))), DEFAULT_BEHAVIORS)
+    # One user with too few target records is dropped, so every store is gathered.
+    short = replace(dataset, target_order=[[0]] + [dataset.target_order[u] for u in range(1, 30)])
+    datasets_ = [dataset, built, split.train, leave_one_out_split(short, on_short="drop").train,
+                 read_dataset_dir(str(tmp_path))[0].train]
+    stores = [store for ds in datasets_ for store in ds.positives + [ds.target_order]
+              if store is not None]
+    assert len(stores) == 17 and built.num_items > 0
+    for store in stores:
+        assert store.indptr.dtype == np.int64 and store.items.dtype == np.int32
 
 
 INT64_EDGES = [0, -1, 2 ** 63 - 1, -(2 ** 63)]

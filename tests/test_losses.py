@@ -20,8 +20,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from critcf.datasets import PositiveStore
-from critcf.errors import ConfigError
+from critcf.datasets import ITEM_LIMIT, PositiveStore
+from critcf.errors import ConfigError, DataError
 from critcf.losses import (
     POSITIVITY_FLOOR,
     RESIDUAL_SQUARE,
@@ -758,7 +758,7 @@ def test_kernel_equals_oracles(inst, variant, name, per_user):
                                LossConfig(w, (1.0,), penalty)))
 
 
-_item_lists = st.lists(st.integers(0, 2**40), max_size=6)
+_item_lists = st.lists(st.integers(0, ITEM_LIMIT - 1), max_size=6)
 
 
 @st.composite
@@ -776,21 +776,29 @@ def per_user_lists(draw):
 @example(inst=([], []))
 @example(inst=([[], np.empty(0, dtype=np.int64), []], [2, 0, 0]))
 @example(inst=([[], np.array([3, 1], dtype=np.int64), [], [7]], [3, 1, 1, 0]))
+@example(inst=([[ITEM_LIMIT - 1, 0]], [0]))
 @given(inst=per_user_lists())
 def test_positive_index_equals_oracle(inst):
     """Int64 arrays, Python lists, empty rows and all-empty inputs."""
     pos_lists, users = inst
     store = PositiveStore.of(pos_lists)
-    assert store.indptr.dtype == store.items.dtype == np.int64
+    assert store.indptr.dtype == np.int64 and store.items.dtype == np.int32
     for got, want in zip(store.pairs(users), oracle_positive_index(pos_lists, users)):
         assert got.dtype == want.dtype == np.int64
         assert got.tobytes() == want.tobytes()
     assert len(store) == len(pos_lists)
     for u, (got, want) in enumerate(zip(store, pos_lists, strict=True)):
-        assert got.dtype == np.int64 and got.tolist() == list(want) == store[u].tolist()
+        assert got.dtype == np.int32 and got.tolist() == list(want) == store[u].tolist()
     for u in (-1, len(pos_lists)):
         with pytest.raises(IndexError):
             store[u]
+
+
+@pytest.mark.parametrize("items", [[ITEM_LIMIT], [0, 2 ** 40], [-ITEM_LIMIT - 1]])
+def test_store_rejects_item_ids_outside_int32(items):
+    """An id that int32 cannot hold raises instead of wrapping."""
+    with pytest.raises(DataError, match=r"^item ids -?[0-9]+\.\.[0-9]+ do not fit int32$"):
+        PositiveStore.of([[1], items])
 
 
 def blocked_loss(scores, user_ids, positives, bounds, cfg, rows):

@@ -692,9 +692,13 @@ def test_partitioned_product_equals_matmul_bitwise(data, num_users, num_items, c
     for part in parts:
         assert part.nnz == 0 or np.shares_memory(part.data, adjacency.data)
     # A pool wider than any worker count builds that many partitions at once.
+    # out= takes the product in place of whatever it held.
+    out = np.full((n, dim), np.nan)
     with ThreadPoolExecutor(8) as executor, mock.patch.object(pool, "WORKERS", workers), \
             mock.patch.object(pool, "_POOL", executor):
         assert partitioned_product(parts, x).tobytes() == (adjacency @ x).tobytes()
+        assert partitioned_product(parts, x, out) is out
+    assert out.tobytes() == (adjacency @ x).tobytes()
 
 
 def test_lightgcn_run_files_do_not_depend_on_worker_count(tmp_path, monkeypatch, wide_pool):
@@ -703,9 +707,9 @@ def test_lightgcn_run_files_do_not_depend_on_worker_count(tmp_path, monkeypatch,
                  "0.4,0.3,0.25", "--latent-dim", "3", "--seed", "4"]) == 0
     counts = []
 
-    def counting(parts, x):
+    def counting(parts, x, out=None):
         counts.append(len(parts))
-        return partitioned_product(parts, x)
+        return partitioned_product(parts, x, out)
 
     monkeypatch.setattr(models, "partitioned_product", counting)
     files = []
