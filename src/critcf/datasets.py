@@ -187,7 +187,9 @@ def parse_interactions(path, behavior_labels=DEFAULT_BEHAVIORS, separator=None):
         lines, block_columns = _log_block(path, block, lines_before, behavior_labels, separator)
         columns.append(block_columns)
         lines_before += lines
-    users, items, behavior, timestamp = zip(*columns)
+    # Lists that _first_appearance empties, so that each block is freed once copied.
+    users, items, behavior, timestamp = map(list, zip(*columns))
+    del columns
     (user, user_ids), (item, item_ids) = _first_appearance(users), _first_appearance(items)
     interactions = Interactions(user, item, np.concatenate(behavior), np.concatenate(timestamp))
     return interactions, user_ids, item_ids
@@ -321,13 +323,16 @@ def _timestamps(block, start, stop, present):
 
 
 def _first_appearance(blocks):
-    """Dense ids, numbered by first appearance, of keys given in (width, n)
-    blocks of words, and the ids as str.  The keys are sorted a word at a
-    time, from the last; a run of equal keys is one id, first seen at the
-    run's least index."""
-    width = max(map(len, blocks))
-    keys = np.concatenate([np.vstack([keys, np.full((width - len(keys), keys.shape[1]), _PAD[0])])
-                           for keys in blocks], axis=1)
+    """Dense ids, numbered by first appearance, of keys given in a list of
+    (width, n) blocks of words, which it empties, and the ids as str.  The
+    keys are sorted a word at a time, from the last; a run of equal keys is
+    one id, first seen at the run's least index."""
+    keys = np.full((max(map(len, blocks)), sum(block.shape[1] for block in blocks)), _PAD[0])
+    start = 0
+    while blocks:
+        block = blocks.pop(0)
+        keys[:len(block), start:start + block.shape[1]] = block
+        start += block.shape[1]
     order = np.argsort(keys[-1])
     for word in keys[-2::-1]:
         order = order[np.argsort(word[order], kind="stable")]

@@ -11,7 +11,8 @@ item-side ones are summed over the blocks; then a single Adagrad step moves
 everything.  After every step embedding rows are projected back into the
 unit ball and bound factors are clamped to the positivity floor.
 
-Variants share this loop:
+Variants share this loop; train() and TrainConfig turn the variant into the
+loss, the bounds and the trained arrays that the batch step reads:
     full  criterion loss, both bound factor matrices learned
     U     user factors frozen at 1 (bounds carried by items alone)
     I     item factors frozen at 1 (bounds carried by users alone)
@@ -102,8 +103,9 @@ class TrainConfig:
         self.loss_config().validate(num_behaviors)
 
     def loss_config(self):
-        return LossConfig(self.neg_weight, tuple(self.behavior_weights),
-                          get_penalty(self.penalty))
+        """The run's loss: variants H and O take RESIDUAL_SQUARE, whatever g is."""
+        penalty = RESIDUAL_SQUARE if self.variant in ("H", "O") else get_penalty(self.penalty)
+        return LossConfig(self.neg_weight, tuple(self.behavior_weights), penalty)
 
 
 @dataclass
@@ -141,26 +143,15 @@ def adagrad_step(params, grads, acc, lr, rows):
                                  "smaller lr" % (name, lr)) from None
 
 
-def _trainable_params(model, bounds, variant):
-    """The arrays a run trains: the model's plus the unfrozen bound factors."""
-    params = dict(model.param_arrays())
-    if bounds is not None:
-        if variant != "U":
-            params["user_bound"] = bounds.user_bound
-        if variant != "I":
-            params["item_bound"] = bounds.item_bound
-    return params
-
-
-def batch_gradients(model, bounds, user_ids, positives, loss_cfg, variant="full",
-                    mask=None):
+def batch_gradients(model, bounds, user_ids, positives, loss_cfg, mask=None):
     """Loss and joint gradients for one batch of users.
 
     Returns (loss, grads) where grads maps every model parameter name and,
     given bounds, ``user_bound`` and ``item_bound`` to its gradient.  The
     ``user_bound`` gradient and those of ``model.row_block_params`` are
     (B, ...) row blocks, row i belonging to ``user_ids[i]``; the others are
-    dense.
+    dense.  loss_cfg is TrainConfig.loss_config().  Without bounds, variant
+    O, layer k of the model is behavior k's own head, weighted by lambdas[k].
 
     The model's head scores, the loss differentiates and the head
     backpropagates one row block of block_rows(V, d) users at a time, so no
@@ -170,11 +161,9 @@ def batch_gradients(model, bounds, user_ids, positives, loss_cfg, variant="full"
     per batch.  The item-side gradients are summed over the blocks in order.
     """
     user_ids = np.asarray(user_ids, dtype=np.int64)
-    if variant in ("H", "O"):
-        loss_cfg = replace(loss_cfg, penalty=RESIDUAL_SQUARE)
     loss_cfg.validate(len(positives))
     heads = [(0, (positives, bounds, loss_cfg), 1.0)]  # (layer, loss args, weight)
-    if variant == "O":
+    if bounds is None:
         # Regression toward 1/0 is variant H with unit bounds and ratio 0,
         # one behavior per output layer; the bound gradients are dropped.
         unit = BoundParams(np.ones((len(positives[0]), 1)), np.ones((len(model.item_emb), 1)), 0.0)
@@ -183,7 +172,7 @@ def batch_gradients(model, bounds, user_ids, positives, loss_cfg, variant="full"
                  for k, lam in enumerate(loss_cfg.behavior_weights)]
     head = model.head()
     arrays = dict(head.param_arrays())
-    if variant != "O":
+    if bounds is not None:
         arrays.update(user_bound=bounds.user_bound, item_bound=bounds.item_bound)
     row_blocks = head.row_block_params + ("user_bound",)
     grads = {name: np.zeros((len(user_ids),) + arr.shape[1:] if name in row_blocks else arr.shape)
@@ -213,22 +202,23 @@ def batch_gradients(model, bounds, user_ids, positives, loss_cfg, variant="full"
     return total, model.head_gradients(user_ids, grads)
 
 
-def batch_loss(model, bounds, user_ids, positives, loss_cfg, variant="full", mask=None):
+def batch_loss(model, bounds, user_ids, positives, loss_cfg, mask=None):
     """Forward-only loss of one batch (used by finite-difference checks)."""
-    return batch_gradients(model, bounds, user_ids, positives, loss_cfg, variant, mask)[0]
+    return batch_gradients(model, bounds, user_ids, positives, loss_cfg, mask)[0]
 
 
-def _apply_constraints(params, rows):
+def _apply_constraints(model, params, rows):
     """Project embedding rows and clamp bound factors after a step.
 
-    Each of ``user_emb``, ``item_emb``, ``user_bound`` and ``item_bound``
-    in params is projected or clamped at ``rows.get(name, slice(None))``,
-    the rows adagrad_step changed; the others still satisfy the
-    constraints, and both operations leave such rows as they are.
+    Each array of params that model.embedding_param_names() names is
+    projected onto the unit ball, and ``user_bound`` and ``item_bound`` are
+    clamped, at ``rows.get(name, slice(None))``, the rows adagrad_step
+    changed; the others still satisfy the constraints, and both operations
+    leave such rows as they are.
     """
     for name, arr in params.items():
         ids = rows.get(name, slice(None))
-        if name in ("user_emb", "item_emb"):
+        if name in model.embedding_param_names():
             try:
                 arr[ids] = project_rows(arr[ids])
             except NumericalError as exc:
@@ -260,12 +250,11 @@ def train_epoch(train, model, bounds, params, acc, cfg, rng, step_callback=None,
         if use_dropout:
             keep = rng.random((len(batch), model.dim)) >= cfg.dropout
             mask = keep / (1.0 - cfg.dropout)
-        loss, grads = batch_gradients(model, bounds, batch, train.positives,
-                                      loss_cfg, cfg.variant, mask)
+        loss, grads = batch_gradients(model, bounds, batch, train.positives, loss_cfg, mask)
         total += loss
         rows = dict.fromkeys(row_blocks, batch)
         adagrad_step(params, grads, acc, cfg.lr, rows)
-        _apply_constraints(params, rows)
+        _apply_constraints(model, params, rows)
         steps += 1
         if step_callback is not None:
             step_callback(steps, model, bounds)
@@ -297,16 +286,13 @@ def train(split, cfg, step_callback=None, epoch_callback=None):
         raise ConfigError("d=%d: the %d x %d user and %d x %d item embeddings do not fit "
                           "in memory" % (cfg.dim, train_ds.num_users, cfg.dim,
                                          train_ds.num_items, cfg.dim)) from None
-    bounds = None
+    params, bounds = dict(model.param_arrays()), None
     if cfg.variant != "O":
         bounds = init_bounds(train_ds.num_users, train_ds.num_items,
                              train_ds.num_behaviors, cfg.bound_ratio, rng)
-        if cfg.variant == "U":
-            bounds.user_bound[...] = 1.0
-        elif cfg.variant == "I":
-            bounds.item_bound[...] = 1.0
-
-    params = _trainable_params(model, bounds, cfg.variant)
+        params.update(user_bound=bounds.user_bound, item_bound=bounds.item_bound)
+        if cfg.variant in ("U", "I"):  # the frozen factor stays at 1, untrained
+            params.pop({"U": "user_bound", "I": "item_bound"}[cfg.variant])[...] = 1.0
     acc = {name: np.zeros_like(arr) for name, arr in params.items()}
     best = {name: arr.copy() for name, arr in params.items()}
     history = []

@@ -882,6 +882,42 @@ def test_config_file_sets_each_key_once(dataset_dir, tmp_path, capsys):
     assert len((run / "history.txt").read_text().splitlines()) == 2
 
 
+def test_config_file_errors_exit_1(dataset_dir, tmp_path, capsys):
+    run = str(tmp_path / "run")
+    cfg = _config_file(tmp_path, b"epochs=1\nlr 0.1\n")
+    assert main(["train", dataset_dir, run, "--config", cfg]) == 1
+    assert capsys.readouterr().err == "config error: %s:2: expected key=value, got 'lr 0.1'\n" % cfg
+    missing = str(tmp_path / "missing.cfg")
+    assert main(["train", dataset_dir, run, "--config", missing]) == 1
+    assert capsys.readouterr().err.startswith(
+        "config error: cannot read config file %s: [Errno 2] " % missing)
+    assert not os.path.exists(run)
+
+
+def test_prepare_reports_the_users_the_split_drops(tmp_path, capsys):
+    # b has two buys, which --min-target 1 keeps and the split cannot hold out
+    raw = tmp_path / "raw.tsv"
+    raw.write_text("".join("%s\t%s\tbuy\t%d\n" % (u, v, t) for t, (u, v) in enumerate(
+        [("a", "x"), ("a", "y"), ("a", "z"), ("b", "x"), ("b", "y"), ("c", "x"), ("c", "y"),
+         ("c", "z")])))
+    out = str(tmp_path / "out")
+    assert main(["prepare", str(raw), out, "--min-target", "1"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "dropped 1 users with fewer than 3 target records")
+    assert read_dataset_dir(out)[1] == ["a", "c"]
+
+
+def test_unreadable_dataset_file_is_a_data_error(dataset_dir, tmp_path, capsys):
+    # the OSError of opening a directory as behavior_0.txt exits 2 from main
+    data = tmp_path / "data"
+    shutil.copytree(dataset_dir, data)
+    os.remove(data / "behavior_0.txt")
+    os.mkdir(data / "behavior_0.txt")
+    assert main(["train", str(data), str(tmp_path / "run")] + FAST) == 2
+    assert capsys.readouterr().err == (
+        "data error: [Errno 21] Is a directory: '%s'\n" % (data / "behavior_0.txt"))
+
+
 def test_rewritten_dataset_dir_drops_stale_behavior_files(tmp_path, capsys):
     synth = ["--users", "24", "--items", "18", "--latent-dim", "3", "--seed", "3"]
     two = ["--densities", "0.4,0.25", "--behaviors", "view,buy"]

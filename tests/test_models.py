@@ -1,5 +1,7 @@
+import hashlib
 import io
 import os
+import re
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
@@ -409,6 +411,26 @@ def test_projection_properties():
     assert np.linalg.norm(once, axis=1).max() <= 1.0 + 1e-12
 
 
+def test_projection_changes_every_row_it_divides_and_ends_in_three_divisions():
+    # project_rows needs no test for a division that changes nothing: a row
+    # whose norm is above 1 has a normal entry, which dividing by that norm
+    # changes.  Rows of width 1-129 with norms up to 1e150 end inside the
+    # ball after at most 3 divisions, well within its 8.
+    rng = np.random.default_rng(35)
+    for width in range(1, 130, 16):
+        rows = rng.normal(size=(2000, width))
+        rows *= 10.0 ** rng.uniform(-1, 150, size=(2000, 1)) / np.linalg.norm(rows, axis=1)[:, None]
+        arr = rows.copy()
+        for _ in range(3):
+            norms = np.linalg.norm(arr, axis=1)
+            over = norms > 1.0
+            divided = arr[over] / norms[over, None]
+            assert (divided != arr[over]).any(axis=1).all(), width
+            arr[over] = divided
+        assert np.linalg.norm(arr, axis=1).max() <= 1.0, width
+        assert project_rows(rows).tobytes() == arr.tobytes(), width
+
+
 def test_init_model_contracts():
     rng = np.random.default_rng(7)
     model = init_model("mf", 10, 8, 4, rng)
@@ -494,6 +516,26 @@ def test_checkpoint_error_paths(tmp_path):
     other = make_train(5, 4, [[[0]] * 5])
     with pytest.raises(DataError):
         load_checkpoint(path, train=other)
+
+
+def test_checkpoint_header_errors(tmp_path):
+    # Each edited header is sealed again, so the reader gets past the digest.
+    path = str(tmp_path / "ckpt.txt")
+    save_checkpoint(path, init_model("mf", 3, 4, 2, np.random.default_rng(0)), None)
+    with open(path, "rb") as fh:
+        head, seal, rest = fh.read().partition(b"header_sha256 ")
+    for model, message in ((b"svd", "unknown model kind 'svd'"),
+                           (b"gmf", "missing array pred_weight")):
+        edited = head.replace(b"model mf\n", b"model %s\n" % model)
+        with open(path, "wb") as fh:
+            fh.write(edited + seal + hashlib.sha256(edited).hexdigest().encode() + rest[64:])
+        with pytest.raises(DataError, match="^%s: %s$" % (re.escape(path), message)):
+            load_checkpoint(path)
+    with open(path, "wb") as fh:
+        fh.write(head + rest[65:])  # the header_sha256 line left out
+    with pytest.raises(DataError, match="^%s: no header_sha256 line before the arrays$"
+                       % re.escape(path)):
+        load_checkpoint(path)
 
 
 def oracle_save_checkpoint_v1(path, model, bounds, meta=None):

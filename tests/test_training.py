@@ -22,7 +22,6 @@ from critcf.synthetic import SynthConfig, generate
 from critcf.training import (
     ADAGRAD_EPS,
     TrainConfig,
-    _trainable_params,
     adagrad_step,
     batch_gradients,
     batch_loss,
@@ -134,8 +133,7 @@ def oracle_train_epoch(train, model, bounds, params, acc, cfg, rng, step_callbac
         if use_dropout:
             keep = rng.random((len(batch), model.dim)) >= cfg.dropout
             mask = keep / (1.0 - cfg.dropout)
-        loss, grads = batch_gradients(model, bounds, batch, train.positives,
-                                      loss_cfg, cfg.variant, mask)
+        loss, grads = batch_gradients(model, bounds, batch, train.positives, loss_cfg, mask)
         total += loss
         oracle_adagrad_step(params, oracle_dense_gradients(params, grads, batch, row_blocks),
                             acc, cfg.lr)
@@ -165,7 +163,8 @@ def toy_config(**kw):
 
 def fresh_state(model, bounds):
     """The trained arrays of a variant-full run and zero Adagrad accumulators over them."""
-    params = _trainable_params(model, bounds, "full")
+    params = dict(model.param_arrays(), user_bound=bounds.user_bound,
+                  item_bound=bounds.item_bound)
     return params, {name: np.zeros_like(arr) for name, arr in params.items()}
 
 
@@ -351,17 +350,16 @@ def test_batch_gradients_match_loss_fd_through_variants():
         cfg = toy_config(variant=variant)
         loss_cfg = cfg.loss_config()
         users = np.arange(train_ds.num_users)
-        _, grads = batch_gradients(model, bounds, users, train_ds.positives,
-                                   loss_cfg, variant)
+        _, grads = batch_gradients(model, bounds, users, train_ds.positives, loss_cfg)
         step = 1e-6
         for name, arr in (("user_bound", bounds.user_bound),
                           ("item_bound", bounds.item_bound)):
             idx = (1, 0)
             keep = arr[idx]
             arr[idx] = keep + step
-            up = batch_loss(model, bounds, users, train_ds.positives, loss_cfg, variant)
+            up = batch_loss(model, bounds, users, train_ds.positives, loss_cfg)
             arr[idx] = keep - step
-            down = batch_loss(model, bounds, users, train_ds.positives, loss_cfg, variant)
+            down = batch_loss(model, bounds, users, train_ds.positives, loss_cfg)
             arr[idx] = keep
             fd = (up - down) / (2 * step)
             assert grads[name][idx] == pytest.approx(fd, rel=1e-4, abs=1e-8)
@@ -385,8 +383,8 @@ def test_batch_gradients_equal_two_body_oracle(kind, variant, dropout, behaviors
         rng.uniform(0.5, 1.5, (ds.num_items, behaviors)), 0.5)
     users = rng.permutation(ds.num_users)[:13]
     mask = (rng.random((len(users), 4)) >= dropout) / (1.0 - dropout) if dropout else None
-    loss_cfg = toy_config(behavior_weights=lambdas).loss_config()
-    loss, grads = batch_gradients(model, bounds, users, ds.positives, loss_cfg, variant, mask)
+    loss_cfg = toy_config(behavior_weights=lambdas, variant=variant).loss_config()
+    loss, grads = batch_gradients(model, bounds, users, ds.positives, loss_cfg, mask)
     want_loss, want = oracle_batch_gradients(model, bounds, users, ds.positives, loss_cfg,
                                              variant, mask)
     assert loss == want_loss
@@ -413,9 +411,9 @@ def test_batch_gradients_at_small_blocks_equal_two_body_oracle(kind, variant, ro
         rng.uniform(0.5, 1.5, (ds.num_users, 3)), rng.uniform(0.5, 1.5, (ds.num_items, 3)), 0.5)
     users = rng.permutation(ds.num_users)[:13]
     mask = (rng.random((len(users), 4)) >= 0.3) / 0.7
-    loss_cfg = toy_config(behavior_weights=(0.25, 0.0, 0.75)).loss_config()
+    loss_cfg = toy_config(behavior_weights=(0.25, 0.0, 0.75), variant=variant).loss_config()
     monkeypatch.setattr(pool, "BLOCK_CELLS", rows * ds.num_items)
-    loss, grads = batch_gradients(model, bounds, users, ds.positives, loss_cfg, variant, mask)
+    loss, grads = batch_gradients(model, bounds, users, ds.positives, loss_cfg, mask)
     want_loss, want = oracle_batch_gradients(model, bounds, users, ds.positives, loss_cfg,
                                              variant, mask)
     assert loss == pytest.approx(want_loss, rel=1e-12, abs=0.0)
@@ -451,10 +449,11 @@ def _wide_gmf_peak(variant):
     bounds = init_bounds(U, V, 3, 0.5, rng)
     users = rng.permutation(U)[:512]
     mask = (rng.random((512, d)) >= 0.5) / 0.5
-    loss_cfg = TrainConfig().loss_config()
+    loss_cfg = TrainConfig(variant=variant).loss_config()
     tracemalloc.start()
     try:
-        batch_gradients(model, bounds, users, positives, loss_cfg, variant, mask)
+        batch_gradients(model, None if variant == "O" else bounds, users, positives, loss_cfg,
+                        mask)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -511,7 +510,7 @@ def test_batch_gradients_reject_non_finite_scores(kind, variant, name):
     model.param_arrays()[name][-1, 0] = np.nan
     with pytest.raises(NumericalError, match="^non-finite scores in batch$"):
         batch_gradients(model, bounds, np.arange(train_ds.num_users), train_ds.positives,
-                        toy_config(variant=variant).loss_config(), variant)
+                        toy_config(variant=variant).loss_config())
 
 
 def test_validate_rejects_bad_configs():
