@@ -194,7 +194,6 @@ def cmd_synth(args):
         num_users=args.users,
         num_items=args.items,
         latent_dim=args.latent_dim,
-        num_behaviors=len(densities),
         densities=densities,
         criterion_spread=args.spread,
         seed=args.seed,

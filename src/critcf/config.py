@@ -7,6 +7,7 @@ re-running `train` against a manifest reproduces the original run.
 
 import hashlib
 import os
+from dataclasses import replace
 
 from . import __version__
 from .atomic import atomic_write
@@ -82,29 +83,11 @@ def apply_kv(cfg, values, source="config"):
         field = known[key]
         kind = type(getattr(TrainConfig, field))
         try:
-            if kind is tuple:
-                value = tuple(float(tok) for tok in raw.split(","))
-            else:
-                value = kind(raw)
+            value = tuple(float(tok) for tok in raw.split(",")) if kind is tuple else kind(raw)
         except ValueError:
             raise ConfigError("%s: bad value %r for key %r" % (source, raw, key)) from None
         updates[field] = value
-    merged = {**cfg.__dict__, **updates}
-    return TrainConfig(**merged)
-
-
-def config_to_kv(cfg):
-    """Materialize every field of a TrainConfig as flat strings."""
-    out = {}
-    for key, field in CONFIG_KEYS:
-        value = getattr(cfg, field)
-        if key == "lambdas":
-            out[key] = ",".join(repr(float(v)) for v in value)
-        elif isinstance(value, float):
-            out[key] = repr(value)
-        else:
-            out[key] = str(value)
-    return out
+    return replace(cfg, **updates)
 
 
 def dataset_fingerprint(dataset_dir):
@@ -127,10 +110,13 @@ def dataset_fingerprint(dataset_dir):
 
 
 def write_manifest(path, cfg, dataset_hash):
-    kv = config_to_kv(cfg)
+    """Every field of cfg as a key=value line (floats as repr), then MANIFEST_KEYS."""
     with atomic_write(path) as fh:
-        for key, _ in CONFIG_KEYS:
-            fh.write("%s=%s\n" % (key, kv[key]))
+        for key, field in CONFIG_KEYS:
+            value = getattr(cfg, field)
+            if key == "lambdas":
+                value = ",".join(repr(float(v)) for v in value)
+            fh.write("%s=%s\n" % (key, repr(value) if isinstance(value, float) else value))
         fh.write("dataset_hash=%s\n" % dataset_hash)
         fh.write("code_version=%s\n" % __version__)
 

@@ -484,8 +484,9 @@ def write_dataset_dir(out_dir, split, user_ids, item_ids, behavior_labels):
     index then space-separated sorted item indices), validation.txt and
     test.txt (user index, held-out item).  behavior_<k>.txt files of an
     earlier write with more behaviors are removed, so a rewritten dir holds
-    the bytes of a fresh one.  The files of integers are written from the
-    split's arrays, which are only read, one block of tokens at a time.
+    the bytes of a fresh one.  meta.txt is removed first and written last,
+    so a write that stops part way leaves no dataset.  The files of integers
+    are written from the split's arrays, only read, one block of tokens at a time.
     """
     train = split.train
     if len(user_ids) != train.num_users or len(item_ids) != train.num_items:
@@ -496,16 +497,10 @@ def write_dataset_dir(out_dir, split, user_ids, item_ids, behavior_labels):
     os.makedirs(out_dir, exist_ok=True)
     for file_name in os.listdir(out_dir):
         stale = _BEHAVIOR_FILE.fullmatch(file_name)
-        if stale and int(stale.group(1)) >= train.num_behaviors:
+        if file_name == "meta.txt" or (stale and int(stale.group(1)) >= train.num_behaviors):
             os.remove(os.path.join(out_dir, file_name))
     # Every index is written through one table of decimal strings.
     names = list(map(str, range(max(train.num_users, train.num_items))))
-    with open(os.path.join(out_dir, "meta.txt"), "w", encoding="utf-8") as fh:
-        fh.write("num_users %d\n" % train.num_users)
-        fh.write("num_items %d\n" % train.num_items)
-        fh.write("num_behaviors %d\n" % train.num_behaviors)
-        fh.write("behaviors %s\n" % ",".join(behavior_labels))
-        fh.write("dropped_users %d\n" % split.dropped_users)
     with open(os.path.join(out_dir, "index_map.txt"), "w", encoding="utf-8") as fh:
         fh.writelines(map("u\t{}\t{}\n".format, user_ids, names))
         fh.writelines(map("i\t{}\t{}\n".format, item_ids, names))
@@ -518,6 +513,12 @@ def write_dataset_dir(out_dir, split, user_ids, item_ids, behavior_labels):
     for file_name, indptr, items in files:
         with open(os.path.join(out_dir, file_name), "wb") as fh:
             _write_rows(fh, indptr, items, table, starts)
+    with open(os.path.join(out_dir, "meta.txt"), "w", encoding="utf-8") as fh:
+        fh.write("num_users %d\n" % train.num_users)
+        fh.write("num_items %d\n" % train.num_items)
+        fh.write("num_behaviors %d\n" % train.num_behaviors)
+        fh.write("behaviors %s\n" % ",".join(behavior_labels))
+        fh.write("dropped_users %d\n" % split.dropped_users)
 
 
 def _write_rows(fh, indptr, items, table, starts):
@@ -738,7 +739,7 @@ def _read_index_map(path, num_users, num_items):
 def read_dataset_dir(dataset_dir):
     """Load a serialized split; returns (split, user_ids, item_ids, labels).
 
-    The files are read in the order write_dataset_dir writes them.  A key
+    meta.txt, written last, is read first, then the files in write order.  A key
     repeated in meta.txt, a missing, non-integer or zero user or item count,
     a behavior label count that is not num_behaviors, an empty or repeated
     label, a malformed line, an item out of range, a line that does not hold

@@ -18,6 +18,8 @@ regression.
 All losses return analytic gradients alongside the value.  Gradient
 conventions: the hinge subgradient at an exactly-zero margin is 0, so an
 instance that satisfies every bound has both zero loss and zero gradient.
+The kernel masks the margins that are not positive wherever g'(0), read as
+``penalty.grad(0.0)``, is non-zero; where it is 0 no mask is needed.
 """
 
 from dataclasses import dataclass
@@ -43,14 +45,12 @@ class MarginPenalty:
     ``doubling_factor`` is the smallest constant M with g(2x) <= M * g(x)
     for all x >= 0, or None when no finite M exists.  Penalties without a
     finite factor are excluded from the ranking-loss upper-bound check.
-    ``grad_at_zero`` is g'(0), which the loss kernel masks at zero margins.
     ``hinge`` is False for a two-sided penalty, whose margins are not
     clamped.  value and grad write into ``out`` if given, which may be x.
     """
 
     name = ""
     doubling_factor = None
-    grad_at_zero = 0.0
     hinge = True
 
     def value(self, x, out=None):
@@ -64,7 +64,6 @@ class MarginPenalty:
 class LinearPenalty(MarginPenalty):
     name = "linear"
     doubling_factor = 2.0
-    grad_at_zero = 1.0
 
     def value(self, x, out=None):
         return np.multiply(np.asarray(x, dtype=float), 1.0, out=out)
@@ -89,8 +88,6 @@ class ExpPenalty(MarginPenalty):
     """g(x) = exp(x) - 1.  Grows too fast for a finite doubling factor."""
 
     name = "expm1"
-    doubling_factor = None
-    grad_at_zero = 1.0
 
     def value(self, x, out=None):
         return np.expm1(np.minimum(np.asarray(x, dtype=float), _EXP_CLAMP, out=out), out=out)
@@ -193,7 +190,7 @@ def _criterion_kernel(scores, rows, cols, upper_pos, work, neg_weight, penalty):
     penalty.value(margin, out=val)
     val[rows, cols] = 0.0  # the observed entries' terms are pos_val's
     loss = np.sum(pos_val) + np.sum(w * np.sum(val, axis=1 if w.ndim else None))
-    active = margin > 0.0 if penalty.grad_at_zero else None
+    active = margin > 0.0 if penalty.grad(0.0) else None
     penalty.grad(margin, out=margin)
     if active is not None:
         margin *= active

@@ -6,7 +6,8 @@ opaque cache, and ``backward(cache, d_scores)`` turns a gradient w.r.t. that
 matrix into one gradient per named parameter array.  The parameters a scorer
 lists in ``row_block_params`` get a (B, ...) row block: row i is the gradient
 of row ``user_ids[i]``, and every other row's gradient is zero.  Every other
-parameter gets a dense gradient shaped like the parameter.
+parameter gets a dense gradient shaped like the parameter.  ``arrays`` names
+the arrays a scorer trains and saves; ``MODELS`` maps each kind to its class.
 
 There is one factorization head, GmfModel.  MfModel is GmfModel with its one
 output row fixed at all ones, bitwise the plain dot product because
@@ -22,7 +23,8 @@ after every optimizer step and ``project_rows`` implements that projection.
 A checkpoint (version 2, see ``save_checkpoint``) is a text header that
 ``head`` can show, sealed by its sha256, then each array as raw
 little-endian float64 bytes with their own sha256; loading checks every
-digest, byte count, name and shape (see ``_read_checkpoint``).
+digest, byte count, name and shape, and rejects an array the model kind
+does not use (see ``_read_checkpoint``).
 """
 
 import hashlib
@@ -37,8 +39,6 @@ from . import pool
 from .atomic import atomic_write
 from .errors import ConfigError, DataError, NumericalError
 from .losses import BoundParams
-
-MODEL_KINDS = ("mf", "gmf", "lightgcn")
 
 CHECKPOINT_MAGIC = "critcf-checkpoint"
 CHECKPOINT_VERSION = 2
@@ -79,6 +79,7 @@ class GmfModel:
     """
 
     kind = "gmf"
+    arrays = ("user_emb", "item_emb", "pred_weight")  # trained and saved, in checkpoint order
     row_block_params = ("user_emb",)
 
     def __init__(self, user_emb, item_emb, pred_weight):
@@ -91,11 +92,7 @@ class GmfModel:
         return self.user_emb.shape[1]
 
     def param_arrays(self):
-        return {
-            "user_emb": self.user_emb,
-            "item_emb": self.item_emb,
-            "pred_weight": self.pred_weight,
-        }
+        return {name: getattr(self, name) for name in self.arrays}
 
     def embedding_param_names(self):
         """Names of the arrays whose rows the trainer keeps in the unit ball."""
@@ -130,7 +127,7 @@ class GmfModel:
             d_user = d_user * mask
         d_user += 0.0  # -0.0 -> +0.0, as scattering into zeros would
         d_item = d_scores.T @ (masked * weight)
-        if "pred_weight" not in self.param_arrays():  # MF's fixed row is not trained
+        if "pred_weight" not in self.arrays:  # MF's fixed row is not trained
             return {"user_emb": d_user, "item_emb": d_item}
         d_pred = np.zeros_like(self.pred_weight)
         d_pred[layer] = np.sum(back * masked, axis=0)
@@ -139,15 +136,13 @@ class GmfModel:
 
 class MfModel(GmfModel):
     """Dot-product factorization: GMF with one all-ones output row, which
-    param_arrays leaves out, so that it is neither trained nor saved."""
+    ``arrays`` leaves out, so that it is neither trained nor saved."""
 
     kind = "mf"
+    arrays = ("user_emb", "item_emb")
 
     def __init__(self, user_emb, item_emb):
         super().__init__(user_emb, item_emb, np.ones((1, user_emb.shape[1])))
-
-    def param_arrays(self):
-        return {"user_emb": self.user_emb, "item_emb": self.item_emb}
 
 
 class LightGcnModel(MfModel):
@@ -221,6 +216,10 @@ class LightGcnModel(MfModel):
     def backward(self, cache, d_scores):
         head, cache = cache
         return self.head_gradients(cache[0], head.backward(cache, d_scores))
+
+
+MODELS = {cls.kind: cls for cls in (MfModel, GmfModel, LightGcnModel)}
+MODEL_KINDS = tuple(MODELS)
 
 
 def row_partitions(matrix, count):
@@ -314,7 +313,7 @@ def init_model(kind, num_users, num_items, dim, rng, num_layers=3,
     is one all-ones row (identical to MF), or, given behavior_layers > 0,
     that many rows drawn like embedding rows, one per behavior.
     """
-    if kind not in MODEL_KINDS:
+    if kind not in MODELS:
         raise ConfigError("unknown model %r; valid choices: %s" % (kind, ", ".join(MODEL_KINDS)))
     bound = 1.0 / np.sqrt(dim)
     user_emb = rng.uniform(-bound, bound, size=(num_users, dim))
@@ -322,7 +321,7 @@ def init_model(kind, num_users, num_items, dim, rng, num_layers=3,
     project_rows(user_emb)
     project_rows(item_emb)
     arrays = {"user_emb": user_emb, "item_emb": item_emb}
-    if kind == "gmf":
+    if "pred_weight" in MODELS[kind].arrays:
         arrays["pred_weight"] = (rng.uniform(-bound, bound, size=(behavior_layers, dim))
                                  if behavior_layers else np.ones((1, dim)))
     return _build_model(kind, arrays, num_layers, train)
@@ -330,14 +329,12 @@ def init_model(kind, num_users, num_items, dim, rng, num_layers=3,
 
 def _build_model(kind, arrays, num_layers, train):
     """The model of kind over its arrays; lightgcn builds its graph from train."""
-    if kind == "mf":
-        return MfModel(arrays["user_emb"], arrays["item_emb"])
-    if kind == "gmf":
-        return GmfModel(arrays["user_emb"], arrays["item_emb"], arrays["pred_weight"])
-    if train is None:
-        raise ConfigError("lightgcn needs the training split to build its graph")
-    return LightGcnModel(arrays["user_emb"], arrays["item_emb"], build_adjacency(train),
-                         num_layers)
+    cls, graph = MODELS[kind], ()
+    if cls is LightGcnModel:
+        if train is None:
+            raise ConfigError("lightgcn needs the training split to build its graph")
+        graph = (build_adjacency(train), num_layers)
+    return cls(*(arrays[name] for name in cls.arrays), *graph)
 
 
 def init_bounds(num_users, num_items, num_behaviors, bound_ratio, rng):
@@ -403,18 +400,18 @@ def _header_value(path, header, key, cast):
 
 
 def _check_shapes(path, header, arrays):
-    """The header names a model kind and every count, and every array the
-    kind and the bound factors need is present with the header's shape."""
+    """The header names a model kind and every count, and the arrays are
+    exactly the kind's and the bound factors', each with the header's shape."""
     kind = header.get("model")
     if kind is None:
         raise DataError("%s: missing header key 'model'" % path)
-    if kind not in MODEL_KINDS:
+    if kind not in MODELS:
         raise DataError("%s: unknown model kind %r" % (path, kind))
     num_users, num_items, dim = (_header_value(path, header, key, int)
                                  for key in ("num_users", "num_items", "dim"))
     if kind == "lightgcn":
         _header_value(path, header, "num_layers", int)
-    names = ("user_emb", "item_emb") + (("pred_weight",) if kind == "gmf" else ())
+    names = MODELS[kind].arrays
     shapes = {"user_emb": (num_users, dim), "item_emb": (num_items, dim)}
     if "pred_weight" in arrays:
         # One output layer, or one per behavior (variant O); never none.
@@ -425,6 +422,9 @@ def _check_shapes(path, header, arrays):
         shapes["user_bound"] = (num_users, num_behaviors)
         shapes["item_bound"] = (num_items, num_behaviors)
         names += ("user_bound", "item_bound")
+    for name in arrays:
+        if name not in names:
+            raise DataError("%s: array %s is not used by model %s" % (path, name, kind))
     for name in names:
         if name not in arrays:
             raise DataError("%s: missing array %s" % (path, name))

@@ -36,10 +36,13 @@ class SynthConfig:
     num_users: int = 200
     num_items: int = 100
     latent_dim: int = 8
-    num_behaviors: int = 3
-    densities: tuple = (0.20, 0.08, 0.04)
+    densities: tuple = (0.20, 0.08, 0.04)  # one per behavior, the target's last
     criterion_spread: float = 0.5
     seed: int = 0
+
+    @property
+    def num_behaviors(self):
+        return len(self.densities)
 
     def validate(self):
         if self.num_users < 1 or self.num_items < MIN_SPLIT_POSITIVES:
@@ -52,19 +55,12 @@ class SynthConfig:
         if not np.isfinite(self.criterion_spread):
             raise ConfigError("criterion_spread (--spread) must be finite, got %r"
                               % self.criterion_spread)
-        if len(self.densities) != self.num_behaviors:
-            raise ConfigError(
-                "expected %d densities, got %d" % (self.num_behaviors, len(self.densities))
-            )
-        for a, b in zip(self.densities, self.densities[1:]):
-            if b > a:
-                raise ConfigError(
-                    "densities must be non-increasing toward the target behavior, got %s"
-                    % (self.densities,)
-                )
-        for rho in self.densities:
-            if not 0.0 < rho <= 1.0:
-                raise ConfigError("densities must lie in (0, 1], got %s" % (self.densities,))
+        if any(b > a for a, b in zip(self.densities, self.densities[1:])):
+            raise ConfigError("densities must be non-increasing toward the target behavior, "
+                              "got %s" % (self.densities,))
+        if not self.densities or not all(0.0 < rho <= 1.0 for rho in self.densities):
+            raise ConfigError("densities must be one or more values in (0, 1], got %s"
+                              % (self.densities,))
         expected_target = self.densities[-1] * self.num_items
         if expected_target < MIN_SPLIT_POSITIVES:
             raise ConfigError(

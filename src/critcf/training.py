@@ -203,7 +203,7 @@ def batch_gradients(model, bounds, user_ids, positives, loss_cfg, mask=None):
 
 
 def batch_loss(model, bounds, user_ids, positives, loss_cfg, mask=None):
-    """Forward-only loss of one batch (used by finite-difference checks)."""
+    """Forward-only loss of one batch: the finite-difference checks' oracle."""
     return batch_gradients(model, bounds, user_ids, positives, loss_cfg, mask)[0]
 
 

@@ -2,6 +2,7 @@ import hashlib
 import os
 import re
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,7 +46,7 @@ def test_synth_writes_dataset(dataset_dir, capsys):
 def test_train_outputs(run_dir, capsys):
     for name in ("checkpoint.txt", "history.txt", "timing.txt", "manifest.txt"):
         assert os.path.exists(os.path.join(run_dir, name)), name
-    history = open(os.path.join(run_dir, "history.txt")).read().splitlines()
+    history = Path(run_dir, "history.txt").read_text().splitlines()
     assert len(history) == 2
     assert all(len(line.split()) == 4 for line in history)
 
@@ -59,9 +60,9 @@ def test_evaluate_prints_table(run_dir, dataset_dir, tmp_path, capsys):
     lines = captured.out.strip().splitlines()
     assert lines[0].split() == ["cutoff", "hr", "ndcg"]
     assert len(lines) == 4
-    kv = open(out + "/report.kv").read()
+    kv = Path(out, "report.kv").read_text()
     assert "hr@5=" in kv and "ndcg@10=" in kv
-    table = open(out + "/report.txt").read()
+    table = Path(out, "report.txt").read_text()
     assert table.startswith("cutoff")
     assert main(["evaluate", run_dir + "/checkpoint.txt", dataset_dir,
                  "--cutoffs", "5", "--split", "validation"]) == 0
@@ -74,9 +75,7 @@ def test_manifest_rerun_is_byte_identical(run_dir, dataset_dir, tmp_path, capsys
     capsys.readouterr()
     assert code == 0
     for name in ("checkpoint.txt", "history.txt", "manifest.txt"):
-        first = open(run_dir + "/" + name, "rb").read()
-        second = open(rerun + "/" + name, "rb").read()
-        assert first == second, name
+        assert Path(run_dir, name).read_bytes() == Path(rerun, name).read_bytes(), name
 
 
 def test_manifest_against_other_dataset_fails(run_dir, tmp_path, capsys):
@@ -145,7 +144,7 @@ def test_train_checks_manifest_keys_given_as_overrides(run_dir, dataset_dir, tmp
                    "--override", "code_version=9.9"]) == 0
     assert ("warning: --override: code_version: config was written by code version 9.9, "
             "running %s\n" % manifest["code_version"]) in capsys.readouterr().err
-    assert open(out + "/manifest.txt").read() == open(run_dir + "/manifest.txt").read()
+    assert Path(out, "manifest.txt").read_text() == Path(run_dir, "manifest.txt").read_text()
 
 
 @pytest.mark.filterwarnings("error")
@@ -438,6 +437,13 @@ def _edit_header(old, new):
     return lambda blob: _reseal(blob.replace(old, new, 1))
 
 
+def _append_array(blob):
+    """A well-formed 2x3 array foo, which no model uses, before the end marker."""
+    raw = np.zeros((2, 3)).tobytes()
+    line = b"array foo 2 3 %s\n" % hashlib.sha256(raw).hexdigest().encode()
+    return blob[:-len(b"end\n")] + line + raw + b"end\n"
+
+
 def _drop_user_bound_row(blob):
     """Declare 23 user_bound rows, drop the last one and fix the digest."""
     head, _, rest = blob.partition(b"array user_bound 24 3 ")
@@ -471,13 +477,16 @@ def _drop_user_bound_row(blob):
     (lambda b: b[:b.index(b"array item_emb")] + b[b.index(b"array user_emb"):],
      ": duplicate array user_emb"),
     (lambda b: b + b"end\n", ": bytes follow the end marker"),
+    (_append_array, ": array foo is not used by model gmf"),
+    (_edit_header(b"model gmf\n", b"model mf\n"), ": array pred_weight is not used by model mf"),
 ], ids=["short-row-count", "long-row-count", "negative-row-count", "non-integer-count",
         "missing-bound-ratio", "missing-model", "bound-columns",
         "bound-rows", "huge-row-count", "header-edited", "duplicate-key",
-        "duplicate-meta-key", "duplicate-array", "after-end"])
+        "duplicate-meta-key", "duplicate-array", "after-end", "unused-array",
+        "mf-with-pred-weight"])
 def test_dump_bounds_rejects_bad_checkpoint(run_dir, tmp_path, capsys, edit, message):
     bad = tmp_path / "checkpoint.txt"
-    bad.write_bytes(edit(open(run_dir + "/checkpoint.txt", "rb").read()))
+    bad.write_bytes(edit(Path(run_dir, "checkpoint.txt").read_bytes()))
     assert main(["dump-bounds", str(bad), "--users", "0", "--items", "0"]) == 2
     captured = capsys.readouterr()
     assert captured.err == "data error: %s%s\n" % (bad, message)

@@ -860,6 +860,24 @@ def test_rewrite_removes_only_stale_behavior_files(small_dataset):
                 "validation.txt"])
 
 
+def test_an_interrupted_rewrite_does_not_read_back(small_dataset, monkeypatch):
+    """A synth of another seed into a dataset dir, stopped after
+    validation.txt, leaves no meta.txt, so the dir cannot be read with the
+    earlier write's test.txt."""
+    write_rows = datasets._write_rows
+
+    def stop_at_test(fh, *args):
+        if os.path.basename(fh.name) == "test.txt":
+            raise RuntimeError("stopped")
+        write_rows(fh, *args)
+
+    monkeypatch.setattr(datasets, "_write_rows", stop_at_test)
+    with pytest.raises(RuntimeError, match="stopped"):
+        main(["synth", small_dataset] + SMALL_SYNTH[:-1] + ["3"])
+    with pytest.raises(DataError, match="missing meta.txt"):
+        read_dataset_dir(small_dataset)
+
+
 def test_read_dataset_dir_in_small_blocks(small_dataset, monkeypatch):
     whole, _, _, _ = read_dataset_dir(small_dataset)
     monkeypatch.setattr(datasets, "BLOCK_CHARS", 8)

@@ -27,6 +27,7 @@ from critcf.losses import (
     RESIDUAL_SQUARE,
     BoundParams,
     LossConfig,
+    MarginPenalty,
     PENALTIES,
     criterion_total_loss,
     get_penalty,
@@ -359,13 +360,24 @@ def test_single_negative_hand_case():
     assert d_upper[0, 0] == 0.0
 
 
+class _LinearPlusSquare(MarginPenalty):
+    """g(x) = x + x^2, whose g'(0) = 1 only its grad states."""
+
+    def value(self, x, out=None):
+        x = np.asarray(x, dtype=float)
+        return np.add(x, x * x, out=out)
+
+    def grad(self, x, out=None):
+        return np.add(np.multiply(np.asarray(x, dtype=float), 2.0), 1.0, out=out)
+
+
 def test_hinge_zero_is_exact():
     # positives already above their upper bound, negatives below their lower
     scores = np.array([[2.0, 0.1, 0.2], [3.0, 0.0, 2.5]])
     pos_lists = [np.array([0]), np.array([0, 2])]
     upper = np.full((2, 3), 2.0)
     lower = np.full((2, 3), 0.5)
-    for penalty in PENALTIES.values():
+    for penalty in list(PENALTIES.values()) + [_LinearPlusSquare()]:
         loss, d_scores, d_upper, d_lower = hinge_criterion_loss(
             scores, pos_lists, upper, lower, 0.1, penalty
         )

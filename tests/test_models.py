@@ -18,6 +18,7 @@ from critcf.datasets import BehaviorDataset
 from critcf.errors import ConfigError, DataError
 from critcf.losses import BoundParams
 from critcf.models import (
+    MODELS,
     GmfModel,
     LightGcnModel,
     MfModel,
@@ -464,6 +465,8 @@ def _checkpoint_roundtrip(tmp_path, model, bounds, train=None):
         first = fh.read()
     loaded, loaded_bounds, meta = load_checkpoint(path, train=train)
     assert meta["variant"] == "full"
+    assert type(loaded) is type(model) is MODELS[model.kind]
+    assert list(model.param_arrays()) == list(loaded.param_arrays()) == list(type(model).arrays)
     for name, arr in model.param_arrays().items():
         np.testing.assert_array_equal(loaded.param_arrays()[name], arr)
     if bounds is not None:
@@ -481,11 +484,10 @@ def _checkpoint_roundtrip(tmp_path, model, bounds, train=None):
 def test_checkpoint_roundtrip_bit_exact(tmp_path):
     rng = np.random.default_rng(9)
     bounds = init_bounds(4, 6, 3, 1.0 / 3.0, rng)
-    _checkpoint_roundtrip(str(tmp_path), init_model("mf", 4, 6, 5, rng), bounds)
-    _checkpoint_roundtrip(str(tmp_path), init_model("gmf", 4, 6, 5, rng), bounds)
     train = make_train(4, 6, [[[0], [1], [2], [3]]])
-    gcn = init_model("lightgcn", 4, 6, 5, rng, num_layers=2, train=train)
-    _checkpoint_roundtrip(str(tmp_path), gcn, bounds, train=train)
+    for kind in MODELS:
+        model = init_model(kind, 4, 6, 5, rng, num_layers=2, train=train)
+        _checkpoint_roundtrip(str(tmp_path), model, bounds, train=train)
     _checkpoint_roundtrip(str(tmp_path), init_model("mf", 4, 6, 5, rng), None)
 
 

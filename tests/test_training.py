@@ -147,7 +147,7 @@ def oracle_train_epoch(train, model, bounds, params, acc, cfg, rng, step_callbac
 
 
 def toy_split(seed=0):
-    cfg = SynthConfig(num_users=20, num_items=15, latent_dim=3, num_behaviors=2,
+    cfg = SynthConfig(num_users=20, num_items=15, latent_dim=3,
                       densities=(0.40, 0.30), criterion_spread=0.3, seed=seed)
     ds, _, _ = generate(cfg)
     return leave_one_out_split(ds, on_short="error")
@@ -373,7 +373,6 @@ def test_batch_gradients_match_loss_fd_through_variants():
     for variant in ("full", "H", "U", "I")] + [("gmf", "O")])
 def test_batch_gradients_equal_two_body_oracle(kind, variant, dropout, behaviors, lambdas):
     ds, _, _ = generate(SynthConfig(num_users=20, num_items=15, latent_dim=3,
-                                    num_behaviors=behaviors,
                                     densities=(0.4, 0.3, 0.25)[-behaviors:], seed=2))
     rng = np.random.default_rng(behaviors)
     model = init_model(kind, ds.num_users, ds.num_items, 4, rng, num_layers=2,
